@@ -44,11 +44,11 @@ def main() -> None:
     print(f"verifier: ok={report.ok}  L3 max eig {report.l3_max_eig:.3e}  "
           f"PDE defect {report.pde_defect:.3e}  worst rank {report.rank_worst}")
 
-    res = maximize_D(sysm, e, seed=args.seed)
+    res = maximize_D(sysm, e)
     v_closed, _ = gaussian_objective(sysm, e, res.log_b)
     v_quad = quadrature_objective(sysm, e, res.log_b)
-    print(f"D = {res.value:.15f}  (grad norm {res.grad_norm:.2e}, "
-          f"{res.restarts} restarts)")
+    print(f"D = {res.value:.15f}  ({res.iterations} Newton iterations, "
+          f"residual {res.residual:.2e})")
     print(f"quadrature cross-check at argmax: {v_quad:.15f} "
           f"(closed form {v_closed:.15f})")
 

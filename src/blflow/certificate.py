@@ -4,7 +4,9 @@ The auxiliary weights s_j^2 satisfy the nonlinear system
 
     1/p_j = s_j^2 <M(s)^{-1} a_j, a_j>,   M(s) = A diag(s^2) A^T,
 
-solved by damped fixed-point iteration.  The certificate is then
+solved by one gauge-projected Newton iteration on the concave log of the
+Gaussian functional (see solve_s_system); the same solve gives the sharp
+constant in blflow.gaussian.  The certificate is then
 C = M(s)^{-1}; its quality is measured by the Frobenius defect of
 A diag(1/(p_j sigma_j)) A^T C = I and by the spectrum of the projector
 P = (A S)^T C (A S), S = diag(s_j), which must be an orthogonal projection
@@ -16,14 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CertificateRejection, IterationError
 from .model import Exponents, GaussCert, VectorSystem, numerical_rank
 
-DAMPING = 0.5
-MAX_ITER = 5000
+MAX_ITER = 100
 RES_TOL = 1e-10
+_DIVERGENCE_SPREAD = 60.0  # gauge-fixed |log s^2| beyond this means s^2 ratios > e^120
+_MAX_STEP = 8.0  # cap on max|dz| per step, so that exp(z) cannot overflow
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-30
+# Cholesky pivot ratio below which cond(M) > 1e12 and f, P are mostly round-off
+_MIN_PIVOT_RATIO = 1e-6
+# a larger part of the gradient outside the Hessian's range is not round-off
+_RANGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,40 +43,91 @@ class SSystemResult:
     notes: tuple[str, ...] = ()
 
 
-def _system_residual(sys: VectorSystem, e: Exponents, s_sq: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max-norm residual of the defining equations plus <M^{-1} a_j, a_j>."""
-    M = (sys.A * s_sq) @ sys.A.T
-    try:
-        cho = scipy.linalg.cho_factor(M)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise IterationError("M(s) is numerically singular or non-finite") from exc
-    quad = np.einsum("ij,ij->j", sys.A, scipy.linalg.cho_solve(cho, sys.A))
-    res = float(np.max(np.abs(e.inv_p - s_sq * quad)))
-    return res, quad
+def _newton_terms(sys: VectorSystem, e: Exponents, z: np.ndarray):
+    """f(z), the residual vector 1/p - tau and P at s^2 = exp(z), from one Cholesky of M(s).
 
-
-def solve_s_system(sys: VectorSystem, e: Exponents, damping: float = DAMPING,
-                   max_iter: int = MAX_ITER, res_tol: float = RES_TOL,
-                   s0=None) -> SSystemResult:
-    """Damped fixed-point iteration for the auxiliary weights.
-
-    Each step proposes s_j^2 = (1/p_j) / <M(s)^{-1} a_j, a_j>, blends it with
-    the previous iterate, and renormalizes to sum(s^2) = 1 (the scale freedom
-    of the certificate is fixed by this normalization).
+    f(z) = (<1/p, z> - log det M(e^z)) / 2, P = (A S)^T M^{-1} (A S) and
+    tau = diag P.  Raises LinAlgError when M(s) is not numerically positive
+    definite.
     """
-    s_sq = (np.full(sys.n, 1.0 / sys.n) if s0 is None
-            else np.asarray(s0, dtype=float).ravel())
-    s_sq = s_sq / s_sq.sum()
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        residual, quad = _system_residual(sys, e, s_sq)
-        if residual <= res_tol:
-            return SSystemResult(s_sq, residual, it, True)
-        proposal = e.inv_p / quad
-        s_sq = damping * proposal + (1.0 - damping) * s_sq
-        s_sq /= s_sq.sum()
-    return SSystemResult(s_sq, residual, max_iter, False,
-                         notes=(f"no convergence in {max_iter} iterations",))
+    AS = sys.A * np.exp(0.5 * z)
+    L = np.linalg.cholesky(AS @ AS.T)
+    pivots = np.diag(L)
+    if pivots.min() < _MIN_PIVOT_RATIO * pivots.max():
+        raise np.linalg.LinAlgError("M(s) is numerically singular")
+    W = np.linalg.solve(L, AS)
+    P = W.T @ W
+    f = 0.5 * float(e.inv_p @ z) - float(np.sum(np.log(pivots)))
+    return f, e.inv_p - np.diag(P), P
+
+
+def _result(z, residual, iterations, converged, note=None) -> SSystemResult:
+    s_sq = np.exp(z - z.max())
+    return SSystemResult(s_sq / s_sq.sum(), residual, iterations, converged,
+                         notes=() if note is None else (note,))
+
+
+def solve_s_system(sys: VectorSystem, e: Exponents,
+                   res_tol: float = RES_TOL) -> SSystemResult:
+    """Gauge-projected Newton iteration for the auxiliary weights.
+
+    In z = log s^2 the system is the stationarity condition of the concave
+    f(z) = (<1/p, z> - log det M(e^z)) / 2: the gradient is (1/p - tau) / 2
+    with tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian is
+    -(diag tau - P o P) / 2.  The Hessian annihilates the gauge direction
+    (1, ..., 1), so z stays on sum(z) = 0 and the step is a least-squares
+    solve, which also covers decomposable data with a larger null space.
+    Steps are capped and backtracked (Armijo).  Off the interior of the
+    finiteness polytope the supremum is not attained and the iterates run
+    off to infinity; the solve stops unconverged when their gauge spread
+    exceeds _DIVERGENCE_SPREAD, M(s) turns numerically singular or the
+    gradient leaves the Hessian's range.
+    s^2 is returned normalized to sum(s^2) = 1; the residual is
+    max_j |1/p_j - tau_j|.
+    """
+    z = np.zeros(sys.n)
+    try:
+        f, r, P = _newton_terms(sys, e, z)
+    except np.linalg.LinAlgError as exc:
+        raise IterationError("M(s) is numerically singular or non-finite") from exc
+    residual = float(np.max(np.abs(r)))
+    it = 1
+    while residual > res_tol:
+        if it == MAX_ITER:
+            return _result(z, residual, it, False, f"no convergence in {MAX_ITER} iterations")
+        if float(np.max(np.abs(z))) > _DIVERGENCE_SPREAD:
+            return _result(z, residual, it, False, "the gauge spread of log s^2 exceeds "
+                           f"{_DIVERGENCE_SPREAD:g}: the supremum is not attained")
+        r = r - r.mean()
+        K = np.diag(np.diag(P)) - P * P
+        d = np.linalg.lstsq(K, r, rcond=None)[0]
+        if float(np.max(np.abs(r - K @ d))) > _RANGE_TOL:
+            # f is linear along K's null space, which is the same at every
+            # z, unless M(s) is so ill-conditioned that K looks singular
+            return _result(z, residual, it, False, "the gradient leaves the range "
+                           "of the Hessian: the supremum is not attained")
+        d -= d.mean()
+        longest = float(np.max(np.abs(d)))
+        if longest > _MAX_STEP:
+            d *= _MAX_STEP / longest
+        slope = 0.5 * float(r @ d)
+        t = 1.0
+        while t >= _MIN_STEP:
+            try:
+                f_new, r_new, P_new = _newton_terms(sys, e, z + t * d)
+            except np.linalg.LinAlgError:
+                t *= 0.5
+                continue
+            # round-off in f hides the last steps; a lower residual takes them
+            if f_new >= f + _ARMIJO * t * slope or np.max(np.abs(r_new)) < residual:
+                break
+            t *= 0.5
+        else:
+            return _result(z, residual, it, False, "line search stalled")
+        z, f, r, P = z + t * d, f_new, r_new, P_new
+        residual = float(np.max(np.abs(r)))
+        it += 1
+    return _result(z, residual, it, True)
 
 
 def build_C(sys: VectorSystem, e: Exponents, s_sq,
@@ -84,8 +143,10 @@ def build_C(sys: VectorSystem, e: Exponents, s_sq,
         raise CertificateRejection("s_j^2 must be positive")
     M = (sys.A * s_sq) @ sys.A.T
     try:
-        C = scipy.linalg.inv(M)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        if not np.all(np.isfinite(M)):
+            raise np.linalg.LinAlgError
+        C = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
         raise IterationError("M(s) is numerically singular or non-finite") from exc
     C = 0.5 * (C + C.T)
     sigma = np.einsum("ij,ik,kj->j", sys.A, C, sys.A)
@@ -141,13 +202,13 @@ def solve_certificate(sys: VectorSystem, e: Exponents, boundary_slack: float | N
     """Convenience chain: solve the s^2 system then build C.
 
     ``boundary_slack`` (the polytope LP slack, when known) attaches a warning
-    to the certificate for exponents within 1e-6 of the boundary, where the
-    iteration may stall.
+    to the certificate for exponents within 1e-6 of the boundary, where M(s)
+    is so ill-conditioned that the solve may stop short of res_tol.
     """
     result = solve_s_system(sys, e, **solver_kw)
     notes = result.notes
     if boundary_slack is not None and boundary_slack < 1e-6:
         notes = notes + ("exponents within 1e-6 of the polytope boundary; "
-                         "convergence may stall",)
+                         "M(s) is ill-conditioned",)
     cert = build_C(sys, e, result.s_sq, notes=notes)
     return cert, result

@@ -56,17 +56,32 @@ def _bellman_of(problem: Problem) -> BellmanSpec:
     raise StructuralError("problem file has no usable B")
 
 
+def _solved_certificate(problem: Problem):
+    """Polytope verdict, solved certificate and solve result for the file's exponents.
+
+    Off the interior of the polytope no certificate exists, however small the
+    residual the solver reaches far out along a ray, so that raises
+    IterationError (exit 3).
+    """
+    verdict = polytope.is_finite(problem.system, problem.exponents)
+    if verdict.verdict != "inside":
+        raise IterationError(f"exponents not inside the polytope ({verdict.verdict}); "
+                             "no certificate exists")
+    cert, result = certificate.solve_certificate(
+        problem.system, problem.exponents, boundary_slack=verdict.slack,
+        res_tol=problem.tolerances.get("res_tol", certificate.RES_TOL))
+    return verdict, cert, result
+
+
 def _certificate_of(problem: Problem):
     """Explicit C from the file, or the solved one; returns (cert, solve_info)."""
     if problem.C is not None:
         return make_cert(problem.system, problem.C, e=problem.exponents), None
     if problem.exponents is None:
         raise StructuralError("need either an explicit C or exponents to solve for one")
-    verdict = polytope.is_finite(problem.system, problem.exponents)
-    cert, result = certificate.solve_certificate(
-        problem.system, problem.exponents,
-        boundary_slack=verdict.slack if verdict.weights is not None else None,
-        res_tol=problem.tolerances.get("res_tol", certificate.RES_TOL))
+    _, cert, result = _solved_certificate(problem)
+    if not result.converged:
+        raise IterationError("; ".join(result.notes))
     return cert, result
 
 
@@ -93,21 +108,12 @@ def cmd_constant(problem: Problem, args) -> int:
     if verdict.verdict != "inside":
         warnings.append(f"exponents are {verdict.verdict} the polytope; "
                         "the supremum may be infinite or attained only in a limit")
-    extra = []
-    try:
-        res_s = certificate.solve_s_system(problem.system, problem.exponents)
-        if res_s.converged:
-            extra.append(np.log(problem.exponents.p * res_s.s_sq))
-    except (IterationError, CertificateRejection):
-        pass
-    result = gaussian.maximize_D(problem.system, problem.exponents,
-                                 seed=problem.seed, extra_starts=extra)
-    status = ("sup not attained / infinite" if result.diverged
-              else "converged" if result.grad_norm <= 1e3 * gaussian.GRAD_TOL
+    result = gaussian.maximize_D(problem.system, problem.exponents)
+    status = ("sup not attained / infinite" if verdict.verdict != "inside"
+              else "converged" if result.converged
               else "non-convergence")
-    _emit({"D": result.value, "argmax_b": result.b, "restarts": result.restarts,
-           "grad_norm": result.grad_norm, "status": status,
-           "local_maxima": [v for v, _ in result.local_maxima],
+    _emit({"D": result.value, "argmax_b": result.b, "iterations": result.iterations,
+           "residual": result.residual, "status": status,
            "warnings": warnings}, args.out)
     if status == "non-convergence":
         return EXIT_NOCONV
@@ -117,12 +123,7 @@ def cmd_constant(problem: Problem, args) -> int:
 def cmd_solve_c(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("solve-c needs inv_p")
-    verdict = polytope.is_finite(problem.system, problem.exponents)
-    result = certificate.solve_s_system(
-        problem.system, problem.exponents,
-        res_tol=problem.tolerances.get("res_tol", certificate.RES_TOL))
-    cert = certificate.build_C(problem.system, problem.exponents, result.s_sq,
-                               notes=result.notes)
+    verdict, cert, result = _solved_certificate(problem)
     defect = certificate.certificate_defect(problem.system, problem.exponents, cert)
     proj = certificate.projection_check(problem.system, cert)
     _emit({"C": cert.C, "s_sq": cert.s_sq, "sigma": cert.sigma,

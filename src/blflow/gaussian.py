@@ -5,9 +5,11 @@ For trial functions g_j(x) = b_j^{1/2} exp(-pi x^2 b_j) the functional
     int prod_j g_j(<a_j, x>)^{1/p_j} dx
 
 has the closed form  prod_j b_j^{1/(2 p_j)} * det(Q(b))^{-1/2}  with
-Q(b) = sum_j (b_j / p_j) a_j a_j^T.  The closed form is an implementation
-derivation, so it is validated against direct tensor quadrature of the
-integrand (k <= 2) before the optimizer relies on it.
+Q(b) = sum_j (b_j / p_j) a_j a_j^T.  At b = p s^2, Q(b) = M(s) and the
+stationarity condition of the functional is the s-system of
+blflow.certificate, so the supremum comes from that module's Newton solve.
+The closed form is an implementation derivation, so it is validated against
+direct tensor quadrature of the integrand (k <= 2) before it is relied on.
 """
 
 from __future__ import annotations
@@ -18,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import certificate, quadrature
 from .errors import EvaluationError
 from .model import Exponents, VectorSystem
-
-GRAD_TOL = 1e-10
-MAX_ITER = 10_000
-DEFAULT_RESTARTS = 8
-_DIVERGENCE_SPREAD = 60.0  # gauge-fixed |log b| beyond this means b ratios > e^120
 
 
 def _quadratic_form(sys: VectorSystem, e: Exponents, b: np.ndarray) -> np.ndarray:
@@ -48,9 +45,8 @@ def gaussian_objective(sys: VectorSystem, e: Exponents, log_b) -> tuple[float, n
     logdet = 2.0 * float(np.sum(np.log(np.diag(Lc))))
     logval = 0.5 * float(e.inv_p @ log_b) - 0.5 * logdet
     value = math.exp(logval)
-    # d(logdet)/db_j = <Q^{-1} a_j, a_j> / p_j
-    Qinv_a = np.linalg.solve(Q, sys.A)
-    quad = np.einsum("ij,ij->j", sys.A, Qinv_a)
+    # d(logdet)/db_j = <Q^{-1} a_j, a_j> / p_j = |Lc^{-1} a_j|^2 / p_j
+    quad = np.sum(np.linalg.solve(Lc, sys.A) ** 2, axis=0)
     grad_log = 0.5 * e.inv_p - 0.5 * b * e.inv_p * quad
     return value, value * grad_log
 
@@ -97,94 +93,27 @@ def _closed_form_selftest() -> bool:
 class MaximizeResult:
     value: float
     log_b: np.ndarray
-    grad_norm: float
-    restarts: int
     iterations: int
-    diverged: bool
-    local_maxima: tuple[tuple[float, tuple[float, ...]], ...]
+    residual: float
+    converged: bool
 
     @property
     def b(self) -> np.ndarray:
         return np.exp(self.log_b)
 
 
-def _log_objective(sys, e, z) -> float:
-    b = np.exp(z)
-    Q = _quadratic_form(sys, e, b)
-    try:
-        Lc = np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        return -math.inf
-    return 0.5 * float(e.inv_p @ z) - float(np.sum(np.log(np.diag(Lc))))
+def maximize_D(sys: VectorSystem, e: Exponents) -> MaximizeResult:
+    """Supremum of the Gaussian functional.
 
-
-def _ascend(sys, e, z0, grad_tol=GRAD_TOL, max_iter=MAX_ITER):
-    """Projected gradient ascent with backtracking in gauge-fixed log coords."""
-    z = z0 - z0.mean()
-    f = _log_objective(sys, e, z)
-    it = 0
-    step = 1.0
-    for it in range(1, max_iter + 1):
-        _, grad = gaussian_objective(sys, e, z)
-        # gradient of log objective, projected onto the gauge slice sum(z)=0
-        g = grad / math.exp(f) if math.isfinite(f) else grad
-        g = g - g.mean()
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
-            return z, f, gnorm, it, False
-        step = min(4.0 * step, 1.0 / max(gnorm, 1e-12))
-        while step > 1e-18:
-            z_new = z + step * g
-            z_new -= z_new.mean()
-            f_new = _log_objective(sys, e, z_new)
-            if f_new > f + 1e-4 * step * gnorm**2:
-                z, f = z_new, f_new
-                break
-            step *= 0.5
-        else:
-            return z, f, gnorm, it, False
-        if float(np.max(np.abs(z))) > _DIVERGENCE_SPREAD:
-            return z, f, gnorm, it, True
-    _, grad = gaussian_objective(sys, e, z)
-    g = grad - grad.mean()
-    return z, f, float(np.linalg.norm(g)), it, False
-
-
-def maximize_D(sys: VectorSystem, e: Exponents, restarts: int = DEFAULT_RESTARTS,
-               seed: int = 0, grad_tol: float = GRAD_TOL, max_iter: int = MAX_ITER,
-               extra_starts=()) -> MaximizeResult:
-    """Estimate the supremum of the Gaussian functional.
-
-    Multi-start gradient ascent in gauge-fixed log coordinates (the gauge
-    sum(log b) = 0 removes the scale invariance of the objective when
-    sum(1/p_j) equals k).  ``extra_starts`` accepts additional log-b seeds,
-    e.g. from the certificate solver.  A run whose gauge-fixed iterates blow
-    up is reported as diverged ("sup not attained / infinite"), distinct
-    from plain non-convergence.
+    The maximizer is b = p s^2 with s^2 from certificate.solve_s_system: in
+    log coordinates the logarithm of the functional is concave, so the one
+    stationary point that solver finds is the maximum.  ``converged`` is the
+    solver's; off the interior of the finiteness polytope the supremum is not
+    attained, and the value is that at the solver's last iterate.
     """
     _closed_form_selftest()
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(sys.n)]
-    starts += [np.asarray(s, dtype=float).ravel() for s in extra_starts]
-    while len(starts) < restarts:
-        starts.append(rng.normal(scale=1.0, size=sys.n))
-
-    best = None
-    total_it = 0
-    diverged_any = False
-    maxima: list[tuple[float, tuple[float, ...]]] = []
-    for z0 in starts:
-        z, f, gnorm, it, div = _ascend(sys, e, z0, grad_tol, max_iter)
-        total_it += it
-        diverged_any |= div
-        val = math.exp(f) if math.isfinite(f) else 0.0
-        if not div and gnorm <= 1e3 * grad_tol:
-            if not any(abs(val - v) <= 1e-9 * max(1.0, v) for v, _ in maxima):
-                maxima.append((val, tuple(z)))
-        if best is None or val > best[0]:
-            best = (val, z, gnorm)
-    value, z, gnorm = best
-    maxima.sort(reverse=True)
-    return MaximizeResult(value=value, log_b=z, grad_norm=gnorm,
-                          restarts=len(starts), iterations=total_it,
-                          diverged=diverged_any, local_maxima=tuple(maxima))
+    result = certificate.solve_s_system(sys, e)
+    log_b = np.log(e.p * result.s_sq)
+    value, _ = gaussian_objective(sys, e, log_b)
+    return MaximizeResult(value=value, log_b=log_b, iterations=result.iterations,
+                          residual=result.residual, converged=result.converged)

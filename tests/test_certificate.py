@@ -2,9 +2,26 @@ import numpy as np
 import pytest
 
 from blflow import (Exponents, VectorSystem, build_C, certificate_defect,
-                    make_cert, projection_check, solve_certificate,
+                    enumerate_bases, gaussian_objective, is_finite, make_cert,
+                    maximize_D, projection_check, solve_certificate,
                     solve_s_system)
 from blflow.errors import CertificateRejection
+
+
+def polytope_point(rng, slack):
+    """Random unit-column system and exponents at `slack` from a vertex of the polytope.
+
+    slack = 1 gives a random interior point; a small slack puts the point
+    near the boundary, where the weights spread over orders of magnitude.
+    """
+    k = int(rng.integers(1, 5))
+    n = int(rng.integers(k + 1, 11))
+    A = rng.normal(size=(k, n))
+    sysm = VectorSystem(A / np.linalg.norm(A, axis=0))
+    V = enumerate_bases(sysm).vectors
+    inner = rng.dirichlet(np.ones(len(V))) @ V
+    inv_p = (1.0 - slack) * V[rng.integers(len(V))] + slack * inner
+    return sysm, Exponents(inv_p)
 
 
 class TestSSystem:
@@ -29,9 +46,22 @@ class TestSSystem:
         # k=1: s_j^2 proportional to 1/p_j
         assert np.allclose(res.s_sq, [0.5, 0.5], atol=1e-10)
 
+    @pytest.mark.parametrize("slack", [1.0, 1e-3])
+    def test_random_polytope_points(self, slack):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            sysm, e = polytope_point(rng, slack)
+            assert is_finite(sysm, e).verdict == "inside"
+            res = solve_s_system(sysm, e)
+            assert res.converged and res.residual <= 1e-10
+            assert projection_check(sysm, build_C(sysm, e, res.s_sq)).ok
+            closed, _ = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
+            assert maximize_D(sysm, e).value == pytest.approx(closed, rel=1e-12)
+
     def test_warm_start_converges_fast(self, young3):
+        # the symmetric start is already young3's solution
         sysm, e, _ = young3
-        res = solve_s_system(sysm, e, s0=[1 / 3, 1 / 3, 1 / 3])
+        res = solve_s_system(sysm, e)
         assert res.converged and res.iterations == 1
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blflow import certificate
 from blflow.cli import main
 
 HOLDER = {
@@ -27,6 +28,23 @@ OUTSIDE = {
     "k": 2, "n": 3, "A": [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
     "inv_p": [0.6, 0.6, 0.8],
 }
+
+# one exponent at 1: on the polytope's boundary, where the supremum is only
+# reached in a limit and Newton meets res_tol far out along the ray
+BOUNDARY = {
+    "k": 2, "n": 3, "A": [[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]],
+    "inv_p": [1.0, 0.5, 0.5],
+}
+
+# a repeated column whose exponents sum past 1: Q(b) turns near-singular
+NEAR_SINGULAR = {
+    "k": 2, "n": 4,
+    "A": [[-0.88, 0.94, -0.45, -0.88], [-0.47, 0.33, 0.89, -0.47]],
+    "inv_p": [0.8, 0.01, 0.39, 0.8],
+}
+
+OFF_INTERIOR = pytest.mark.parametrize("doc", [BOUNDARY, NEAR_SINGULAR],
+                                       ids=["boundary", "near_singular"])
 
 
 def write(tmp_path, doc, name="problem.json"):
@@ -67,12 +85,19 @@ class TestConstant:
         code, doc = run_json(capsys, ["constant", write(tmp_path, YOUNG3)])
         assert code == 0
         assert doc["D"] == pytest.approx(0.8660254037844388, rel=1e-9)
+        assert doc["iterations"] == 1 and doc["residual"] <= 1e-10
 
     def test_outside_reports_divergence(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["constant", write(tmp_path, OUTSIDE)])
         assert code == 0
         assert doc["status"] == "sup not attained / infinite"
         assert doc["warnings"]
+
+    @OFF_INTERIOR
+    def test_off_interior_is_not_attained(self, tmp_path, capsys, doc):
+        code, out = run_json(capsys, ["constant", write(tmp_path, doc)])
+        assert code == 0
+        assert out["status"] == "sup not attained / infinite"
 
 
 class TestSolveC:
@@ -96,6 +121,10 @@ class TestSolveC:
         doc = json.loads(out.read_text())
         assert doc["converged"]
 
+    @OFF_INTERIOR
+    def test_off_interior_has_no_certificate(self, tmp_path, capsys, doc):
+        assert main(["solve-c", write(tmp_path, doc)]) == 3
+
 
 class TestVerify:
     def test_young_passes(self, tmp_path, capsys):
@@ -116,6 +145,13 @@ class TestVerify:
         assert code == 0
         assert doc["ok"]
         assert doc["pde"]["defect"] <= 1e-10
+
+    def test_unconverged_certificate_exits_three(self, tmp_path, capsys, monkeypatch):
+        # capped before its first Newton step, the solve leaves no certificate to check
+        monkeypatch.setattr(certificate, "MAX_ITER", 1)
+        doc_in = dict(YOUNG3, inv_p=[0.6, 0.7, 0.7],
+                      B={"variant": "young", "alpha": [0.6, 0.7, 0.7]})
+        assert main(["verify", write(tmp_path, doc_in)]) == 3
 
     def test_bad_certificate_exits_one(self, tmp_path, capsys):
         doc_in = dict(YOUNG3)
