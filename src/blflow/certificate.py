@@ -32,6 +32,8 @@ _MIN_STEP = 2.0**-30
 _MIN_PIVOT_RATIO = 1e-6
 # a larger part of the gradient outside the Hessian's range is not round-off
 _RANGE_TOL = 1e-8
+# beyond this |sum(1/p) - k| no s^2 can meet the system
+_DEGREE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
     finiteness polytope the supremum is not attained and the iterates run
     off to infinity; the solve stops unconverged when their gauge spread
     exceeds _DIVERGENCE_SPREAD, M(s) turns numerically singular or the
-    gradient leaves the Hessian's range.
+    gradient leaves the Hessian's range.  Off-degree exponents,
+    |sum(1/p_j) - k| > 1e-12, stop it unconverged after the first evaluation.
     s^2 is returned normalized to sum(s^2) = 1; the residual is
     max_j |1/p_j - tau_j|.
     """
@@ -92,6 +95,11 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
         raise IterationError("M(s) is numerically singular or non-finite") from exc
     residual = float(np.max(np.abs(r)))
     it = 1
+    degree = float(e.inv_p.sum())
+    if abs(degree - sys.k) > _DEGREE_TOL:
+        # sum(1/p - tau) = sum(1/p) - k at every z, so the residual cannot vanish
+        return _result(z, residual, it, False, f"sum(1/p_j) = {degree!r} differs from "
+                       f"k = {sys.k}: the s-system has no solution")
     while residual > res_tol:
         if it == MAX_ITER:
             return _result(z, residual, it, False, f"no convergence in {MAX_ITER} iterations")

@@ -56,6 +56,10 @@ def _bellman_of(problem: Problem) -> BellmanSpec:
     raise StructuralError("problem file has no usable B")
 
 
+def _res_tol(problem: Problem) -> float:
+    return problem.tolerances.get("res_tol", certificate.RES_TOL)
+
+
 def _solved_certificate(problem: Problem):
     """Polytope verdict, solved certificate and solve result for the file's exponents.
 
@@ -69,7 +73,7 @@ def _solved_certificate(problem: Problem):
                              "no certificate exists")
     cert, result = certificate.solve_certificate(
         problem.system, problem.exponents, boundary_slack=verdict.slack,
-        res_tol=problem.tolerances.get("res_tol", certificate.RES_TOL))
+        res_tol=_res_tol(problem))
     return verdict, cert, result
 
 
@@ -108,7 +112,8 @@ def cmd_constant(problem: Problem, args) -> int:
     if verdict.verdict != "inside":
         warnings.append(f"exponents are {verdict.verdict} the polytope; "
                         "the supremum may be infinite or attained only in a limit")
-    result = gaussian.maximize_D(problem.system, problem.exponents)
+    result = gaussian.maximize_D(problem.system, problem.exponents,
+                                 res_tol=_res_tol(problem))
     status = ("sup not attained / infinite" if verdict.verdict != "inside"
               else "converged" if result.converged
               else "non-convergence")

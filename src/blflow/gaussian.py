@@ -9,7 +9,7 @@ Q(b) = sum_j (b_j / p_j) a_j a_j^T.  At b = p s^2, Q(b) = M(s) and the
 stationarity condition of the functional is the s-system of
 blflow.certificate, so the supremum comes from that module's Newton solve.
 The closed form is an implementation derivation, so it is validated against
-direct tensor quadrature of the integrand (k <= 2) before it is relied on.
+direct quadrature of the integrand (k <= 2) before it is relied on.
 """
 
 from __future__ import annotations
@@ -53,22 +53,19 @@ def gaussian_objective(sys: VectorSystem, e: Exponents, log_b) -> tuple[float, n
 
 def quadrature_objective(sys: VectorSystem, e: Exponents, log_b,
                          rel_tol: float = 1e-9) -> float:
-    """Direct tensor quadrature of the Gaussian integrand (k <= 3)."""
+    """Direct quadrature of the Gaussian integrand over R^k (k <= 3)."""
     log_b = np.asarray(log_b, dtype=float).ravel()
     b = np.exp(log_b)
     Q = _quadratic_form(sys, e, b)
-    eigs = np.linalg.eigvalsh(Q)
-    if eigs[0] <= 0.0:
+    if np.linalg.eigvalsh(Q)[0] <= 0.0:
         raise EvaluationError("Q(b) is singular or indefinite")
     pref = float(np.prod(b ** (0.5 * e.inv_p)))
-    L = quadrature.gaussian_halfwidth(math.pi * float(eigs[0]))
 
     def integrand(X):
         proj = X @ sys.A  # (m, n) values of <a_j, x>
         return np.exp(-math.pi * (proj**2 @ (b * e.inv_p)))
 
-    res = quadrature.tensor_quad_strict(integrand, sys.k, L, rel_tol=rel_tol, n0=32)
-    return pref * res.value
+    return pref * quadrature.decay_quad(integrand, math.pi * Q, rel_tol=rel_tol).value
 
 
 @functools.lru_cache(maxsize=1)
@@ -102,17 +99,19 @@ class MaximizeResult:
         return np.exp(self.log_b)
 
 
-def maximize_D(sys: VectorSystem, e: Exponents) -> MaximizeResult:
+def maximize_D(sys: VectorSystem, e: Exponents,
+               res_tol: float = certificate.RES_TOL) -> MaximizeResult:
     """Supremum of the Gaussian functional.
 
     The maximizer is b = p s^2 with s^2 from certificate.solve_s_system: in
     log coordinates the logarithm of the functional is concave, so the one
     stationary point that solver finds is the maximum.  ``converged`` is the
-    solver's; off the interior of the finiteness polytope the supremum is not
-    attained, and the value is that at the solver's last iterate.
+    solver's, to ``res_tol``; off the interior of the finiteness polytope the
+    supremum is not attained, and the value is that at the solver's last
+    iterate.
     """
     _closed_form_selftest()
-    result = certificate.solve_s_system(sys, e)
+    result = certificate.solve_s_system(sys, e, res_tol=res_tol)
     log_b = np.log(e.p * result.s_sq)
     value, _ = gaussian_objective(sys, e, log_b)
     return MaximizeResult(value=value, log_b=log_b, iterations=result.iterations,

@@ -6,7 +6,12 @@ all dominated by b * exp(-delta y^2), so heat extensions have closed forms
 monotonicity violation in the trace indicates a real bug, not solver drift.
 
 The energy is the integral of B composed with the per-coordinate heat
-extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.
+extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.  The
+domination bounds make the integrand at most c exp(-x^T F x) with
+F = sum_j w_j delta_j(t) a_j a_j^T, so it is integrated over R^k by
+quadrature.decay_quad, the nested trapezoid rule on the cube whitened by F.
+Only box data at t = 0, which is discontinuous, takes the midpoint/Romberg
+panels of quadrature.panel_quad_1d (k = 1).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erfc
 
 from . import quadrature
 from .errors import DomainError, StructuralError, UnsupportedScaleError
@@ -25,7 +30,6 @@ from .verifier import check_L3, sample_interior
 QUAD_TOL = 1e-8
 DEFAULT_TIMES = (0.0, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 MAX_K = 3
-_LOG_TAIL = 40.0  # cube tail below exp(-40) of the interior scale
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +60,13 @@ class Box:
             return self.value(y)
         y = np.asarray(y, dtype=float)
         w = math.sqrt(4.0 * sigma * t)
-        return 0.5 * self.height * (erf((y - self.lo) / w) - erf((y - self.hi) / w))
+        a, b = (y - self.lo) / w, (y - self.hi) / w  # a > b
+        # erf(a) - erf(b) from the tails erfc(|a|), erfc(|b|): outside the
+        # box (a, b of one sign) it is their difference, which keeps every
+        # digit where erf(a) - erf(b) is the round-off of 1 - 1
+        ea, eb = erfc(np.abs(a)), erfc(np.abs(b))
+        outside = (b > 0.0) | (a < 0.0)
+        return 0.5 * self.height * np.where(outside, np.abs(ea - eb), 2.0 - ea - eb)
 
     def heat_dy(self, y, sigma: float, t: float):
         if t == 0.0:
@@ -179,17 +189,16 @@ def _check_problem(sys: VectorSystem, B: BellmanSpec, profiles) -> None:
         raise StructuralError("need one profile per column and B of n variables")
 
 
-def _energy_halfwidth(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                      profiles, t: float) -> float:
-    """Cube half-width from the evolved domination bounds: the integrand is
-    bounded by a Gaussian with quadratic form sum_j w_j delta_j(t) a_j a_j^T."""
+def _decay_form(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
+                profiles, t: float) -> np.ndarray:
+    """The quadratic form sum_j w_j delta_j(t) a_j a_j^T of the Gaussian bound
+    on the energy integrand, from the evolved domination bounds."""
     deltas = np.array([evolved_domination(p, s, t)[1]
                        for p, s in zip(profiles, cert.sigma)])
     F = (sys.A * (B.weights * deltas)) @ sys.A.T
-    lam_min = float(np.linalg.eigvalsh(F)[0])
-    if lam_min <= 0.0:
+    if float(np.linalg.eigvalsh(F)[0]) <= 0.0:
         raise StructuralError("degenerate decay form; is rank(A) = k?")
-    return quadrature.gaussian_halfwidth(lam_min, log_tail=_LOG_TAIL)
+    return F
 
 
 def _profile_vector(sys, cert, profiles, X, t):
@@ -209,9 +218,15 @@ class EnergyValue:
 
 def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                    profiles, t: float, quad_tol: float = QUAD_TOL) -> EnergyValue:
-    """Energy at time t by tensor quadrature with doubling refinement."""
+    """Energy at time t by the nested trapezoid rule on the whitened decay cube.
+
+    ``halfwidth`` is the cube's reach sqrt(40 / lam_min(F)) along the
+    softest direction of the decay form F, and ``levels`` the number of
+    mesh doublings.  Box data at t = 0 has no smooth integrand; for k = 1
+    it is integrated on breakpoint-aligned panels instead.
+    """
     _check_problem(sys, B, profiles)
-    L = _energy_halfwidth(sys, cert, B, profiles, t)
+    F = _decay_form(sys, cert, B, profiles, t)
 
     def integrand(X):
         return B.evaluate(_profile_vector(sys, cert, profiles, X, t))
@@ -221,17 +236,18 @@ def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
         # box data at time zero: split the axis where <a_j, x> crosses an
         # edge; on each panel the box factors are constant, so the panel
         # rule is exact for pure box data and fast otherwise
+        L = quadrature.gaussian_halfwidth(float(F[0, 0]), log_tail=quadrature.LOG_TAIL)
         cuts = [edge / a for j, a in enumerate(sys.A[0]) if a != 0.0
                 for edge in profiles[j].breakpoints()]
         res = quadrature.panel_quad_1d(lambda x: integrand(x.reshape(-1, 1)),
                                        cuts, L, rel_tol=quad_tol)
-        return EnergyValue(res.value, L, res.levels, True)
+        return EnergyValue(res.value, L, res.levels - 1, True)
     if discontinuous:
         raise UnsupportedScaleError(
             "box initial data at t = 0 is only integrated exactly for k = 1; "
             "evaluate at t > 0 or use Gaussian profiles")
-    res = quadrature.tensor_quad_strict(integrand, sys.k, L, rel_tol=quad_tol, n0=16)
-    return EnergyValue(res.value, L, res.levels, False)
+    res = quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
+    return EnergyValue(res.value, res.halfwidth, res.levels, False)
 
 
 def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
@@ -254,15 +270,13 @@ def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
         return B.evaluate(amp * np.exp(-(proj**2) / cert.sigma))
 
     F = (sys.A * (B.weights / cert.sigma)) @ sys.A.T
-    lam = np.linalg.eigvalsh(F)
-    L = quadrature.gaussian_halfwidth(float(lam[0]), log_tail=_LOG_TAIL)
-    res = quadrature.tensor_quad_strict(integrand, sys.k, L, rel_tol=quad_tol, n0=16)
+    res = quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
     closed = (B.coeff * float(np.prod(amp**B.weights))
-              * math.pi ** (sys.k / 2.0) / math.sqrt(float(np.prod(lam))))
+              * math.pi ** (sys.k / 2.0) / math.sqrt(float(np.linalg.det(F))))
     if abs(res.value - closed) > 1e-6 * abs(closed):
         raise StructuralError(
             f"limit self-test failed: quadrature {res.value!r} vs closed form {closed!r}")
-    return EnergyValue(res.value, L, res.levels, False)
+    return EnergyValue(res.value, res.halfwidth, res.levels, False)
 
 
 @dataclass(frozen=True)

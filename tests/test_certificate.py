@@ -65,6 +65,14 @@ class TestSSystem:
         assert res.converged and res.iterations == 1
 
 
+    def test_off_degree_fails_fast(self, young3):
+        # sum(1/p) = 1.5 != k = 2: no s^2 solves the system
+        sysm, _, _ = young3
+        res = solve_s_system(sysm, Exponents([0.5, 0.5, 0.5]))
+        assert not res.converged and res.iterations == 1
+        assert "1.5" in res.notes[0] and "k = 2" in res.notes[0]
+
+
 class TestBuildC:
     def test_identity_gives_two_identity(self):
         # A = I, p = (1, 1): s^2 = (1/2, 1/2), M = I/2, C = 2I

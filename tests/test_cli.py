@@ -43,6 +43,12 @@ NEAR_SINGULAR = {
     "inv_p": [0.8, 0.01, 0.39, 0.8],
 }
 
+# inside the polytope, but no solve meets a residual tolerance below round-off
+UNREACHABLE_TOL = {
+    "k": 2, "n": 3, "A": [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]],
+    "inv_p": [0.6, 0.7, 0.7], "tolerances": {"res_tol": 1e-30},
+}
+
 OFF_INTERIOR = pytest.mark.parametrize("doc", [BOUNDARY, NEAR_SINGULAR],
                                        ids=["boundary", "near_singular"])
 
@@ -98,6 +104,14 @@ class TestConstant:
         code, out = run_json(capsys, ["constant", write(tmp_path, doc)])
         assert code == 0
         assert out["status"] == "sup not attained / infinite"
+
+
+    def test_honours_res_tol(self, tmp_path, capsys):
+        path = write(tmp_path, UNREACHABLE_TOL)
+        code, doc = run_json(capsys, ["constant", path])
+        assert code == 3 and doc["status"] == "non-convergence"
+        code, doc = run_json(capsys, ["solve-c", path])
+        assert code == 3 and not doc["converged"]
 
 
 class TestSolveC:

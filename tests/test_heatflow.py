@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.special import erfc
 
-from blflow import (Box, GaussianProfile, SumOfBoxes, bellman_energy,
-                    bellman_identity_probe, gaussian_extremizer,
-                    heat_extension, monotonicity_scan, rhs_limit)
+from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
+                    bellman_energy, bellman_identity_probe, gaussian_extremizer,
+                    heat_extension, make_cert, monotonicity_scan, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
 from blflow.heatflow import evolved_domination
 
@@ -27,6 +30,18 @@ class TestKernels:
         got = heat_extension(b, 1.0, 0.3, 0.25)
         want = 0.5 * (math.erf(0.3 / w) - math.erf((0.3 - 1.0) / w))
         assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_box_tail_has_no_cancellation(self, side):
+        # ten kernel widths outside the box, erf(a) - erf(b) is 1 - 1 in
+        # floating point; the complementary tail keeps every digit
+        b = Box(0.0, 1.0, 1.5)
+        sigma, t = 1.0, 0.01
+        w = math.sqrt(4.0 * sigma * t)
+        y = b.hi + 10.0 * w if side > 0 else b.lo - 10.0 * w
+        u = float(heat_extension(b, sigma, y, t))
+        assert u > 0.0
+        assert u == pytest.approx(0.5 * b.height * erfc(10.0), rel=1e-12)
 
     def test_box_t_zero_is_indicator(self):
         b = Box(0.0, 2.0, 1.5)
@@ -115,6 +130,62 @@ class TestEnergy:
         sysm, _, B, cert = holder
         with pytest.raises(StructuralError):
             bellman_energy(sysm, cert, B, (Box(0.0, 1.0, 1.0),), 1.0)
+
+
+def reflect(profile):
+    """The profile y -> u(-y)."""
+    if isinstance(profile, Box):
+        return Box(-profile.hi, -profile.lo, profile.height)
+    return GaussianProfile(profile.amplitude, -profile.center, profile.variance)
+
+
+@st.composite
+def flow_data(draw):
+    """A random k = 2, 3 datum with profiles, an orthogonal U and column signs."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k, k + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(k, n))
+    A /= np.linalg.norm(A, axis=0)
+    G = rng.normal(size=(k, k))
+    C = G @ G.T + 0.5 * np.eye(k)
+    U, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    profiles = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            lo = rng.uniform(-1.5, 0.5)
+            profiles.append(Box(lo, lo + rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)))
+        else:
+            profiles.append(GaussianProfile(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5),
+                                            rng.uniform(0.5, 2.0)))
+    signs = rng.choice((-1.0, 1.0), size=n)
+    B = BellmanSpec.young(rng.uniform(0.2, 0.9, size=n))
+    t = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return A, C, U, tuple(profiles), signs, B, t
+
+
+class TestSymmetries:
+    @settings(max_examples=100, deadline=None)
+    @given(flow_data())
+    def test_rotation_and_sign_flips(self, datum):
+        # A -> UA, C -> U C U^T is a change of variables x -> U^T x; a_j -> -a_j
+        # with u_j reflected leaves every factor u_j(<a_j, x>) unchanged
+        A, C, U, profiles, signs, B, t = datum
+        masses = [p.mass() for p in profiles]
+        variants = [
+            (A, C, profiles),
+            (U @ A, U @ C @ U.T, profiles),
+            (A * signs, C, tuple(p if s > 0 else reflect(p)
+                                 for p, s in zip(profiles, signs))),
+        ]
+        energies, limits = [], []
+        for Av, Cv, pv in variants:
+            sysm = VectorSystem(Av)
+            cert = make_cert(sysm, 0.5 * (Cv + Cv.T))
+            energies.append(bellman_energy(sysm, cert, B, pv, t).value)
+            limits.append(rhs_limit(sysm, cert, B, masses).value)
+        for values in (energies, limits):
+            assert max(values) - min(values) <= 1e-9 * abs(values[0])
 
 
 class TestMonotonicity:

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from blflow.errors import QuadratureAnomaly, UnsupportedScaleError
-from blflow.quadrature import (gaussian_halfwidth, panel_quad_1d, tensor_quad,
-                               tensor_quad_strict)
+from blflow.quadrature import (_grid_sum, decay_quad, gaussian_halfwidth,
+                               panel_quad_1d, tensor_quad)
 
 
 class TestTensorQuad:
@@ -33,16 +34,92 @@ class TestTensorQuad:
         with pytest.raises(UnsupportedScaleError):
             tensor_quad(lambda x: np.ones(len(x)), 4, 1.0)
 
-    def test_strict_raises_on_rough_integrand(self):
-        # a step inside the cube defeats the smooth-error extrapolation
-        with pytest.raises(QuadratureAnomaly):
-            tensor_quad_strict(lambda x: (x[:, 0] > 1 / 3).astype(float), 1, 1.0,
-                               rel_tol=1e-12, max_levels=6)
-
     def test_reports_levels_and_nodes(self):
         res = tensor_quad(lambda x: np.exp(-x[:, 0] ** 2), 1, 10.0, n0=16)
         assert res.levels >= 2
         assert res.nodes_per_axis == 16 * 2 ** (res.levels - 1)
+
+
+class TestDecayQuad:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gaussian(self, k):
+        res = decay_quad(lambda x: np.exp(-np.sum(x**2, axis=1)), np.eye(k))
+        assert res.converged
+        assert res.value == pytest.approx(math.pi ** (k / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_shifted_correlated_gaussian(self, k):
+        rng = np.random.default_rng(k)
+        G = rng.normal(size=(k, k))
+        F = G @ G.T + 0.5 * np.eye(k)
+        c = 0.3 * rng.normal(size=k)
+
+        def f(x):
+            d = x - c
+            return np.exp(-np.einsum("ij,jl,il->i", d, F, d))
+
+        res = decay_quad(f, 0.5 * F, rel_tol=1e-12)
+        want = math.pi ** (k / 2) / math.sqrt(np.linalg.det(F))
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+    def test_anisotropic_within_128_intervals(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        F = R @ np.diag([1e4, 1.0]) @ R.T
+
+        def f(x):
+            return np.exp(-np.einsum("ij,jl,il->i", x, F, x))
+
+        res = decay_quad(f, F, rel_tol=1e-12)
+        assert res.nodes_per_axis <= 129
+        assert res.value == pytest.approx(math.pi / math.sqrt(np.linalg.det(F)), rel=1e-12)
+        # the cube reaches sqrt(40 / lam_min) along the softest direction
+        assert res.halfwidth == pytest.approx(math.sqrt(40.0))
+
+    def test_levels_count_doublings(self):
+        res = decay_quad(lambda x: np.exp(-x[:, 0] ** 2), np.eye(1))
+        assert res.levels >= 1
+        assert res.nodes_per_axis == 16 * 2**res.levels + 1
+
+    def test_rough_integrand_raises_at_budget(self):
+        # a step inside the decay envelope converges only like h
+        def f(x):
+            return np.exp(-x[:, 0] ** 2) * (x[:, 0] > 1 / 3)
+
+        with pytest.raises(QuadratureAnomaly):
+            decay_quad(f, np.eye(1), rel_tol=1e-12)
+
+    def test_rejects_indefinite_form(self):
+        with pytest.raises(ValueError):
+            decay_quad(lambda x: np.ones(len(x)), np.diag([1.0, -1.0]))
+
+    def test_dimension_cap(self):
+        with pytest.raises(UnsupportedScaleError):
+            decay_quad(lambda x: np.ones(len(x)), np.eye(4))
+
+
+class TestGridSum:
+    def test_matches_dense_sum(self):
+        axis = np.linspace(-1.0, 2.0, 7)
+        weights = np.arange(1.0, 8.0)
+
+        def f(x):
+            return np.cos(x[:, 0]) + x[:, 1] * x[:, 2] ** 2
+
+        X = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], -1)
+        W = np.einsum("i,j,l->ijl", weights, weights, weights).ravel()
+        assert _grid_sum(f, axis, weights, 3) == pytest.approx(float(W @ f(X)), rel=1e-13)
+
+    def test_k3_grid_memory_is_bounded(self):
+        # a dense 129^3 node array alone would take 51 MB
+        axis = np.linspace(-1.0, 1.0, 129)
+        tracemalloc.start()
+        try:
+            _grid_sum(lambda x: np.exp(-np.sum(x**2, axis=1)), axis, np.ones(129), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestHalfwidth:
