@@ -119,7 +119,7 @@ def cmd_constant(problem: Problem, args) -> int:
               else "non-convergence")
     _emit({"D": result.value, "argmax_b": result.b, "iterations": result.iterations,
            "residual": result.residual, "status": status,
-           "warnings": warnings}, args.out)
+           "warnings": warnings, "notes": list(result.notes)}, args.out)
     if status == "non-convergence":
         return EXIT_NOCONV
     return EXIT_OK
@@ -158,7 +158,7 @@ def cmd_verify(problem: Problem, args) -> int:
                     "bound": problem.system.n - problem.system.k},
            "euler_defect": report.euler_defect,
            "l5": {"converged": report.l5.converged, "value": report.l5.value,
-                  "values": list(report.l5.values)},
+                  "levels": report.l5.levels, "nodes_per_axis": report.l5.nodes_per_axis},
            "samples": report.samples, "seed": report.seed,
            "tolerances": report.tolerances,
            "ok": report.ok}, args.out)

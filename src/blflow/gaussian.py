@@ -93,6 +93,7 @@ class MaximizeResult:
     iterations: int
     residual: float
     converged: bool
+    notes: tuple[str, ...] = ()
 
     @property
     def b(self) -> np.ndarray:
@@ -115,4 +116,5 @@ def maximize_D(sys: VectorSystem, e: Exponents,
     log_b = np.log(e.p * result.s_sq)
     value, _ = gaussian_objective(sys, e, log_b)
     return MaximizeResult(value=value, log_b=log_b, iterations=result.iterations,
-                          residual=result.residual, converged=result.converged)
+                          residual=result.residual, converged=result.converged,
+                          notes=result.notes)

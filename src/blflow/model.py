@@ -32,25 +32,50 @@ SECTION_CATALOG = {
 }
 
 
-def numerical_rank(M, tol: float = RANK_TOL) -> int:
-    """Number of singular values above tol times the largest one."""
+def numerical_rank(M, tol: float = RANK_TOL):
+    """Number of singular values above tol times the largest one.
+
+    M may be a stack (..., r, c); the result is then an integer array of the
+    stack's shape, from one batched SVD.
+    """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise StructuralError("matrix has non-finite entries")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if M.size == 0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    s = np.linalg.svd(M, compute_uv=False)
+    ranks = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return int(ranks) if np.ndim(ranks) == 0 else ranks
 
 
-def psd_leq_zero(M, tol: float = 1e-9) -> bool:
-    """True iff the symmetric matrix M is negative semidefinite up to tol."""
+def relative_top_eig(M, scale=None, tol: float = 1e-9):
+    """Largest eigenvalue of the symmetric matrix M divided by ``scale``.
+
+    M may be a stack (..., n, n), from one batched ``eigvalsh``, with
+    ``scale`` broadcasting against the stack's shape; it defaults to each
+    matrix's Frobenius norm, and a zero scale counts as 1.  Raises
+    StructuralError where max |M - M^T| exceeds tol * scale, so that the
+    guard, like the eigenvalue, does not see a positive scaling of M.
+    """
     M = np.asarray(M, dtype=float)
-    asym = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if asym > tol:
-        raise StructuralError(f"matrix asymmetry {asym:g} exceeds tol {tol:g}")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return bool(eigs[-1] <= tol)
+    Mt = np.swapaxes(M, -1, -2)
+    if scale is None:
+        scale = np.linalg.norm(M, axis=(-2, -1))
+    scale = np.where(np.asarray(scale) > 0.0, scale, 1.0)
+    asym = np.max(np.abs(M - Mt), axis=(-2, -1)) / scale
+    if np.any(asym > tol):
+        raise StructuralError(f"relative matrix asymmetry {np.max(asym):g} exceeds tol {tol:g}")
+    top = np.linalg.eigvalsh(0.5 * (M + Mt))[..., -1] / scale
+    return float(top) if np.ndim(top) == 0 else top
+
+
+def psd_leq_zero(M, tol: float = 1e-9):
+    """True iff the symmetric matrix M is negative semidefinite up to tol * ||M||_F.
+
+    A stack (..., n, n) gives a boolean array; see :func:`relative_top_eig`.
+    """
+    top = relative_top_eig(M, tol=tol)
+    return bool(top <= tol) if np.ndim(top) == 0 else top <= tol
 
 
 @dataclass(frozen=True)
@@ -204,24 +229,27 @@ class BellmanSpec:
         return val if val.ndim else float(val)
 
     def _interior(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size != self.n:
-            raise StructuralError(f"expected point of length {self.n}")
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 0 or y.shape[-1] != self.n:
+            raise StructuralError(f"expected points of length {self.n}")
         if np.any(y <= 0.0):
             raise DomainError("derivatives require an interior point (all y_j > 0)")
         return y
 
     def gradient(self, y) -> np.ndarray:
+        """Gradient of B; y may carry leading batch dimensions, last axis length n."""
         y = self._interior(y)
-        return self.evaluate(y) * self.weights / y
+        return np.asarray(self.evaluate(y))[..., None] * self.weights / y
 
     def hessian(self, y) -> np.ndarray:
+        """Hessian of B, (..., n, n) for points y of shape (..., n)."""
         y = self._interior(y)
-        b = self.evaluate(y)
+        b = np.asarray(self.evaluate(y))[..., None]
         r = self.weights / y
-        H = b * np.outer(r, r)
+        H = b[..., None] * (r[..., :, None] * r[..., None, :])
         # diagonal via w(w-1)/y^2 so unit weights give exact zeros
-        np.fill_diagonal(H, b * self.weights * (self.weights - 1.0) / y**2)
+        i = np.arange(self.n)
+        H[..., i, i] = b * self.weights * (self.weights - 1.0) / y**2
         return H
 
 

@@ -106,6 +106,12 @@ class TestConstant:
         assert out["status"] == "sup not attained / infinite"
 
 
+    def test_reports_the_solver_notes(self, tmp_path, capsys):
+        # off degree the solver stops at once and its note says why
+        code, doc = run_json(capsys, ["constant", write(tmp_path, dict(YOUNG3, inv_p=[.5, .5, .5]))])
+        assert code == 0 and doc["status"] == "sup not attained / infinite"
+        assert any("sum(1/p_j) = 1.5 differs from k = 2" in note for note in doc["notes"])
+
     def test_honours_res_tol(self, tmp_path, capsys):
         path = write(tmp_path, UNREACHABLE_TOL)
         code, doc = run_json(capsys, ["constant", path])
@@ -146,6 +152,8 @@ class TestVerify:
         assert code == 0
         assert doc["ok"] and doc["l3"]["ok"] and doc["pde"]["ok"]
         assert doc["rank"]["worst"] <= doc["rank"]["bound"]
+        assert doc["l5"]["converged"] and doc["l5"]["levels"] >= 1
+        assert doc["l5"]["value"] == pytest.approx(2.72069904637063, rel=1e-9)
 
     def test_section_triple_with_explicit_C(self, tmp_path, capsys):
         doc_in = {

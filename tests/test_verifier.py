@@ -1,12 +1,38 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blflow import (BellmanSpec, Exponents, VectorSystem, check_kn_structure,
                     check_L3, check_L5, check_pde_identity, check_rank_bound,
-                    hadamard_form, make_cert, solve_certificate, verify)
-from blflow.verifier import pde_defect, sample_interior
+                    enumerate_bases, hadamard_form, make_cert, solve_certificate,
+                    verifier, verify)
+from blflow.verifier import RANK_TOL, pde_defect, sample_interior
+
+
+def solved_datum(rng, k, n):
+    """Random unit columns, interior exponents, their certificate solve and Young B."""
+    A = rng.normal(size=(k, n))
+    sysm = VectorSystem(A / np.linalg.norm(A, axis=0))
+    V = enumerate_bases(sysm).vectors
+    e = Exponents(rng.dirichlet(np.ones(len(V))) @ V)
+    cert, result = solve_certificate(sysm, e)
+    return sysm, e, cert, BellmanSpec.young(e.inv_p), result.converged
+
+
+def interior_datum(rng, k, n):
+    *datum, converged = solved_datum(rng, k, n)
+    assert converged
+    return datum
+
+
+def l5_closed_form(sysm, B):
+    """coeff * pi^{k/2} det(A diag(w) A^T)^{-1/2}."""
+    F = (sysm.A * B.weights) @ sysm.A.T
+    return B.coeff * math.pi ** (sysm.k / 2) / math.sqrt(np.linalg.det(F))
 
 
 class TestHadamardForm:
@@ -139,7 +165,21 @@ class TestL5:
         rep = check_L5(sysm, B)
         assert rep.converged
         assert rep.value == pytest.approx(2.72069904637063, rel=1e-6)
-        assert all(b >= a - 1e-9 for a, b in zip(rep.values, rep.values[1:]))
+        assert rep.value == pytest.approx(l5_closed_form(sysm, B), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_closed_form(self, k):
+        rng = np.random.default_rng(50 + k)
+        sysm, _, _, B = interior_datum(rng, k, k + 2)
+        rep = check_L5(sysm, B)
+        assert rep.converged
+        assert rep.value == pytest.approx(l5_closed_form(sysm, B), rel=1e-9)
+
+    def test_closed_form_with_prefactor(self):
+        rng = np.random.default_rng(54)
+        sysm = VectorSystem(rng.normal(size=(3, 3)))
+        B = BellmanSpec.product(2.5, 3)
+        assert check_L5(sysm, B).value == pytest.approx(l5_closed_form(sysm, B), rel=1e-9)
 
 
 class TestAggregate:
@@ -193,3 +233,154 @@ class TestConcavityDiagBoundLink:
                 agree += 1
         assert total >= 50
         assert agree == total
+
+
+def dense_reference(sysm, cert, B, samples):
+    """Per-sample top eigenvalue, PDE defect, rank and Euler defect, one sample
+    at a time, with the relative scales written out."""
+    G = sysm.A.T @ cert.C @ sysm.A
+    eig, pde, ranks, euler = [], [], [], []
+    for y in samples:
+        b = B.coeff * np.prod(y**B.weights)
+        r = B.weights / y
+        K = b * np.outer(r, r)
+        np.fill_diagonal(K, b * B.weights * (B.weights - 1.0) / y**2)
+        H = G * K
+        scale = np.linalg.norm(G, 2) * np.linalg.norm(K)
+        eig.append(np.linalg.eigvalsh(H)[-1] / scale)
+        D = y / cert.sigma
+        R = sysm.A @ np.diag(D) @ H
+        pde.append(np.linalg.norm(R) / (np.linalg.norm(sysm.A, 2) * np.max(D) * scale))
+        s = np.linalg.svd(H, compute_uv=False)
+        ranks.append(int(np.sum(s > RANK_TOL * s[0])))
+        euler.append(abs(b * B.weights / y @ y - B.degree * b) / (1.0 + b))
+    return np.array(eig), np.array(pde), np.array(ranks), np.array(euler)
+
+
+class TestBatchedAgainstPerSample:
+    """The batched checks and verify against a dense per-sample reference.
+
+    Every compared value is already divided by its sample's scale, so the
+    1e-12 relative tolerance has a floor of 1e-15 in those units."""
+
+    @staticmethod
+    def agrees(sysm, cert, B):
+        samples = sample_interior(B.n, count=300, seed=3)
+        eig, pde, ranks, euler = dense_reference(sysm, cert, B, samples)
+        close = dict(rel=1e-12, abs=1e-15)
+        assert check_L3(sysm, cert, B, samples).worst_eig == pytest.approx(eig.max(), **close)
+        assert check_pde_identity(sysm, cert, B, samples)[1] == pytest.approx(pde.max(), **close)
+        assert np.array_equal(check_rank_bound(sysm, cert, B, samples)[2], ranks)
+        rep = verify(sysm, cert, B, count=300, seed=3)
+        assert rep.l3_max_eig == pytest.approx(eig.max(), **close)
+        assert rep.pde_defect == pytest.approx(pde.max(), **close)
+        assert rep.rank_worst == ranks.max()
+        assert rep.euler_defect == pytest.approx(euler[:100].max(), **close)
+        assert rep.ok
+
+    @pytest.mark.parametrize("name", ["young3", "section_triple", "product2"])
+    def test_named(self, name, request):
+        if name == "young3":
+            sysm, _, B = request.getfixturevalue("young3")
+            cert = request.getfixturevalue("young3_cert")
+        else:
+            sysm, B, cert = request.getfixturevalue(name)
+        self.agrees(sysm, cert, B)
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_random(self, i):
+        rng = np.random.default_rng([61, i])
+        k = int(rng.integers(1, 4))
+        sysm, _, cert, B = interior_datum(rng, k, int(rng.integers(k + 1, 9)))
+        self.agrees(sysm, cert, B)
+
+
+class TestLargeGrid:
+    def test_memory_is_bounded_and_slabs_change_nothing(self, monkeypatch):
+        sysm, _, cert, B = interior_datum(np.random.default_rng(70), 2, 8)
+        tracemalloc.start()
+        try:
+            slabbed = verify(sysm, cert, B, count=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        monkeypatch.setattr(verifier, "_SLAB", 1 << 40)
+        assert verify(sysm, cert, B, count=20_000) == slabbed
+
+
+def scaled_cert(sysm, e, C):
+    return make_cert(sysm, 0.5 * (C + C.T), e=e)
+
+
+@st.composite
+def verify_data(draw):
+    """A random interior datum with its solved certificate, or (k = 2) that
+    certificate with one eigenvalue doubled, which no longer certifies."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([1, 2]))
+    sysm, e, cert, B, converged = solved_datum(rng, k, k + int(rng.integers(1, 4)))
+    assume(converged)
+    C = cert.C
+    broken = k == 2 and draw(st.booleans())
+    if broken:
+        w, U = np.linalg.eigh(C)
+        i = int(rng.integers(k))
+        C = C + w[i] * np.outer(U[:, i], U[:, i])
+    return sysm, e, C, B, not broken, rng
+
+
+def verdict(sysm, e, C, B):
+    return verify(sysm, scaled_cert(sysm, e, C), B, count=200).ok
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+FACTOR = st.floats(-8.0, 8.0).map(lambda d: 10.0**d)
+
+
+class TestVerdictInvariance:
+    @PROPERTY
+    @given(verify_data(), FACTOR)
+    def test_scaling_C(self, datum, lam):
+        sysm, e, C, B, good, _ = datum
+        assert verdict(sysm, e, C, B) == verdict(sysm, e, lam * C, B) == good
+
+    @PROPERTY
+    @given(verify_data(), FACTOR)
+    def test_scaling_B(self, datum, mu):
+        sysm, e, C, B, good, _ = datum
+        scaled = BellmanSpec(B.variant, mu * B.coeff, B.weights)
+        assert verdict(sysm, e, C, B) == verdict(sysm, e, C, scaled) == good
+
+    @PROPERTY
+    @given(verify_data())
+    def test_column_permutation(self, datum):
+        sysm, e, C, B, good, rng = datum
+        perm = rng.permutation(sysm.n)
+        moved = (VectorSystem(sysm.A[:, perm]), Exponents(e.inv_p[perm]), C,
+                 BellmanSpec.young(B.weights[perm]))
+        assert verdict(sysm, e, C, B) == verdict(*moved) == good
+
+    @PROPERTY
+    @given(verify_data())
+    def test_rotation(self, datum):
+        sysm, e, C, B, good, rng = datum
+        U, _ = np.linalg.qr(rng.normal(size=(sysm.k, sysm.k)))
+        rotated = VectorSystem(U @ sysm.A)
+        assert verdict(sysm, e, C, B) == verdict(rotated, e, U @ C @ U.T, B) == good
+
+
+class TestScaledCertificates:
+    def test_young_scaled_up_passes_L3(self, young3, young3_cert):
+        sysm, e, B = young3
+        assert check_L3(sysm, scaled_cert(sysm, e, 1e4 * young3_cert.C), B).ok
+
+    def test_young_scaled_up_passes_PDE(self, young3, young3_cert):
+        sysm, e, B = young3
+        ok, worst = check_pde_identity(sysm, scaled_cert(sysm, e, 1e8 * young3_cert.C), B)
+        assert ok and worst <= 1e-12
+
+    def test_wrong_certificate_scaled_down_fails_PDE(self, young3):
+        sysm, e, B = young3
+        ok, worst = check_pde_identity(sysm, scaled_cert(sysm, e, 1e-9 * np.diag([1.0, 3.0])), B)
+        assert not ok and worst > 1e-3
