@@ -28,6 +28,8 @@ _DIVERGENCE_SPREAD = 60.0  # gauge-fixed |log s^2| beyond this means s^2 ratios 
 _MAX_STEP = 8.0  # cap on max|dz| per step, so that exp(z) cannot overflow
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
+# a predicted increase t * slope below this times max(1, |f|) is lost in f's round-off
+_ROUNDOFF = 1e-12
 # Cholesky pivot ratio below which cond(M) > 1e12 and f, P are mostly round-off
 _MIN_PIVOT_RATIO = 1e-6
 # a larger part of the gradient outside the Hessian's range is not round-off
@@ -79,7 +81,9 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
     -(diag tau - P o P) / 2.  The Hessian annihilates the gauge direction
     (1, ..., 1), so z stays on sum(z) = 0 and the step is a least-squares
     solve, which also covers decomposable data with a larger null space.
-    Steps are capped and backtracked (Armijo).  Off the interior of the
+    Steps are capped and backtracked (Armijo on f; only in the round-off
+    endgame, where f cannot show the predicted increase, a drop in the
+    residual also accepts a step).  Off the interior of the
     finiteness polytope the supremum is not attained and the iterates run
     off to infinity; the solve stops unconverged when their gauge spread
     exceeds _DIVERGENCE_SPREAD, M(s) turns numerically singular or the
@@ -126,8 +130,11 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
             except np.linalg.LinAlgError:
                 t *= 0.5
                 continue
-            # round-off in f hides the last steps; a lower residual takes them
-            if f_new >= f + _ARMIJO * t * slope or np.max(np.abs(r_new)) < residual:
+            if f_new >= f + _ARMIJO * t * slope:
+                break
+            # round-off in f hides the last steps; there a lower residual takes them
+            if (t * slope <= _ROUNDOFF * max(1.0, abs(f))
+                    and np.max(np.abs(r_new)) < residual):
                 break
             t *= 0.5
         else:

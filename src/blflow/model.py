@@ -32,50 +32,37 @@ SECTION_CATALOG = {
 }
 
 
-def numerical_rank(M, tol: float = RANK_TOL):
-    """Number of singular values above tol times the largest one.
-
-    M may be a stack (..., r, c); the result is then an integer array of the
-    stack's shape, from one batched SVD.
-    """
+def numerical_rank(M, tol: float = RANK_TOL) -> int:
+    """Number of singular values above tol times the largest one."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise StructuralError("matrix has non-finite entries")
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    ranks = np.count_nonzero(s > tol * s[..., :1], axis=-1)
-    return int(ranks) if np.ndim(ranks) == 0 else ranks
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
-def relative_top_eig(M, scale=None, tol: float = 1e-9):
+def relative_top_eig(M, scale: float | None = None, tol: float = 1e-9) -> float:
     """Largest eigenvalue of the symmetric matrix M divided by ``scale``.
 
-    M may be a stack (..., n, n), from one batched ``eigvalsh``, with
-    ``scale`` broadcasting against the stack's shape; it defaults to each
-    matrix's Frobenius norm, and a zero scale counts as 1.  Raises
-    StructuralError where max |M - M^T| exceeds tol * scale, so that the
-    guard, like the eigenvalue, does not see a positive scaling of M.
+    ``scale`` defaults to M's Frobenius norm, and a zero scale counts as 1.
+    Raises StructuralError where max |M - M^T| exceeds tol * scale, so that
+    the guard, like the eigenvalue, does not see a positive scaling of M.
     """
     M = np.asarray(M, dtype=float)
-    Mt = np.swapaxes(M, -1, -2)
     if scale is None:
-        scale = np.linalg.norm(M, axis=(-2, -1))
-    scale = np.where(np.asarray(scale) > 0.0, scale, 1.0)
-    asym = np.max(np.abs(M - Mt), axis=(-2, -1)) / scale
-    if np.any(asym > tol):
-        raise StructuralError(f"relative matrix asymmetry {np.max(asym):g} exceeds tol {tol:g}")
-    top = np.linalg.eigvalsh(0.5 * (M + Mt))[..., -1] / scale
-    return float(top) if np.ndim(top) == 0 else top
+        scale = float(np.linalg.norm(M))
+    scale = scale if scale > 0.0 else 1.0
+    asym = float(np.max(np.abs(M - M.T))) / scale
+    if asym > tol:
+        raise StructuralError(f"relative matrix asymmetry {asym:g} exceeds tol {tol:g}")
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1]) / scale
 
 
-def psd_leq_zero(M, tol: float = 1e-9):
-    """True iff the symmetric matrix M is negative semidefinite up to tol * ||M||_F.
-
-    A stack (..., n, n) gives a boolean array; see :func:`relative_top_eig`.
-    """
-    top = relative_top_eig(M, tol=tol)
-    return bool(top <= tol) if np.ndim(top) == 0 else top <= tol
+def psd_leq_zero(M, tol: float = 1e-9) -> bool:
+    """True iff the symmetric matrix M is negative semidefinite up to tol * ||M||_F."""
+    return relative_top_eig(M, tol=tol) <= tol
 
 
 @dataclass(frozen=True)

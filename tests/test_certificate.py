@@ -58,6 +58,17 @@ class TestSSystem:
             closed, _ = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
             assert maximize_D(sysm, e).value == pytest.approx(closed, rel=1e-12)
 
+    def test_far_steps_need_armijo(self):
+        # accepting any step that lowered the residual let this interior datum
+        # wander for 100 iterations and stop at residual 0.34
+        sysm = VectorSystem(np.array([[0.80395, 0.77417, 0.53890, 0.73327],
+                                      [0.59469, -0.63298, 0.84237, 0.67994]]))
+        e = Exponents([0.16589, 0.34105, 0.72269, 0.77037])
+        assert is_finite(sysm, e).verdict == "inside"
+        res = solve_s_system(sysm, e)
+        assert res.converged and res.residual <= 1e-10
+        assert res.iterations <= 10
+
     def test_warm_start_converges_fast(self, young3):
         # the symmetric start is already young3's solution
         sysm, e, _ = young3

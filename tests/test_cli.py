@@ -152,8 +152,27 @@ class TestVerify:
         assert code == 0
         assert doc["ok"] and doc["l3"]["ok"] and doc["pde"]["ok"]
         assert doc["rank"]["worst"] <= doc["rank"]["bound"]
-        assert doc["l5"]["converged"] and doc["l5"]["levels"] >= 1
+        assert doc["l5"]["converged"]
         assert doc["l5"]["value"] == pytest.approx(2.72069904637063, rel=1e-9)
+
+    def test_report_schema(self, tmp_path, capsys):
+        # exact and y-free: no samples, seed, Euler probe or quadrature levels
+        code, doc = run_json(capsys, ["verify", write(tmp_path, YOUNG3)])
+        assert code == 0
+        assert set(doc) == {"l3", "pde", "rank", "l5", "tolerances", "ok"}
+        assert {k: type(v) for k, v in doc["l3"].items()} == {"ok": bool, "max_eig": float}
+        assert {k: type(v) for k, v in doc["pde"].items()} == {"ok": bool, "defect": float}
+        assert {k: type(v) for k, v in doc["rank"].items()} == {
+            "ok": bool, "worst": int, "bound": int}
+        assert {k: type(v) for k, v in doc["l5"].items()} == {"converged": bool, "value": float}
+        assert {k: type(v) for k, v in doc["tolerances"].items()} == {
+            "l3_tol": float, "pde_tol": float, "rank_tol": float}
+        assert type(doc["ok"]) is bool
+
+    def test_grid_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid", "10", write(tmp_path, YOUNG3)])
+        assert exc.value.code == 2
 
     def test_section_triple_with_explicit_C(self, tmp_path, capsys):
         doc_in = {
@@ -216,6 +235,15 @@ def thread_env(var):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env[var] = "1"
     return env
+
+
+class TestParser:
+    def test_repeated_calls_agree(self, tmp_path, capsys):
+        # the parser is built once per process and must keep no state between calls
+        path = write(tmp_path, YOUNG3)
+        first = run_json(capsys, ["verify", path])
+        assert run_json(capsys, ["solve-c", path, "--tol", "1e-3"])[0] == 0
+        assert run_json(capsys, ["verify", path]) == first
 
 
 class TestExitCodes:

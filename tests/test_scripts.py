@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv", [
-    ["scripts/run_young_chain.py", "--samples", "100"],
+    ["scripts/run_young_chain.py"],
     ["scripts/run_flow_demo.py", "problems/holder_boxes.json"],
 ], ids=["young_chain", "flow_demo"])
 def test_script_runs(argv):
