@@ -20,7 +20,8 @@ def main() -> None:
     B = BellmanSpec.young(e.inv_p)
 
     verdict = is_finite(sysm, e)
-    print(f"polytope verdict: {verdict.verdict} (slack {verdict.slack:.3e})")
+    print(f"polytope verdict: {verdict.verdict} (slack r(S) - x(S) = {verdict.slack:.3e} "
+          f"at columns S = {verdict.witness})")
 
     cert, result = solve_certificate(sysm, e)
     print(f"s^2 = {cert.s_sq}  ({result.iterations} iterations, "

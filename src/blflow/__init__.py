@@ -3,7 +3,7 @@
 import os as _os
 
 # BLFLOW_THREADS pins the BLAS thread pool. OpenBLAS reads its thread
-# variables once, when NumPy or SciPy loads it, so this runs before the first
+# variables once, when NumPy loads it, so this runs before the first
 # submodule import below pulls NumPy in. OpenBLAS prefers OPENBLAS_NUM_THREADS
 # over OMP_NUM_THREADS, so both are overwritten.
 if _os.environ.get("BLFLOW_THREADS"):

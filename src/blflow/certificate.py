@@ -216,14 +216,16 @@ def solve_certificate(sys: VectorSystem, e: Exponents, boundary_slack: float | N
                       **solver_kw) -> tuple[GaussCert, SSystemResult]:
     """Convenience chain: solve the s^2 system then build C.
 
-    ``boundary_slack`` (the polytope LP slack, when known) attaches a warning
-    to the certificate for exponents within 1e-6 of the boundary, where M(s)
-    is so ill-conditioned that the solve may stop short of res_tol.
+    ``boundary_slack`` (``polytope.is_finite``'s slack, when known) attaches a
+    warning to the certificate for exponents within 1e-6 of the polytope's
+    relative boundary: the slack is the l1 distance to it up to a factor of 2.
+    There the weights s^2 spread over about log10(1/slack) decades, so C rests
+    on a few columns and moves a lot with the exponents.
     """
     result = solve_s_system(sys, e, **solver_kw)
     notes = result.notes
     if boundary_slack is not None and boundary_slack < 1e-6:
         notes = notes + ("exponents within 1e-6 of the polytope boundary; "
-                         "M(s) is ill-conditioned",)
+                         "the weights s^2 spread over many decades",)
     cert = build_C(sys, e, result.s_sq, notes=notes)
     return cert, result

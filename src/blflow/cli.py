@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -92,14 +93,12 @@ def _certificate_of(problem: Problem):
 def cmd_finiteness(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("finiteness needs inv_p")
-    bases = polytope.enumerate_bases(problem.system)
     v = polytope.is_finite(problem.system, problem.exponents,
                            boundary_tol=problem.tolerances.get("boundary_tol",
-                                                               polytope.BOUNDARY_TOL),
-                           bases=bases)
+                                                               polytope.BOUNDARY_TOL))
     _emit({"verdict": v.verdict,
-           "certificate": None if v.weights is None else v.weights,
-           "slack": None if v.weights is None else v.slack,
+           "witness": None if v.witness is None else list(v.witness),
+           "slack": v.slack if math.isfinite(v.slack) else None,
            "basis_count": v.basis_count}, args.out)
     return EXIT_OK
 

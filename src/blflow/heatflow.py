@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import quadrature
 from .errors import DomainError, StructuralError, UnsupportedScaleError
@@ -30,6 +29,13 @@ from .verifier import check_L3
 QUAD_TOL = 1e-8
 DEFAULT_TIMES = (0.0, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 MAX_K = 3
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def erfc(x):
+    """The complementary error function of libm, elementwise over an array."""
+    return np.asarray(_erfc(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,52 @@
-"""Finiteness of the sharp constant via the basis-indicator polytope.
+"""Finiteness of the sharp constant via the basis polytope of the column matroid.
 
-Enumerate the k-subsets of columns of A that form a basis of R^k, take the
-convex hull K of their 0/1 indicator vectors, and classify a point of
-exponents as inside / boundary / outside K.  Membership is decided by a
-small linear program over the vertex list, which is fine at desk scale
-(C(n, k) stays in the hundreds for n <= 12).
+D is finite iff the exponents (1/p_j) lie in the convex hull K of the 0/1
+indicator vectors of the column k-subsets of A that form bases of R^k.  K is
+the base polytope of the column matroid of A, so Edmonds' rank description
+decides membership exactly, with no linear program: x lies in K iff
+sum(x) = k and x(S) <= r(S) for every column subset S, and in its relative
+interior iff, in addition, every tight S is a separator,
+r(S) + r(E \\ S) = k.  The rank of S is the largest |B & S| over the bases B,
+so one stacked determinant over the k-subsets and one product against the
+2^n - 2 proper subsets give the whole rank table; n is capped at MAX_N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import StructuralError
+from .errors import StructuralError, UnsupportedScaleError
 from .model import Exponents, VectorSystem
 
 BASIS_TOL = 1e-9
+# x may miss sum(x) = k, or exceed a rank x(S) <= r(S), by this much and still
+# count as in K: sums of n <= 12 exponents carry round-off near 1e-15, and
+# exponents entered to eight or nine digits stay within it
+DEGREE_TOL = 1e-8
+# a point whose slack, the least r(S) - x(S) over non-separators S, is at most
+# this is on the relative boundary of K; the slack is the l1 distance from x to
+# that boundary up to a factor of 2
 BOUNDARY_TOL = 1e-9
+MAX_N = 12
 
 
 @dataclass(frozen=True)
 class BasisIndicatorSet:
-    """0/1 indicator vectors of the column subsets that form bases."""
+    """Bases of the column matroid of A, with the rank of every proper subset.
+
+    Row i of ``masks`` is the indicator of the column subset whose bit mask
+    is i + 1, and ``ranks[i]`` is its rank, so the complement of row i is row
+    2^n - 3 - i and ``ranks[::-1]`` lists the complements' ranks.
+    """
 
     subsets: tuple[tuple[int, ...], ...]
-    vectors: np.ndarray  # shape (m, n), one row per subset
+    vectors: np.ndarray  # shape (m, n), one row per basis
+    masks: np.ndarray  # shape (2^n - 2, n), one row per proper subset
+    ranks: np.ndarray  # shape (2^n - 2,)
 
     @property
     def count(self) -> int:
@@ -37,70 +56,67 @@ class BasisIndicatorSet:
 @dataclass(frozen=True)
 class MembershipVerdict:
     verdict: str  # "inside" | "boundary" | "outside"
-    weights: np.ndarray | None  # convex weights over the indicator vectors
-    slack: float  # optimal minimum weight (the LP objective)
+    witness: tuple[int, ...] | None  # the column subset S that attains the slack
+    slack: float  # r(S) - x(S) at the witness; inf when every S is a separator
     basis_count: int
 
 
 def enumerate_bases(sys: VectorSystem, basis_tol: float = BASIS_TOL) -> BasisIndicatorSet:
-    """All k-subsets of columns with a nonsingular k x k submatrix.
+    """All k-subsets of columns with a nonsingular k x k submatrix, and the rank table.
 
     Subsets are returned in lexicographic order of their index sets.  The
     determinant test is scale invariant: |det| must exceed basis_tol times
     the product of the column norms.
     """
-    A = sys.A
     k, n = sys.k, sys.n
-    norms = np.linalg.norm(A, axis=0)
-    subsets = []
-    rows = []
-    for idx in combinations(range(n), k):
-        sub = A[:, idx]
-        if abs(np.linalg.det(sub)) > basis_tol * float(np.prod(norms[list(idx)])):
-            subsets.append(idx)
-            v = np.zeros(n)
-            v[list(idx)] = 1.0
-            rows.append(v)
-    if not subsets:
+    if n > MAX_N:
+        raise UnsupportedScaleError(f"the rank table supports n <= {MAX_N}, got n={n}")
+    combos = np.array(list(combinations(range(n), k)))
+    norms = np.linalg.norm(sys.A, axis=0)
+    dets = np.abs(np.linalg.det(np.moveaxis(sys.A[:, combos], 1, 0)))
+    rows = combos[dets > basis_tol * np.prod(norms[combos], axis=1)]
+    if not len(rows):
         # cannot happen for a valid VectorSystem (rank(A) = k)
         raise StructuralError("no basis subsets found: rank(A) < k")
-    return BasisIndicatorSet(tuple(subsets), np.asarray(rows))
+    vectors = np.zeros((len(rows), n))
+    vectors[np.arange(len(rows))[:, None], rows] = 1.0
+    bits = np.arange(1, 2**n - 1)
+    masks = ((bits[:, None] >> np.arange(n)) & 1).astype(float)
+    ranks = (masks @ vectors.T).max(axis=1, initial=0.0)
+    return BasisIndicatorSet(tuple(map(tuple, rows.tolist())), vectors, masks, ranks)
 
 
 def is_finite(sys: VectorSystem, e: Exponents,
-              boundary_tol: float = BOUNDARY_TOL,
-              bases: BasisIndicatorSet | None = None) -> MembershipVerdict:
-    """Classify (1/p_1, ..., 1/p_n) against the polytope K.
+              boundary_tol: float = BOUNDARY_TOL) -> MembershipVerdict:
+    """Classify x = (1/p_1, ..., 1/p_n) against the polytope K.
 
-    The point lies in the relative interior of K exactly when it admits a
-    convex representation with all weights strictly positive, so we maximize
-    the minimum weight t subject to V^T lam = e, sum(lam) = 1, lam_i >= t.
-    Infeasible -> outside; t within boundary_tol of zero -> boundary.
+    Outside: sum(x) misses k by more than DEGREE_TOL (the witness is every
+    column, the slack -|sum(x) - k|), or some x(S) exceeds r(S) by more than
+    DEGREE_TOL (the witness is the most violated S).  Otherwise the slack is
+    the least r(S) - x(S) over non-separators S, attained at the witness: at
+    most boundary_tol is the boundary, more is inside.  With no non-separator
+    K is the single point x = 1, and x is inside with slack inf.
     """
-    if bases is None:
-        bases = enumerate_bases(sys)
-    V = bases.vectors  # (m, n)
-    m = bases.count
     if e.n != sys.n:
         raise StructuralError("exponent vector length differs from n")
-
-    # variables: (lam_1..lam_m, t); maximize t
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    A_eq = np.zeros((sys.n + 1, m + 1))
-    A_eq[:sys.n, :m] = V.T
-    A_eq[sys.n, :m] = 1.0
-    b_eq = np.concatenate([e.inv_p, [1.0]])
-    A_ub = np.zeros((m, m + 1))
-    A_ub[:, :m] = -np.eye(m)
-    A_ub[:, -1] = 1.0
-    b_ub = np.zeros(m)
-    bounds = [(0.0, 1.0)] * m + [(-1.0, 1.0)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if not res.success:
-        return MembershipVerdict("outside", None, float("-inf"), m)
-    lam = res.x[:m]
-    slack = float(res.x[-1])
+    bases = enumerate_bases(sys)
+    x = e.inv_p
+    off_degree = float(x.sum()) - sys.k
+    if abs(off_degree) > DEGREE_TOL:
+        return MembershipVerdict("outside", tuple(range(sys.n)), -abs(off_degree), bases.count)
+    room = bases.ranks - bases.masks @ x
+    if room.size and room.min() < -DEGREE_TOL:
+        worst = int(np.argmin(room))
+        return MembershipVerdict("outside", _columns(bases.masks[worst]), float(room[worst]),
+                                 bases.count)
+    candidates = np.flatnonzero(bases.ranks + bases.ranks[::-1] > sys.k)
+    if not candidates.size:
+        return MembershipVerdict("inside", None, math.inf, bases.count)
+    tight = candidates[np.argmin(room[candidates])]
+    slack = float(room[tight])
     verdict = "inside" if slack > boundary_tol else "boundary"
-    return MembershipVerdict(verdict, lam, slack, m)
+    return MembershipVerdict(verdict, _columns(bases.masks[tight]), slack, bases.count)
+
+
+def _columns(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())

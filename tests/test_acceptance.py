@@ -15,8 +15,9 @@ from blflow import (BellmanSpec, Box, Exponents, VectorSystem,
                     check_L3, check_pde_identity, check_rank_bound,
                     enumerate_bases, euler_check, gaussian_extremizer,
                     gaussian_objective, hadamard_form, is_finite, make_cert,
-                    maximize_D, monotonicity_scan, projection_check,
-                    quadrature_objective, solve_certificate, solve_s_system)
+                    maximize_D, monotonicity_scan, numerical_rank,
+                    projection_check, quadrature_objective, solve_certificate,
+                    solve_s_system)
 from blflow.errors import EvaluationError
 
 
@@ -253,14 +254,16 @@ def test_criterion_9_property_suites():
         ok &= bool(np.allclose(cert.C, lam * C0, rtol=1e-10))
         ok &= cert.residual <= 1e-9
 
-    # 5) polytope coordinate-sum invariant: certified hull points sum to k
+    # 5) polytope coordinate-sum invariant: hull points sum to k, so none is
+    #    outside, and the witness's rank slack r(S) - x(S) is the reported one
     bases = enumerate_bases(sysm)
     for _ in range(100):
         lam = rng.dirichlet(np.ones(bases.count))
         point = np.clip(bases.vectors.T @ lam, 1e-9, 1.0)
         v = is_finite(sysm, Exponents(point))
-        ok &= v.verdict in ("inside", "boundary") and v.weights is not None
-        ok &= abs(float((bases.vectors.T @ v.weights).sum()) - 2.0) <= 1e-8
+        ok &= v.verdict in ("inside", "boundary") and v.witness is not None
+        S = list(v.witness)
+        ok &= abs(numerical_rank(sysm.A[:, S]) - float(point[S].sum()) - v.slack) <= 1e-12
 
     # 6) permutation invariance of the finiteness verdict
     for _ in range(100):

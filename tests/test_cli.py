@@ -71,13 +71,37 @@ class TestFiniteness:
         assert code == 0
         assert doc["verdict"] == "inside"
         assert doc["basis_count"] == 3
-        assert np.allclose(doc["certificate"], [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
+        # a singleton has rank 1 and exponent 2/3
+        assert doc["witness"] == [0]
+        assert doc["slack"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_outside(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["finiteness", write(tmp_path, OUTSIDE)])
         assert code == 0
         assert doc["verdict"] == "outside"
-        assert doc["certificate"] is None
+        # the parallel columns 0 and 1 have rank 1 and exponents summing to 1.2
+        assert doc["witness"] == [0, 1]
+        assert doc["slack"] == pytest.approx(-0.2)
+
+    @pytest.mark.parametrize("doc, verdict", [
+        (YOUNG3, "inside"), (BOUNDARY, "boundary"), (OUTSIDE, "outside"),
+        ({"k": 2, "n": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "inv_p": [1.0, 1.0]}, "inside"),
+    ], ids=["inside", "boundary", "outside", "single_point"])
+    def test_report_schema(self, tmp_path, capsys, doc, verdict):
+        code, out = run_json(capsys, ["finiteness", write(tmp_path, doc)])
+        assert code == 0
+        assert set(out) == {"verdict", "witness", "slack", "basis_count"}
+        assert out["verdict"] == verdict
+        assert type(out["basis_count"]) is int and out["basis_count"] >= 1
+        if verdict == "inside" and doc["n"] == doc["k"]:
+            # K is the single point 1: no subset bounds the slack
+            assert out["witness"] is None and out["slack"] is None
+        else:
+            assert isinstance(out["witness"], list)
+            assert all(type(j) is int for j in out["witness"])
+            assert out["witness"] == sorted(set(out["witness"]))
+            assert type(out["slack"]) is float
+            assert (out["slack"] > 0.0) == (verdict == "inside")
 
 
 class TestConstant:
@@ -292,8 +316,8 @@ class TestExitCodes:
     def test_threads_env_pins_blas_pool(self):
         # OpenBLAS starts its worker threads when it loads, so the thread
         # count after one BLAS call shows the pool size it was given
-        probe = ("import os, blflow, numpy as np, scipy.linalg\n"
-                 "scipy.linalg.svd(np.ones((64, 64)))\n"
+        probe = ("import os, blflow, numpy as np\n"
+                 "np.linalg.svd(np.ones((64, 64)))\n"
                  "print(len(os.listdir('/proc/self/task')))")
         counts = {}
         for var in ("BLFLOW_THREADS", "OMP_NUM_THREADS"):
@@ -303,3 +327,22 @@ class TestExitCodes:
             assert proc.returncode == 0, proc.stderr
             counts[var] = int(proc.stdout)
         assert counts["BLFLOW_THREADS"] == counts["OMP_NUM_THREADS"]
+
+
+class TestImports:
+    # the package runs on NumPy and the standard library; SciPy is a test oracle
+    def test_cli_loads_no_scipy(self):
+        probe = ("import sys, blflow.cli\n"
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_importtime_lists_no_scipy(self):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import blflow.cli"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")]
+        assert "blflow.cli" in modules
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]

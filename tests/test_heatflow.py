@@ -11,7 +11,7 @@ from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
                     bellman_energy, bellman_identity_probe, gaussian_extremizer,
                     heat_extension, make_cert, monotonicity_scan, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
-from blflow.heatflow import evolved_domination
+from blflow.heatflow import erfc as heatflow_erfc, evolved_domination
 
 PROFILES = [
     Box(0.0, 1.0, 1.0),
@@ -42,6 +42,16 @@ class TestKernels:
         u = float(heat_extension(b, sigma, y, t))
         assert u > 0.0
         assert u == pytest.approx(0.5 * b.height * erfc(10.0), rel=1e-12)
+
+    def test_erfc_is_libm(self):
+        # Box.heat's erfc is libm's; SciPy's differs from it by at most 5.7e-14
+        # relative on this grid (measured with SciPy 1.17), erfc(26) ~ 6e-296
+        x = np.linspace(-6.0, 26.0, 32001)
+        got = heatflow_erfc(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [math.erfc(v) for v in x])
+        assert np.max(np.abs(got - erfc(x)) / erfc(x)) <= 1e-13
+        assert heatflow_erfc(10.0) == math.erfc(10.0)
 
     def test_box_t_zero_is_indicator(self):
         b = Box(0.0, 2.0, 1.5)

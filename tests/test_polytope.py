@@ -1,12 +1,98 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from blflow import Exponents, VectorSystem, enumerate_bases, is_finite
+from blflow.errors import UnsupportedScaleError
+from blflow.model import numerical_rank
+from blflow.polytope import DEGREE_TOL
 
 
 @pytest.fixture(scope="module")
 def tri_system():
     return VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
+
+
+def lp_verdict(sysm, x, boundary_tol=1e-9):
+    """The verdict of the convex-weight LP over the basis indicators.
+
+    Maximize the least weight t subject to V^T lam = x, sum(lam) = 1,
+    lam_i >= t: infeasible is outside, t <= boundary_tol is the boundary.
+    HiGHS works to a feasibility tolerance near 1e-7, so this oracle is only
+    trusted on points whose slack is well above that.
+    """
+    V = enumerate_bases(sysm).vectors
+    m, n = V.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    A_eq = np.zeros((n + 1, m + 1))
+    A_eq[:n, :m] = V.T
+    A_eq[n, :m] = 1.0
+    A_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq,
+                  b_eq=np.concatenate([x, [1.0]]),
+                  bounds=[(0.0, 1.0)] * m + [(-1.0, 1.0)], method="highs")
+    if not res.success:
+        return "outside"
+    return "inside" if res.x[-1] > boundary_tol else "boundary"
+
+
+def rank_slack(sysm, x, S):
+    """r(S) - x(S), with the rank taken from an SVD of the columns S."""
+    return numerical_rank(sysm.A[:, list(S)]) - float(np.sum(np.asarray(x)[list(S)]))
+
+
+def brute_force_slack(sysm, x):
+    """Least r(S) - x(S) over the non-separators S, from one SVD per subset."""
+    n, k = sysm.n, sysm.k
+    best = math.inf
+    for size in range(1, n):
+        for S in combinations(range(n), size):
+            rest = [j for j in range(n) if j not in S]
+            if numerical_rank(sysm.A[:, list(S)]) + numerical_rank(sysm.A[:, rest]) > k:
+                best = min(best, rank_slack(sysm, x, S))
+    return best
+
+
+def unit_columns(rng, k, n):
+    while True:
+        A = rng.normal(size=(k, n))
+        A /= np.linalg.norm(A, axis=0)
+        if min(abs(np.linalg.det(A[:, list(S)])) for S in combinations(range(n), k)) > 1e-3:
+            return A
+
+
+def polytope_data(rng, cls, k, n):
+    """(system, x) of one data class: interior, near_boundary, boundary or outside."""
+    if cls == "outside" and k >= 2:
+        # a repeated column whose two exponents sum past its rank 1
+        A = unit_columns(rng, k, n - 1)
+        A = np.concatenate([A, A[:, :1]], axis=1)
+        delta = rng.uniform(0.1, 0.3)
+        while True:
+            rest = (k - 1.0 - 2.0 * delta) * rng.dirichlet(np.ones(n - 2))
+            if rest.max() < 0.95:
+                break
+        return VectorSystem(A), np.concatenate([[0.5 + delta], rest, [0.5 + delta]])
+    A = unit_columns(rng, k, n)
+    sysm = VectorSystem(A)
+    V = enumerate_bases(sysm).vectors
+    inner = rng.dirichlet(np.ones(len(V))) @ V
+    if cls == "interior":
+        return sysm, inner
+    if cls == "near_boundary":
+        eps = math.exp(rng.uniform(math.log(1e-3), math.log(1e-2)))
+        return sysm, (1.0 - eps) * V[rng.integers(len(V))] + eps * inner
+    if cls == "boundary":
+        j = int(rng.integers(n))
+        x = rng.dirichlet(np.ones(int(V[:, j].sum()))) @ V[V[:, j] == 1.0]
+        x[j] = 1.0
+        return sysm, x
+    # k = 1: every column is parallel, so only the degree can fail
+    return sysm, np.minimum(1.1 * inner, 1.0)
 
 
 class TestEnumerateBases:
@@ -26,12 +112,32 @@ class TestEnumerateBases:
         bases = enumerate_bases(sysm)
         assert bases.subsets == ((0, 2), (1, 2))
 
+    def test_rank_table_matches_svd(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(3, 7))
+        A[:, 5] = A[:, 1] - 2.0 * A[:, 2]  # a dependent triple
+        A[:, 6] = -A[:, 0]  # a repeated direction
+        sysm = VectorSystem(A)
+        bases = enumerate_bases(sysm)
+        for mask, rank in zip(bases.masks, bases.ranks):
+            assert rank == numerical_rank(A[:, mask == 1.0])
+
+    def test_more_than_twelve_columns_unsupported(self):
+        sysm = VectorSystem(np.ones((1, 13)))
+        with pytest.raises(UnsupportedScaleError):
+            enumerate_bases(sysm)
+        with pytest.raises(UnsupportedScaleError):
+            is_finite(sysm, Exponents(np.full(13, 1.0 / 13)))
+
 
 class TestMembership:
     def test_inside_with_certificate(self, tri_system):
+        # every proper subset is a non-separator; the singletons have room 1/3
         v = is_finite(tri_system, Exponents([2 / 3, 2 / 3, 2 / 3]))
         assert v.verdict == "inside"
-        assert np.allclose(v.weights, [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
+        assert v.basis_count == 3
+        assert v.witness == (0,)
+        assert v.slack == pytest.approx(1 / 3, abs=1e-12)
 
     def test_vertex_is_boundary(self, tri_system):
         v = is_finite(tri_system, Exponents([1.0, 1.0, 1e-12 + 1e-9]))
@@ -40,33 +146,156 @@ class TestMembership:
     def test_outside_by_coordinate_sum(self, tri_system):
         v = is_finite(tri_system, Exponents([1.0, 1.0, 1.0]))
         assert v.verdict == "outside"
-        assert v.weights is None
+        assert v.witness == (0, 1, 2)
+        assert v.slack == pytest.approx(-1.0)
 
     def test_certificate_reproduces_point(self, tri_system):
-        bases = enumerate_bases(tri_system)
+        # the witness's slack can be checked by hand, and no subset beats it
         e = Exponents([0.7, 0.6, 0.7])
         v = is_finite(tri_system, e)
         assert v.verdict == "inside"
-        assert np.allclose(bases.vectors.T @ v.weights, e.inv_p, atol=1e-9)
+        assert v.slack == pytest.approx(rank_slack(tri_system, e.inv_p, v.witness), abs=1e-12)
+        assert v.slack == pytest.approx(brute_force_slack(tri_system, e.inv_p), abs=1e-12)
+        assert v.slack == pytest.approx(0.3, abs=1e-12)
+
+    def test_violated_subset_is_witness(self):
+        # columns 0 and 1 are parallel: x_0 + x_1 = 1.2 exceeds their rank 1
+        sysm = VectorSystem(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+        v = is_finite(sysm, Exponents([0.6, 0.6, 0.8]))
+        assert v.verdict == "outside"
+        assert v.witness == (0, 1)
+        assert v.slack == pytest.approx(-0.2)
+
+    def test_boundary_witness_is_tight(self, tri_system):
+        v = is_finite(tri_system, Exponents([1.0, 0.5, 0.5]))
+        assert v.verdict == "boundary"
+        assert abs(rank_slack(tri_system, [1.0, 0.5, 0.5], v.witness)) <= 1e-12
+
+    def test_deep_near_boundary_is_inside(self, tri_system):
+        # 1e-7 from a vertex, where the LP's feasibility tolerance called the
+        # point outside; the rank test sees the exact slack
+        v = is_finite(tri_system, Exponents([1.0 - 1e-7, 1.0 - 2e-7, 3e-7]))
+        assert v.verdict == "inside"
+        assert v.slack == pytest.approx(1e-7, rel=1e-6)
+
+    def test_degree_tolerance(self, tri_system):
+        x = np.array([2 / 3, 2 / 3, 2 / 3])
+        assert is_finite(tri_system, Exponents(x + DEGREE_TOL / 4)).verdict == "inside"
+        v = is_finite(tri_system, Exponents(x + DEGREE_TOL))
+        assert v.verdict == "outside"
+        assert v.witness == (0, 1, 2)
+
+
+class TestStructures:
+    def test_identity_is_a_single_point(self):
+        # A = I: every subset is a separator, K = {1}, and no slack exists
+        sysm = VectorSystem(np.eye(3))
+        v = is_finite(sysm, Exponents([1.0, 1.0, 1.0]))
+        assert (v.verdict, v.witness, v.slack, v.basis_count) == ("inside", None, math.inf, 1)
+        v = is_finite(sysm, Exponents([1.0, 1.0, 0.5]))
+        assert v.verdict == "outside" and v.witness == (0, 1, 2)
+        assert v.slack == pytest.approx(-0.5)
+
+    def test_block_diagonal(self):
+        # K is the product of the blocks' polytopes; each block is a separator
+        A = np.zeros((3, 5))
+        A[0, :2] = 1.0
+        A[1:, 2:] = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        sysm = VectorSystem(A)
+        assert enumerate_bases(sysm).count == 2 * 3
+        v = is_finite(sysm, Exponents([0.5, 0.5, 2 / 3, 2 / 3, 2 / 3]))
+        assert v.verdict == "inside"
+        assert v.slack == pytest.approx(1 / 3)
+        # mass moved across the blocks breaks the separator x(E_1) = 1
+        v = is_finite(sysm, Exponents([0.6, 0.5, 0.6, 0.6, 0.7]))
+        assert v.verdict == "outside"
+        assert v.witness == (0, 1)
+        assert v.slack == pytest.approx(-0.1)
+        # a facet of one block is a facet of K
+        v = is_finite(sysm, Exponents([0.5, 0.5, 1.0, 0.5, 0.5]))
+        assert v.verdict == "boundary"
+        assert v.witness == (2,)
+
+    def test_coloop_is_pinned(self):
+        # column 2 is in every basis, so x_2 = 1 on all of K without making
+        # the point a boundary point
+        sysm = VectorSystem(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]))
+        v = is_finite(sysm, Exponents([0.3, 0.7, 1.0]))
+        assert v.verdict == "inside"
+        assert v.slack == pytest.approx(0.3)
+        v = is_finite(sysm, Exponents([0.5, 0.6, 0.9]))
+        assert v.verdict == "outside"
+        assert v.witness == (0, 1)
+
+    def test_repeated_columns(self):
+        a = np.array([[0.6], [0.8]])
+        sysm = VectorSystem(np.hstack([a, a, -a, [[1.0], [0.0]]]))
+        assert enumerate_bases(sysm).count == 3
+        v = is_finite(sysm, Exponents([0.3, 0.3, 0.4, 1.0]))
+        assert v.verdict == "inside"
+        v = is_finite(sysm, Exponents([0.4, 0.4, 0.3, 0.9]))
+        assert v.verdict == "outside" and v.witness == (0, 1, 2)
+        assert v.slack == pytest.approx(-0.1)
+
+
+class TestLPOracle:
+    @pytest.mark.parametrize("cls", ["interior", "near_boundary", "boundary", "outside"])
+    def test_verdict_parity(self, cls):
+        rng = np.random.default_rng(["interior", "near_boundary", "boundary",
+                                     "outside"].index(cls) + 101)
+        expected = {"interior": "inside", "near_boundary": "inside"}.get(cls, cls)
+        for k in (1, 2, 3, 4):
+            for n in range(k + 1, 11):
+                if cls == "boundary" and k == 1:
+                    continue  # K's k = 1 faces have a zero exponent
+                sysm, x = polytope_data(rng, cls, k, n)
+                v = is_finite(sysm, Exponents(x))
+                assert v.verdict == lp_verdict(sysm, x) == expected, (k, n, x)
+                if v.witness is not None:
+                    assert v.slack == pytest.approx(rank_slack(sysm, x, v.witness), abs=1e-12)
+
+    @pytest.mark.parametrize("A", [
+        [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+        [[1.0, 2.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]],
+        [[1.0, -1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0]],
+        [[1.0, 0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0]],
+    ], ids=["blocks", "parallel", "coloop", "blocks3"])
+    def test_structured_parity(self, A):
+        rng = np.random.default_rng(17)
+        sysm = VectorSystem(np.array(A))
+        V = enumerate_bases(sysm).vectors
+        for _ in range(60):
+            face = V
+            if rng.uniform() < 0.3:
+                # the face x(S) = r(S): the bases that span S
+                S = rng.uniform(size=sysm.n) < 0.5
+                face = V[V @ S == numerical_rank(sysm.A[:, S])] if S.any() else V
+            x = rng.dirichlet(np.full(len(face), 0.5)) @ face
+            if rng.uniform() < 0.4:
+                i, j = rng.choice(sysm.n, size=2, replace=False)
+                step = rng.uniform(0.0, max(0.0, min(x[j], 1.0 - x[i])))
+                x[i] += step
+                x[j] -= step
+            x = np.minimum(x, 1.0)
+            if x.min() <= 1e-6:
+                continue  # off the exponents' domain (0, 1]
+            assert is_finite(sysm, Exponents(x)).verdict == lp_verdict(sysm, x), x
 
 
 class TestProperties:
     def test_certificate_coordinate_sum_is_k(self, tri_system):
-        # every hull point has coordinate sum k, so every certified point must
+        # every hull point has coordinate sum k, so none is outside, and the
+        # witness attains the least slack over all non-separators
         rng = np.random.default_rng(3)
         bases = enumerate_bases(tri_system)
-        hits = 0
         for _ in range(100):
             lam = rng.dirichlet(np.ones(bases.count))
             point = bases.vectors.T @ lam
             point = np.clip(point, 1e-9, 1.0)
             v = is_finite(tri_system, Exponents(point))
             assert v.verdict in ("inside", "boundary")
-            if v.weights is not None:
-                hits += 1
-                assert v.weights.sum() == pytest.approx(1.0, abs=1e-9)
-                assert (bases.vectors.T @ v.weights).sum() == pytest.approx(2.0, abs=1e-8)
-        assert hits == 100
+            assert abs(point.sum() - 2.0) <= DEGREE_TOL
+            assert v.slack == pytest.approx(brute_force_slack(tri_system, point), abs=1e-12)
 
     def test_vertices_never_outside(self, tri_system):
         bases = enumerate_bases(tri_system)
