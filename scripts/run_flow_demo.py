@@ -35,7 +35,8 @@ def main() -> None:
     trace, verdict = monotonicity_scan(problem.system, cert, B,
                                        problem.profiles, times=times,
                                        quad_tol=args.quad_tol)
-    print(f"{'t':>12}  {'energy':>20}  {'halfwidth':>10}  doublings")
+    # refinement: mesh doublings of the quadrature, 0 for a closed form
+    print(f"{'t':>12}  {'energy':>20}  {'halfwidth':>10}  refinement")
     for t, v, L, lev in zip(trace.times, trace.values,
                             trace.halfwidths, trace.levels):
         print(f"{t:12.4g}  {v:20.15f}  {L:10.3f}  {int(lev)}")

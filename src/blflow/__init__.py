@@ -14,8 +14,9 @@ from .certificate import (build_C, certificate_defect, projection_check,
                           solve_certificate, solve_s_system)
 from .gaussian import gaussian_objective, maximize_D, quadrature_objective
 from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energy,
-                       bellman_identity_probe, gaussian_extremizer,
-                       heat_extension, monotonicity_scan, rhs_limit)
+                       bellman_identity_probe, gaussian_energy,
+                       gaussian_extremizer, heat_extension, monotonicity_scan,
+                       rhs_limit)
 from .model import (BellmanSpec, Exponents, GaussCert, VectorSystem,
                     euler_check, lift_section, make_cert, numerical_rank,
                     psd_leq_zero)
@@ -29,7 +30,7 @@ __all__ = [
     "SumOfBoxes", "VectorSystem", "bellman_energy", "bellman_identity_probe",
     "build_C", "certificate_defect", "check_L3", "check_L5",
     "check_kn_structure", "check_pde_identity", "check_rank_bound",
-    "enumerate_bases", "euler_check", "gaussian_extremizer",
+    "enumerate_bases", "euler_check", "gaussian_energy", "gaussian_extremizer",
     "gaussian_objective", "hadamard_form", "heat_extension", "is_finite",
     "lift_section", "make_cert", "maximize_D", "monotonicity_scan",
     "numerical_rank", "projection_check", "psd_leq_zero",

@@ -1,8 +1,8 @@
 """Batch front end: parse a problem file, dispatch, emit a JSON/CSV report.
 
 Exit codes are a stable contract: 0 pass, 1 verdict-fail (e.g. the
-concavity check fails), 2 input error, 3 non-convergence, 4 certificate
-rejection.
+concavity check fails), 2 input error (data beyond the supported sizes
+included), 3 non-convergence, 4 certificate rejection.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import certificate, gaussian, heatflow, polytope, verifier
 from .errors import (BLFlowError, CertificateRejection, IterationError,
-                     StructuralError)
+                     StructuralError, UnsupportedScaleError)
 from .io import Problem, parse_problem
 from .model import BellmanSpec, make_cert
 
@@ -182,7 +182,7 @@ def cmd_flow(problem: Problem, args) -> int:
     doc = {"monotone": verdict.monotone, "label": verdict.label,
            "mono_tol": verdict.mono_tol, "initial_value": verdict.initial_value,
            "limit_value": verdict.limit_value, "final_gap": verdict.final_gap,
-           "times": trace.times, "values": trace.values}
+           "times": trace.times, "values": trace.values, "levels": trace.levels}
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return _COMMANDS[args.command](problem, args)
-    except StructuralError as exc:
+    except (StructuralError, UnsupportedScaleError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except CertificateRejection as exc:

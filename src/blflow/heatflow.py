@@ -6,12 +6,15 @@ all dominated by b * exp(-delta y^2), so heat extensions have closed forms
 monotonicity violation in the trace indicates a real bug, not solver drift.
 
 The energy is the integral of B composed with the per-coordinate heat
-extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.  The
-domination bounds make the integrand at most c exp(-x^T F x) with
-F = sum_j w_j delta_j(t) a_j a_j^T, so it is integrated over R^k by
-quadrature.decay_quad, the nested trapezoid rule on the cube whitened by F.
-Only box data at t = 0, which is discontinuous, takes the midpoint/Romberg
-panels of quadrature.panel_quad_1d (k = 1).
+extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.  Every B in
+the catalog is a monomial, so for all-Gaussian data the integrand is a
+Gaussian in x and the energy has a closed form (gaussian_energy), at every
+time.  Otherwise the domination bounds make the integrand at most
+c exp(-x^T F x) with F = sum_j w_j delta_j(t) a_j a_j^T, so it is integrated
+over R^k by quadrature.decay_quad, the nested trapezoid rule on the cube
+whitened by F, which evaluates each node once however many times it halves
+the mesh.  Only box data at t = 0, which is discontinuous, takes the
+midpoint/Romberg panels of quadrature.panel_quad_1d (k = 1).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError, StructuralError, UnsupportedScaleError
-from .model import BellmanSpec, GaussCert, VectorSystem
+from .model import RANK_TOL, BellmanSpec, GaussCert, VectorSystem
 from .verifier import check_L3
 
 QUAD_TOL = 1e-8
@@ -109,16 +112,20 @@ class GaussianProfile:
         y = np.asarray(y, dtype=float)
         return self.amplitude * np.exp(-((y - self.center) ** 2) / self.variance)
 
-    def heat(self, y, sigma: float, t: float):
-        y = np.asarray(y, dtype=float)
+    def evolved(self, sigma: float, t: float) -> "GaussianProfile":
+        """The heat extension at time t, again a Gaussian: variance
+        v_t = v + 4 sigma t and amplitude a sqrt(v / v_t), so the mass is kept."""
         vt = self.variance + 4.0 * sigma * t
-        amp = self.amplitude * math.sqrt(self.variance / vt)
-        return amp * np.exp(-((y - self.center) ** 2) / vt)
+        return GaussianProfile(self.amplitude * math.sqrt(self.variance / vt),
+                               self.center, vt)
+
+    def heat(self, y, sigma: float, t: float):
+        return self.evolved(sigma, t).value(y)
 
     def heat_dy(self, y, sigma: float, t: float):
+        g = self.evolved(sigma, t)
         y = np.asarray(y, dtype=float)
-        vt = self.variance + 4.0 * sigma * t
-        return -2.0 * (y - self.center) / vt * self.heat(y, sigma, t)
+        return -2.0 * (y - g.center) / g.variance * g.value(y)
 
     def domination(self) -> tuple[float, float]:
         if self.center == 0.0:
@@ -214,24 +221,58 @@ def _profile_vector(sys, cert, profiles, X, t):
     return np.stack(cols, axis=-1)
 
 
+def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
+    """Integral over R^k of B(u_1(<a_1, x>), ..., u_n(<a_n, x>)) for Gaussian u_j.
+
+    With B = coeff prod y_j^{w_j} and u_j = amp_j exp(-(y - c_j)^2 / v_j) the
+    integrand is coeff prod amp_j^{w_j} exp(-x^T Q x + 2 b^T x - c0), where
+    Q = A diag(w/v) A^T, b = A (w c / v) and c0 = sum_j w_j c_j^2 / v_j, so
+    the integral is coeff prod amp_j^{w_j} pi^{k/2} det(Q)^{-1/2}
+    exp(b^T Q^{-1} b - c0) (Lieb, Invent. Math. 102, 1990).
+
+    Q = M M^T and b = M g for M = A diag(sqrt(w/v)) and g = sqrt(w/v) c, so
+    one SVD M = U S V^T gives det(Q)^{1/2} = prod S and
+    b^T Q^{-1} b - c0 = -|g - V V^T g|^2, g's squared distance from the row
+    space of M.  The SVD also decides rank(A) = k to round-off, where the
+    Cholesky pivots of the formed Q resolve only its square root.
+    """
+    amp = np.array([p.amplitude for p in profiles])
+    c = np.array([p.center for p in profiles])
+    root = np.sqrt(B.weights / np.array([p.variance for p in profiles]))
+    _, s, Vt = np.linalg.svd(sys.A * root, full_matrices=False)
+    if not s[-1] > RANK_TOL * s[0]:
+        raise StructuralError("degenerate Gaussian form; is rank(A) = k?")
+    g = root * c
+    miss = g - Vt.T @ (Vt @ g)
+    return (B.coeff * float(np.prod(amp**B.weights)) * math.pi ** (sys.k / 2.0)
+            / float(np.prod(s)) * math.exp(-float(miss @ miss)))
+
+
 @dataclass(frozen=True)
 class EnergyValue:
     value: float
     halfwidth: float
-    levels: int
+    levels: int  # mesh doublings; 0 for a closed form
     exact_panels: bool  # breakpoint-aligned 1-D panels were used
 
 
 def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                    profiles, t: float, quad_tol: float = QUAD_TOL) -> EnergyValue:
-    """Energy at time t by the nested trapezoid rule on the whitened decay cube.
+    """Energy at time t.
 
-    ``halfwidth`` is the cube's reach sqrt(40 / lam_min(F)) along the
-    softest direction of the decay form F, and ``levels`` the number of
-    mesh doublings.  Box data at t = 0 has no smooth integrand; for k = 1
-    it is integrated on breakpoint-aligned panels instead.
+    All-Gaussian data stay Gaussian under the heat flow, so their energy is
+    :func:`gaussian_energy` of the evolved profiles, reported with
+    ``halfwidth`` and ``levels`` 0.  Other data are integrated by the nested
+    trapezoid rule on the whitened decay cube: ``halfwidth`` is the cube's
+    reach sqrt(40 / lam_min(F)) along the softest direction of the decay
+    form F, and ``levels`` the number of mesh doublings.  Box data at t = 0
+    has no smooth integrand; for k = 1 it is integrated on breakpoint-aligned
+    panels instead.
     """
     _check_problem(sys, B, profiles)
+    if all(isinstance(p, GaussianProfile) for p in profiles):
+        evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
+        return EnergyValue(gaussian_energy(sys, B, evolved), 0.0, 0, False)
     F = _decay_form(sys, cert, B, profiles, t)
 
     def integrand(X):
@@ -260,16 +301,17 @@ def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
               quad_tol: float = QUAD_TOL) -> EnergyValue:
     """The t -> infinity limit: B of normalized Gaussians scaled by the masses.
 
-    The catalog functions are monomials, so the limit also has a closed
-    Gaussian form; quadrature is cross-checked against it before the value
-    is returned.
+    This is the energy of the extremizers gaussian_extremizer(m_j, sigma_j),
+    so it has the closed form :func:`gaussian_energy`; the quadrature value
+    is cross-checked against it before it is returned.
     """
     masses = np.asarray(masses, dtype=float).ravel()
     if masses.size != sys.n or np.any(masses <= 0.0):
         raise StructuralError("need one positive mass per column")
     if sys.k > MAX_K:
         raise UnsupportedScaleError(f"tensor quadrature capped at k <= {MAX_K}")
-    amp = masses / np.sqrt(math.pi * cert.sigma)
+    limit = [gaussian_extremizer(m, s) for m, s in zip(masses, cert.sigma)]
+    amp = np.array([g.amplitude for g in limit])
 
     def integrand(X):
         proj = X @ sys.A
@@ -277,8 +319,7 @@ def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
 
     F = (sys.A * (B.weights / cert.sigma)) @ sys.A.T
     res = quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
-    closed = (B.coeff * float(np.prod(amp**B.weights))
-              * math.pi ** (sys.k / 2.0) / math.sqrt(float(np.linalg.det(F))))
+    closed = gaussian_energy(sys, B, limit)
     if abs(res.value - closed) > 1e-6 * abs(closed):
         raise StructuralError(
             f"limit self-test failed: quadrature {res.value!r} vs closed form {closed!r}")

@@ -8,9 +8,10 @@ of nodes is ever built.
 c * exp(-x^T F x).  It whitens in F's eigenbasis, x = U diag(lam)^{-1/2} z,
 and applies the nested trapezoid rule on the fixed cube
 [-sqrt(LOG_TAIL), sqrt(LOG_TAIL)]^k in z, halving the mesh width until two
-successive sums agree.  On analytic integrands with Gaussian decay the
-trapezoid rule converges exponentially (Trefethen & Weideman, SIAM Rev. 56,
-2014), so no extrapolation is applied.
+successive sums agree.  The grids are nested: each halving keeps the last
+sum and evaluates the new nodes only (:func:`_trapezoid_sums`).  On analytic
+integrands with Gaussian decay the trapezoid rule converges exponentially
+(Trefethen & Weideman, SIAM Rev. 56, 2014), so no extrapolation is applied.
 
 :func:`tensor_quad` is the midpoint rule on a given cube [-L, L]^k with grid
 doubling and Richardson (Romberg) extrapolation, for integrands that do not
@@ -22,7 +23,6 @@ breakpoints (see :func:`panel_quad_1d`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +43,7 @@ LOG_TAIL = 40.0
 #: decay_quad's coarsest grid has this many intervals per axis
 _N0 = 16
 
-#: decay_quad gives up once its sums together would evaluate more nodes
+#: decay_quad gives up rather than evaluate the integrand at more points
 MAX_NODES = 1 << 23
 
 
@@ -56,28 +56,29 @@ class QuadResult:
     converged: bool
 
 
-def _grid_sum(f, axis: np.ndarray, weights: np.ndarray, k: int) -> float:
-    """sum of prod_i weights[i_i] * f(axis[i_1], ..., axis[i_k]) over axis^k.
+def _grid_sum(f, axes, weights) -> float:
+    """sum of prod_i weights[i][j_i] * f(axes[0][j_0], ..., axes[k-1][j_{k-1}]).
 
-    ``f`` maps an (m, k) array of points to an (m,) array.  The grid is
+    ``axes`` and ``weights`` hold one node array and one weight array per
+    axis; ``f`` maps an (m, k) array of points to an (m,) array.  The grid is
     visited in slabs of whole rows along the first axis, each of at most
-    about _SLAB points, so memory does not grow with len(axis)**k.
+    about _SLAB points, so memory does not grow with the grid.
     """
-    m = axis.size
-    rest = np.stack([g.ravel() for g in np.meshgrid(*([axis] * (k - 1)), indexing="ij")],
+    k = len(axes)
+    rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")],
                     axis=-1) if k > 1 else np.empty((1, 0))
     rest_w = np.ones(1)
-    for _ in range(k - 1):
-        rest_w = np.outer(rest_w, weights).ravel()
+    for w in weights[1:]:
+        rest_w = np.outer(rest_w, w).ravel()
     rows = max(1, _SLAB // rest.shape[0])
     total = 0.0
-    for start in range(0, m, rows):
-        lead = axis[start:start + rows]
+    for start in range(0, axes[0].size, rows):
+        lead = axes[0][start:start + rows]
         pts = np.empty((lead.size, rest.shape[0], k))
         pts[:, :, 0] = lead[:, None]
         pts[:, :, 1:] = rest
         vals = f(pts.reshape(-1, k)).reshape(lead.size, -1)
-        total += float(weights[start:start + rows] @ (vals @ rest_w))
+        total += float(weights[0][start:start + rows] @ (vals @ rest_w))
     return total
 
 
@@ -85,7 +86,7 @@ def _midpoint_sum(f, k: int, L: float, m: int) -> float:
     """Composite midpoint sum of f over [-L, L]^k with m nodes per axis."""
     h = 2.0 * L / m
     axis = -L + h * (np.arange(m) + 0.5)
-    return _grid_sum(f, axis, np.full(m, h), k)
+    return _grid_sum(f, [axis] * k, [np.full(m, h)] * k)
 
 
 def tensor_quad(f, k: int, L: float, rel_tol: float = 1e-8,
@@ -131,6 +132,36 @@ def tensor_quad(f, k: int, L: float, rel_tol: float = 1e-8,
     return QuadResult(value, L, levels, m // 2, False)
 
 
+def _trapezoid_sums(f, k: int, Z: float):
+    """Yield (m, S_m) for m = _N0, 2 _N0, 4 _N0, ...: the trapezoid sum of f
+    on [-Z, Z]^k with m intervals per axis.
+
+    Each level reuses the last: the nodes of the m-interval grid are the
+    even-indexed nodes of the 2m-interval grid, where every weight is halved
+    on each axis, so S_2m = S_m / 2**k plus the sum over the new nodes only.
+    Those are the nodes with an odd index on some axis; split by the first
+    such axis i, they are k tensor grids (even indices before i, odd on i,
+    all indices after i).  Every node is evaluated once, so the levels up to
+    m evaluate (m + 1)**k points in all.  Stops before a grid of more than
+    MAX_NODES nodes.
+    """
+    m, total = _N0, None
+    while (m + 1) ** k <= MAX_NODES:
+        full = np.linspace(-Z, Z, m + 1)
+        full_w = np.full(m + 1, 2.0 * Z / m)
+        full_w[[0, -1]] *= 0.5
+        if total is None:
+            total = _grid_sum(f, [full] * k, [full_w] * k)
+        else:
+            even, even_w, odd, odd_w = full[::2], full_w[::2], full[1::2], full_w[1::2]
+            total = total / 2**k + sum(
+                _grid_sum(f, [even] * i + [odd] + [full] * (k - 1 - i),
+                          [even_w] * i + [odd_w] + [full_w] * (k - 1 - i))
+                for i in range(k))
+        yield m, total
+        m *= 2
+
+
 def decay_quad(f, F, rel_tol: float = 1e-8) -> QuadResult:
     """Integrate ``f`` over R^k, given |f(x)| <= c exp(-x^T F x).
 
@@ -145,9 +176,9 @@ def decay_quad(f, F, rel_tol: float = 1e-8) -> QuadResult:
         tolerance.
 
     The coarsest grid has _N0 intervals per axis and each level doubles
-    them; QuadratureAnomaly is raised rather than let the sums together
-    evaluate more than MAX_NODES nodes.  The result's ``halfwidth`` is
-    sqrt(LOG_TAIL / lam_min(F)), the reach of the cube along F's softest
+    them, evaluating the new nodes only; QuadratureAnomaly is raised rather
+    than evaluate more than MAX_NODES points.  The result's ``halfwidth``
+    is sqrt(LOG_TAIL / lam_min(F)), the reach of the cube along F's softest
     direction, ``levels`` the number of doublings and ``nodes_per_axis`` the
     final grid's.
     """
@@ -165,22 +196,15 @@ def decay_quad(f, F, rel_tol: float = 1e-8) -> QuadResult:
     def whitened(z):
         return f(z @ T.T)
 
-    spent = 0
     prev = None
-    m = _N0
-    for doublings in itertools.count():
-        spent += (m + 1) ** k
-        if spent > MAX_NODES:
-            raise QuadratureAnomaly(
-                f"trapezoid sums did not reach rel_tol={rel_tol:g} within {MAX_NODES} "
-                f"nodes on R^{k}; the next grid would have {m} intervals per axis")
-        weights = np.full(m + 1, 2.0 * Z / m)
-        weights[[0, -1]] *= 0.5
-        value = jacobian * _grid_sum(whitened, np.linspace(-Z, Z, m + 1), weights, k)
+    for doublings, (m, total) in enumerate(_trapezoid_sums(whitened, k, Z)):
+        value = jacobian * total
         if prev is not None and abs(value - prev) <= rel_tol * max(abs(value), abs(prev)):
             return QuadResult(value, Z / math.sqrt(lam[0]), doublings, m + 1, True)
         prev = value
-        m *= 2
+    raise QuadratureAnomaly(
+        f"trapezoid sums did not reach rel_tol={rel_tol:g} within {MAX_NODES} "
+        f"nodes on R^{k}; the next grid would have {2 * m} intervals per axis")
 
 
 def gaussian_halfwidth(decay: float, log_tail: float = 34.0) -> float:

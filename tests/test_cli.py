@@ -49,6 +49,8 @@ UNREACHABLE_TOL = {
     "inv_p": [0.6, 0.7, 0.7], "tolerances": {"res_tol": 1e-30},
 }
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
 OFF_INTERIOR = pytest.mark.parametrize("doc", [BOUNDARY, NEAR_SINGULAR],
                                        ids=["boundary", "near_singular"])
 
@@ -250,6 +252,19 @@ class TestFlow:
         assert max(doc["times"]) == 10.0
         assert doc["limit_value"] == pytest.approx(math.sqrt(2.0), rel=1e-8)
 
+    @pytest.mark.parametrize("problem", ["holder_boxes", "lifted_section_triple"])
+    def test_json_levels_match_csv_refinement(self, tmp_path, capsys, problem):
+        path = str(PROBLEMS / f"{problem}.json")
+        code, doc = run_json(capsys, ["flow", path])
+        assert code == 0
+        assert len(doc["levels"]) == len(doc["times"])
+        assert all(type(level) is int for level in doc["levels"])
+        main(["flow", path, "--format", "csv"])
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert doc["levels"] == [int(row.split(",")[3]) for row in rows]
+        # all-Gaussian data take the closed form at every time: 0 doublings
+        assert (set(doc["levels"]) == {0}) == (problem == "lifted_section_triple")
+
 
 THREAD_VARS = ("BLFLOW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
@@ -283,6 +298,19 @@ class TestExitCodes:
         doc = {"k": 2, "n": 3, "A": [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],
                "inv_p": [0.5, 0.5, 0.5]}
         assert main(["finiteness", write(tmp_path, doc)]) == 2
+
+    def test_finiteness_beyond_supported_n_is_input_error(self, tmp_path, capsys):
+        doc = {"k": 1, "n": 13, "A": [[1.0] * 13], "inv_p": [1.0 / 13] * 13}
+        assert main(["finiteness", write(tmp_path, doc)]) == 2
+        assert "n <= 12" in capsys.readouterr().err
+
+    def test_flow_beyond_supported_k_is_input_error(self, tmp_path, capsys):
+        doc = {"k": 4, "n": 4, "A": np.eye(4).tolist(), "C": np.eye(4).tolist(),
+               "B": {"variant": "young", "alpha": [0.5] * 4},
+               "profiles": [{"type": "gaussian", "amplitude": 1.0, "center": 0.0,
+                             "variance": 1.0}] * 4}
+        assert main(["flow", write(tmp_path, doc)]) == 2
+        assert "k <= 3" in capsys.readouterr().err
 
     def test_missing_exponents(self, tmp_path, capsys):
         doc = {"k": 1, "n": 2, "A": [[1.0, 1.0]]}

@@ -8,10 +8,12 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import erfc
 
 from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
-                    bellman_energy, bellman_identity_probe, gaussian_extremizer,
-                    heat_extension, make_cert, monotonicity_scan, rhs_limit)
+                    bellman_energy, bellman_identity_probe, gaussian_energy,
+                    gaussian_extremizer, heat_extension, make_cert, monotonicity_scan,
+                    rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
-from blflow.heatflow import erfc as heatflow_erfc, evolved_domination
+from blflow.heatflow import DEFAULT_TIMES, erfc as heatflow_erfc, evolved_domination
+from blflow.quadrature import decay_quad
 
 PROFILES = [
     Box(0.0, 1.0, 1.0),
@@ -140,6 +142,62 @@ class TestEnergy:
         sysm, _, B, cert = holder
         with pytest.raises(StructuralError):
             bellman_energy(sysm, cert, B, (Box(0.0, 1.0, 1.0),), 1.0)
+
+
+def gaussian_datum(k, seed):
+    """A random k x (k + 1) system, certificate, Young B and off-centre Gaussians."""
+    rng = np.random.default_rng(seed)
+    n = k + 1
+    sysm = VectorSystem(rng.normal(size=(k, n)))
+    G = rng.normal(size=(k, k))
+    cert = make_cert(sysm, G @ G.T + 0.5 * np.eye(k))
+    B = BellmanSpec.young(rng.uniform(0.2, 0.9, size=n))
+    profiles = tuple(GaussianProfile(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
+                                     rng.uniform(0.5, 2.0)) for _ in range(n))
+    return sysm, cert, B, profiles
+
+
+class TestGaussianEnergy:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_quadrature_at_every_time(self, k):
+        sysm, cert, B, profiles = gaussian_datum(k, 70 + k)
+        A, sigma = sysm.A, cert.sigma
+        for t in DEFAULT_TIMES:
+            d = np.array([evolved_domination(p, s, t)[1] for p, s in zip(profiles, sigma)])
+
+            def f(X):
+                return B.evaluate(np.stack([p.heat(X @ A[:, j], sigma[j], t)
+                                            for j, p in enumerate(profiles)], axis=-1))
+
+            want = decay_quad(f, (A * (B.weights * d)) @ A.T, rel_tol=1e-12).value
+            evolved = [p.evolved(s, t) for p, s in zip(profiles, sigma)]
+            assert gaussian_energy(sysm, B, evolved) == pytest.approx(want, rel=1e-10)
+
+    def test_bellman_energy_is_the_closed_form(self):
+        sysm, cert, B, profiles = gaussian_datum(2, 7)
+        for t in (0.0, 1.0):
+            ev = bellman_energy(sysm, cert, B, profiles, t)
+            evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
+            assert ev.value == gaussian_energy(sysm, B, evolved)
+            assert ev.levels == 0 and ev.halfwidth == 0.0 and not ev.exact_panels
+
+    def test_evolved_is_a_semigroup(self):
+        g = GaussianProfile(0.7, -1.5, 2.0)
+        twice = g.evolved(1.3, 0.4).evolved(1.3, 0.6)
+        once = g.evolved(1.3, 1.0)
+        assert twice.variance == pytest.approx(once.variance, rel=1e-14)
+        assert twice.amplitude == pytest.approx(once.amplitude, rel=1e-14)
+        assert once.center == g.center and once.mass() == pytest.approx(g.mass(), rel=1e-14)
+
+    def test_rank_deficient_A_raises(self):
+        # rank_tol=0 admits a rank-1 A; Q = A diag(w/v) A^T is then singular
+        sysm = VectorSystem(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), rank_tol=0.0)
+        B = BellmanSpec.young([0.5, 0.5, 0.5])
+        profiles = tuple(GaussianProfile(1.0, c, 1.0) for c in (0.0, 0.5, -0.5))
+        with pytest.raises(StructuralError):
+            gaussian_energy(sysm, B, profiles)
+        with pytest.raises(StructuralError):
+            bellman_energy(sysm, make_cert(sysm, np.eye(2)), B, profiles, 1.0)
 
 
 def reflect(profile):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from blflow.errors import QuadratureAnomaly, UnsupportedScaleError
-from blflow.quadrature import (_grid_sum, decay_quad, gaussian_halfwidth,
-                               panel_quad_1d, tensor_quad)
+from blflow.quadrature import (_N0, _grid_sum, _trapezoid_sums, decay_quad,
+                               gaussian_halfwidth, panel_quad_1d, tensor_quad)
 
 
 class TestTensorQuad:
@@ -98,6 +98,36 @@ class TestDecayQuad:
             decay_quad(lambda x: np.ones(len(x)), np.eye(4))
 
 
+class TestNestedTrapezoid:
+    @pytest.mark.parametrize("k, levels", [(1, 6), (2, 4), (3, 3)])
+    def test_each_level_matches_a_full_grid_sum(self, k, levels):
+        def f(z):
+            return np.exp(-np.sum((z - 0.3) ** 2, axis=1)) * np.cos(z[:, 0])
+
+        Z = 2.5
+        sums = _trapezoid_sums(f, k, Z)
+        for level in range(levels):
+            m, nested = next(sums)
+            assert m == _N0 * 2**level
+            axis = np.linspace(-Z, Z, m + 1)
+            w = np.full(m + 1, 2.0 * Z / m)
+            w[[0, -1]] *= 0.5
+            assert nested == pytest.approx(_grid_sum(f, [axis] * k, [w] * k), rel=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_node_is_evaluated_twice(self, k):
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.exp(-np.sum(x**2, axis=1))
+
+        res = decay_quad(f, np.eye(k), rel_tol=1e-12)
+        points = np.concatenate(seen)
+        assert len(points) == res.nodes_per_axis**k
+        assert len(np.unique(points, axis=0)) == len(points)
+
+
 class TestGridSum:
     def test_matches_dense_sum(self):
         axis = np.linspace(-1.0, 2.0, 7)
@@ -108,14 +138,14 @@ class TestGridSum:
 
         X = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], -1)
         W = np.einsum("i,j,l->ijl", weights, weights, weights).ravel()
-        assert _grid_sum(f, axis, weights, 3) == pytest.approx(float(W @ f(X)), rel=1e-13)
+        assert _grid_sum(f, [axis] * 3, [weights] * 3) == pytest.approx(float(W @ f(X)), rel=1e-13)
 
     def test_k3_grid_memory_is_bounded(self):
         # a dense 129^3 node array alone would take 51 MB
         axis = np.linspace(-1.0, 1.0, 129)
         tracemalloc.start()
         try:
-            _grid_sum(lambda x: np.exp(-np.sum(x**2, axis=1)), axis, np.ones(129), 3)
+            _grid_sum(lambda x: np.exp(-np.sum(x**2, axis=1)), [axis] * 3, [np.ones(129)] * 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
