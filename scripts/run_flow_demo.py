@@ -5,12 +5,16 @@ Examples
 --------
     python3 scripts/run_flow_demo.py problems/holder_boxes.json
     python3 scripts/run_flow_demo.py problems/lifted_section_triple.json --tmax 100
+
+A file without profiles, or a negative --tmax, prints ``error: ...`` and
+exits 2, as ``blflow flow`` does.
 """
 
 import argparse
+import sys
 
 from blflow import monotonicity_scan
-from blflow.cli import _bellman_of, _certificate_of
+from blflow.cli import EXIT_INPUT, INPUT_ERRORS, _bellman_of, _certificate_of
 from blflow.heatflow import DEFAULT_TIMES
 from blflow.io import parse_problem
 
@@ -22,19 +26,22 @@ def main() -> None:
     parser.add_argument("--quad-tol", type=float, default=1e-8)
     args = parser.parse_args()
 
-    with open(args.file, encoding="utf-8") as fh:
-        problem = parse_problem(fh.read())
-    B = _bellman_of(problem)
-    cert, _ = _certificate_of(problem)
-
     times = [t for t in DEFAULT_TIMES
              if args.tmax is None or t <= args.tmax]
     if args.tmax is not None and args.tmax not in times:
         times.append(args.tmax)
 
-    trace, verdict = monotonicity_scan(problem.system, cert, B,
-                                       problem.profiles, times=times,
-                                       quad_tol=args.quad_tol)
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            problem = parse_problem(fh.read())
+        B = _bellman_of(problem)
+        cert, _ = _certificate_of(problem)
+        trace, verdict = monotonicity_scan(problem.system, cert, B,
+                                           problem.profiles, times=times,
+                                           quad_tol=args.quad_tol)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
     # refinement: mesh doublings of the quadrature, 0 for a closed form
     print(f"{'t':>12}  {'energy':>20}  {'halfwidth':>10}  refinement")
     for t, v, L, lev in zip(trace.times, trace.values,

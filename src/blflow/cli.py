@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 pass, 1 verdict-fail (e.g. the
 concavity check fails), 2 input error (data beyond the supported sizes
-included), 3 non-convergence, 4 certificate rejection.
+and a negative --tmax included), 3 non-convergence, 4 certificate rejection.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys as _sys
 import numpy as np
 
 from . import certificate, gaussian, heatflow, polytope, verifier
-from .errors import (BLFlowError, CertificateRejection, IterationError,
+from .errors import (BLFlowError, CertificateRejection, DomainError, IterationError,
                      StructuralError, UnsupportedScaleError)
 from .io import Problem, parse_problem
 from .model import BellmanSpec, make_cert
@@ -25,6 +25,9 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_NOCONV = 3
 EXIT_REJECT = 4
+
+#: errors in the problem or the options, reported with EXIT_INPUT
+INPUT_ERRORS = (StructuralError, DomainError, UnsupportedScaleError)
 
 
 def _load(path: str) -> Problem:
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return _COMMANDS[args.command](problem, args)
-    except (StructuralError, UnsupportedScaleError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except CertificateRejection as exc:

@@ -9,12 +9,13 @@ The energy is the integral of B composed with the per-coordinate heat
 extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.  Every B in
 the catalog is a monomial, so for all-Gaussian data the integrand is a
 Gaussian in x and the energy has a closed form (gaussian_energy), at every
-time.  Otherwise the domination bounds make the integrand at most
-c exp(-x^T F x) with F = sum_j w_j delta_j(t) a_j a_j^T, so it is integrated
-over R^k by quadrature.decay_quad, the nested trapezoid rule on the cube
-whitened by F, which evaluates each node once however many times it halves
-the mesh.  Only box data at t = 0, which is discontinuous, takes the
-midpoint/Romberg panels of quadrature.panel_quad_1d (k = 1).
+time.  Box data at t = 0 is piecewise constant, so for k = 1 the integrand
+is a constant times a Gaussian between breakpoints and the energy is again a
+closed form (_box_energy_at_zero).  Otherwise the domination bounds make the
+integrand at most c exp(-x^T F x) with F = sum_j w_j delta_j(t) a_j a_j^T, so
+it is integrated over R^k by quadrature.decay_quad, the nested trapezoid
+rule on the cube whitened by F, which evaluates each node once however many
+times it halves the mesh.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .verifier import check_L3
 
 QUAD_TOL = 1e-8
 DEFAULT_TIMES = (0.0, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
-MAX_K = 3
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -39,6 +39,14 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 def erfc(x):
     """The complementary error function of libm, elementwise over an array."""
     return np.asarray(_erfc(x), dtype=float)
+
+
+def _erf_diff(a, b):
+    """erf(a) - erf(b) for a >= b, elementwise, from the tails erfc(|a|) and
+    erfc(|b|): where a and b have one sign it is the tails' difference, which
+    keeps every digit where erf(a) - erf(b) is the round-off of 1 - 1."""
+    ea, eb = erfc(np.abs(a)), erfc(np.abs(b))
+    return np.where((b > 0.0) | (a < 0.0), np.abs(ea - eb), 2.0 - ea - eb)
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +77,7 @@ class Box:
             return self.value(y)
         y = np.asarray(y, dtype=float)
         w = math.sqrt(4.0 * sigma * t)
-        a, b = (y - self.lo) / w, (y - self.hi) / w  # a > b
-        # erf(a) - erf(b) from the tails erfc(|a|), erfc(|b|): outside the
-        # box (a, b of one sign) it is their difference, which keeps every
-        # digit where erf(a) - erf(b) is the round-off of 1 - 1
-        ea, eb = erfc(np.abs(a)), erfc(np.abs(b))
-        outside = (b > 0.0) | (a < 0.0)
-        return 0.5 * self.height * np.where(outside, np.abs(ea - eb), 2.0 - ea - eb)
+        return 0.5 * self.height * _erf_diff((y - self.lo) / w, (y - self.hi) / w)
 
     def heat_dy(self, y, sigma: float, t: float):
         if t == 0.0:
@@ -196,8 +198,10 @@ def gaussian_extremizer(mass: float, sigma: float) -> GaussianProfile:
 
 
 def _check_problem(sys: VectorSystem, B: BellmanSpec, profiles) -> None:
-    if sys.k > MAX_K:
-        raise UnsupportedScaleError(f"tensor quadrature capped at k <= {MAX_K}")
+    if profiles is None:
+        raise StructuralError("flow needs profiles")
+    if sys.k > quadrature.MAX_DIM:
+        raise UnsupportedScaleError(f"tensor quadrature capped at k <= {quadrature.MAX_DIM}")
     if len(profiles) != sys.n or B.n != sys.n:
         raise StructuralError("need one profile per column and B of n variables")
 
@@ -248,53 +252,79 @@ def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
             / float(np.prod(s)) * math.exp(-float(miss @ miss)))
 
 
+def _box_energy_at_zero(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
+    """Integral over R of B(u_1(a_1 x), ..., u_n(a_n x)) at t = 0, k = 1.
+
+    Between successive cuts edge / a_j the box and sum-of-boxes factors are
+    constant, read off by one B.evaluate at the panel midpoints with each
+    Gaussian column set to its amplitude.  The Gaussian factors then leave
+    exp(-q x^2 + 2 b x - c0) with q = sum w_j a_j^2 / v_j,
+    b = sum w_j a_j c_j / v_j and c0 = sum w_j c_j^2 / v_j over the Gaussian
+    columns, whose integral over [lo, hi] is
+    sqrt(pi / q) exp(b^2 / q - c0) (erf(r (hi - m)) - erf(r (lo - m))) / 2
+    with r = sqrt(q) and m = b / q, or hi - lo when q = 0.  Every column of A
+    is nonzero, so beyond the outermost cuts some box factor vanishes and the
+    unbounded end panels add nothing.
+    """
+    a = sys.A[0]
+    cuts = np.unique([edge / a_j for a_j, p in zip(a, profiles) for edge in p.breakpoints()])
+    lo, hi = cuts[:-1], cuts[1:]
+    mid = 0.5 * (lo + hi)
+    gauss = [isinstance(p, GaussianProfile) for p in profiles]
+    cols = [np.full(mid.size, p.amplitude) if g else p.value(a_j * mid)
+            for a_j, p, g in zip(a, profiles, gauss)]
+    const = B.evaluate(np.stack(cols, axis=-1))
+    c = np.array([p.center if g else 0.0 for p, g in zip(profiles, gauss)])
+    wv = np.array([w / p.variance if g else 0.0
+                   for p, g, w in zip(profiles, gauss, B.weights)])
+    q = float(wv @ a**2)
+    if q == 0.0:
+        return float(const @ (hi - lo))
+    b, c0 = float(wv @ (a * c)), float(wv @ c**2)
+    r, m = math.sqrt(q), b / q
+    return (float(const @ _erf_diff(r * (hi - m), r * (lo - m)))
+            * 0.5 * math.sqrt(math.pi / q) * math.exp(b * m - c0))
+
+
 @dataclass(frozen=True)
 class EnergyValue:
     value: float
     halfwidth: float
     levels: int  # mesh doublings; 0 for a closed form
-    exact_panels: bool  # breakpoint-aligned 1-D panels were used
 
 
 def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                    profiles, t: float, quad_tol: float = QUAD_TOL) -> EnergyValue:
-    """Energy at time t.
+    """Energy at time t >= 0.
 
     All-Gaussian data stay Gaussian under the heat flow, so their energy is
-    :func:`gaussian_energy` of the evolved profiles, reported with
-    ``halfwidth`` and ``levels`` 0.  Other data are integrated by the nested
-    trapezoid rule on the whitened decay cube: ``halfwidth`` is the cube's
-    reach sqrt(40 / lam_min(F)) along the softest direction of the decay
-    form F, and ``levels`` the number of mesh doublings.  Box data at t = 0
-    has no smooth integrand; for k = 1 it is integrated on breakpoint-aligned
-    panels instead.
+    :func:`gaussian_energy` of the evolved profiles; box data at t = 0 with
+    k = 1 is :func:`_box_energy_at_zero`.  Both closed forms are reported
+    with ``halfwidth`` and ``levels`` 0.  Other data are integrated by the
+    nested trapezoid rule on the whitened decay cube: ``halfwidth`` is the
+    cube's reach sqrt(40 / lam_min(F)) along the softest direction of the
+    decay form F, and ``levels`` the number of mesh doublings.  Box data at
+    t = 0 with k >= 2 raises UnsupportedScaleError.
     """
+    if not t >= 0.0:
+        raise DomainError(f"need t >= 0, got t = {t}")
     _check_problem(sys, B, profiles)
     if all(isinstance(p, GaussianProfile) for p in profiles):
         evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
-        return EnergyValue(gaussian_energy(sys, B, evolved), 0.0, 0, False)
+        return EnergyValue(gaussian_energy(sys, B, evolved), 0.0, 0)
+    if t == 0.0:  # some profile is a box or a sum of boxes: discontinuous
+        if sys.k > 1:
+            raise UnsupportedScaleError(
+                "box initial data at t = 0 is only integrated exactly for k = 1; "
+                "evaluate at t > 0 or use Gaussian profiles")
+        return EnergyValue(_box_energy_at_zero(sys, B, profiles), 0.0, 0)
     F = _decay_form(sys, cert, B, profiles, t)
 
     def integrand(X):
         return B.evaluate(_profile_vector(sys, cert, profiles, X, t))
 
-    discontinuous = t == 0.0 and any(p.breakpoints() for p in profiles)
-    if sys.k == 1 and discontinuous:
-        # box data at time zero: split the axis where <a_j, x> crosses an
-        # edge; on each panel the box factors are constant, so the panel
-        # rule is exact for pure box data and fast otherwise
-        L = quadrature.gaussian_halfwidth(float(F[0, 0]), log_tail=quadrature.LOG_TAIL)
-        cuts = [edge / a for j, a in enumerate(sys.A[0]) if a != 0.0
-                for edge in profiles[j].breakpoints()]
-        res = quadrature.panel_quad_1d(lambda x: integrand(x.reshape(-1, 1)),
-                                       cuts, L, rel_tol=quad_tol)
-        return EnergyValue(res.value, L, res.levels - 1, True)
-    if discontinuous:
-        raise UnsupportedScaleError(
-            "box initial data at t = 0 is only integrated exactly for k = 1; "
-            "evaluate at t > 0 or use Gaussian profiles")
     res = quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
-    return EnergyValue(res.value, res.halfwidth, res.levels, False)
+    return EnergyValue(res.value, res.halfwidth, res.levels)
 
 
 def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
@@ -308,8 +338,6 @@ def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
     masses = np.asarray(masses, dtype=float).ravel()
     if masses.size != sys.n or np.any(masses <= 0.0):
         raise StructuralError("need one positive mass per column")
-    if sys.k > MAX_K:
-        raise UnsupportedScaleError(f"tensor quadrature capped at k <= {MAX_K}")
     limit = [gaussian_extremizer(m, s) for m, s in zip(masses, cert.sigma)]
     amp = np.array([g.amplitude for g in limit])
 
@@ -323,7 +351,7 @@ def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
     if abs(res.value - closed) > 1e-6 * abs(closed):
         raise StructuralError(
             f"limit self-test failed: quadrature {res.value!r} vs closed form {closed!r}")
-    return EnergyValue(res.value, res.halfwidth, res.levels, False)
+    return EnergyValue(res.value, res.halfwidth, res.levels)
 
 
 @dataclass(frozen=True)
@@ -357,9 +385,9 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                       check_certificate: bool = True) -> tuple[EnergyTrace, FlowVerdict]:
     """Sample the energy over a time grid and check it never decreases.
 
-    When the certificate fails (or is not checked) the verdict is labeled
-    accordingly: monotonicity is only guaranteed under the concavity
-    condition.
+    Every time must be >= 0 (DomainError otherwise).  When the certificate
+    fails (or is not checked) the verdict is labeled accordingly:
+    monotonicity is only guaranteed under the concavity condition.
     """
     _check_problem(sys, B, profiles)
     times = np.asarray(sorted(set(float(t) for t in times)))

@@ -1,9 +1,5 @@
 """Tensor-product quadrature for smooth, rapidly decaying integrands.
 
-Two rules share one bounded-memory grid sum (:func:`_grid_sum`), which
-evaluates the integrand in slabs along the first axis, so no (m**k, k) array
-of nodes is ever built.
-
 :func:`decay_quad` integrates over all of R^k any integrand bounded by
 c * exp(-x^T F x).  It whitens in F's eigenbasis, x = U diag(lam)^{-1/2} z,
 and applies the nested trapezoid rule on the fixed cube
@@ -13,12 +9,8 @@ sum and evaluates the new nodes only (:func:`_trapezoid_sums`).  On analytic
 integrands with Gaussian decay the trapezoid rule converges exponentially
 (Trefethen & Weideman, SIAM Rev. 56, 2014), so no extrapolation is applied.
 
-:func:`tensor_quad` is the midpoint rule on a given cube [-L, L]^k with grid
-doubling and Richardson (Romberg) extrapolation, for integrands that do not
-vanish at the edge of their box.  The midpoint rule has an even error
-expansion in the mesh width there, so the classical Romberg weights apply.
-Discontinuous initial data is handled upstream by splitting the axis at the
-breakpoints (see :func:`panel_quad_1d`).
+Every grid is summed by :func:`_grid_sum`, which evaluates the integrand in
+slabs along the first axis, so no (m**k, k) array of nodes is ever built.
 """
 
 from __future__ import annotations
@@ -53,7 +45,6 @@ class QuadResult:
     halfwidth: float
     levels: int
     nodes_per_axis: int
-    converged: bool
 
 
 def _grid_sum(f, axes, weights) -> float:
@@ -80,56 +71,6 @@ def _grid_sum(f, axes, weights) -> float:
         vals = f(pts.reshape(-1, k)).reshape(lead.size, -1)
         total += float(weights[0][start:start + rows] @ (vals @ rest_w))
     return total
-
-
-def _midpoint_sum(f, k: int, L: float, m: int) -> float:
-    """Composite midpoint sum of f over [-L, L]^k with m nodes per axis."""
-    h = 2.0 * L / m
-    axis = -L + h * (np.arange(m) + 0.5)
-    return _grid_sum(f, [axis] * k, [np.full(m, h)] * k)
-
-
-def tensor_quad(f, k: int, L: float, rel_tol: float = 1e-8,
-                n0: int = 16, max_levels: int = 9) -> QuadResult:
-    """Integrate ``f`` over [-L, L]^k to a relative tolerance.
-
-    Parameters
-    ----------
-    f : callable
-        Maps an (m, k) array of points to an (m,) array of values.
-    k : int
-        Dimension, at most ``MAX_DIM``.
-    L : float
-        Half-width of the integration cube.
-    rel_tol : float
-        Stop when successive Richardson diagonal entries agree to this
-        relative tolerance.
-    n0 : int
-        Nodes per axis on the coarsest grid.
-    max_levels : int
-        Number of doublings to attempt before reporting non-convergence.
-    """
-    if k > MAX_DIM:
-        raise UnsupportedScaleError(f"tensor quadrature supports k <= {MAX_DIM}, got k={k}")
-    # keep the total node count sane in higher dimension
-    levels = max_levels if k == 1 else (min(max_levels, 7) if k == 2 else min(max_levels, 5))
-    rows: list[list[float]] = []
-    value = math.nan
-    m = n0
-    for i in range(levels):
-        row = [_midpoint_sum(f, k, L, m)]
-        for j in range(1, i + 1):
-            fac = 4.0**j
-            row.append((fac * row[j - 1] - rows[i - 1][j - 1]) / (fac - 1.0))
-        rows.append(row)
-        value = row[-1]
-        if i > 0:
-            prev = rows[i - 1][-1]
-            scale = max(abs(value), abs(prev), 1e-300)
-            if abs(value - prev) <= rel_tol * scale:
-                return QuadResult(value, L, i + 1, m, True)
-        m *= 2
-    return QuadResult(value, L, levels, m // 2, False)
 
 
 def _trapezoid_sums(f, k: int, Z: float):
@@ -177,10 +118,10 @@ def decay_quad(f, F, rel_tol: float = 1e-8) -> QuadResult:
 
     The coarsest grid has _N0 intervals per axis and each level doubles
     them, evaluating the new nodes only; QuadratureAnomaly is raised rather
-    than evaluate more than MAX_NODES points.  The result's ``halfwidth``
-    is sqrt(LOG_TAIL / lam_min(F)), the reach of the cube along F's softest
-    direction, ``levels`` the number of doublings and ``nodes_per_axis`` the
-    final grid's.
+    than evaluate more than MAX_NODES points, so a returned sum has met
+    ``rel_tol``.  The result's ``halfwidth`` is sqrt(LOG_TAIL / lam_min(F)),
+    the reach of the cube along F's softest direction, ``levels`` the number
+    of doublings and ``nodes_per_axis`` the final grid's.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     k = F.shape[0]
@@ -200,43 +141,9 @@ def decay_quad(f, F, rel_tol: float = 1e-8) -> QuadResult:
     for doublings, (m, total) in enumerate(_trapezoid_sums(whitened, k, Z)):
         value = jacobian * total
         if prev is not None and abs(value - prev) <= rel_tol * max(abs(value), abs(prev)):
-            return QuadResult(value, Z / math.sqrt(lam[0]), doublings, m + 1, True)
+            return QuadResult(value, Z / math.sqrt(lam[0]), doublings, m + 1)
         prev = value
     raise QuadratureAnomaly(
         f"trapezoid sums did not reach rel_tol={rel_tol:g} within {MAX_NODES} "
         f"nodes on R^{k}; the next grid would have {2 * m} intervals per axis")
 
-
-def gaussian_halfwidth(decay: float, log_tail: float = 34.0) -> float:
-    """Half-width L so that exp(-decay * L**2) < exp(-log_tail).
-
-    ``decay`` is the smallest eigenvalue of the quadratic form bounding the
-    integrand, so the tail outside the cube is negligible relative to the
-    interior contribution.
-    """
-    if decay <= 0:
-        raise ValueError("decay coefficient must be positive")
-    return math.sqrt(log_tail / decay)
-
-
-def panel_quad_1d(f, breakpoints, L: float, rel_tol: float = 1e-10,
-                  n0: int = 8, max_levels: int = 12) -> QuadResult:
-    """Integrate a piecewise-smooth function of one variable over [-L, L].
-
-    The axis is split at the given breakpoints and the midpoint/Richardson
-    scheme is applied per panel.  For piecewise-constant integrands (box
-    initial data at time zero) a single midpoint panel is already exact.
-    """
-    cuts = sorted({-L, L, *(float(b) for b in breakpoints if -L < b < L)})
-    total = 0.0
-    converged = True
-    levels_used = 1
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        res = tensor_quad(lambda x: f(x + mid), 1, half,
-                          rel_tol=rel_tol, n0=n0, max_levels=max_levels)
-        total += res.value
-        converged &= res.converged
-        levels_used = max(levels_used, res.levels)
-    return QuadResult(total, L, levels_used, 0, converged)

@@ -312,6 +312,15 @@ class TestExitCodes:
         assert main(["flow", write(tmp_path, doc)]) == 2
         assert "k <= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, tmax", [("holder_boxes", "-1"),
+                                               ("lifted_section_triple", "-0.1")])
+    def test_negative_tmax_is_input_error(self, problem, tmax):
+        proc = subprocess.run([sys.executable, "-m", "blflow.cli", "flow",
+                               str(PROBLEMS / f"{problem}.json"), "--tmax", tmax],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
     def test_missing_exponents(self, tmp_path, capsys):
         doc = {"k": 1, "n": 2, "A": [[1.0, 1.0]]}
         assert main(["constant", write(tmp_path, doc)]) == 2

@@ -115,7 +115,7 @@ class TestEnergy:
     def test_box_initial_energy_exact(self, holder, box_profiles):
         sysm, _, B, cert = holder
         ev = bellman_energy(sysm, cert, B, box_profiles, 0.0)
-        assert ev.exact_panels
+        assert ev.levels == 0 and ev.halfwidth == 0.0
         # sqrt(1_[0,1] * 1_[0,2]) integrates to exactly 1
         assert ev.value == pytest.approx(1.0, abs=1e-12)
 
@@ -142,6 +142,18 @@ class TestEnergy:
         sysm, _, B, cert = holder
         with pytest.raises(StructuralError):
             bellman_energy(sysm, cert, B, (Box(0.0, 1.0, 1.0),), 1.0)
+
+    def test_rejects_negative_time(self, holder, box_profiles):
+        sysm, _, B, cert = holder
+        with pytest.raises(DomainError):
+            bellman_energy(sysm, cert, B, box_profiles, -1.0)
+        with pytest.raises(DomainError):
+            monotonicity_scan(sysm, cert, B, box_profiles, times=(-0.1, 0.0, 1.0))
+
+    def test_rejects_missing_profiles(self, holder):
+        sysm, _, B, cert = holder
+        with pytest.raises(StructuralError, match="needs profiles"):
+            monotonicity_scan(sysm, cert, B, None)
 
 
 def gaussian_datum(k, seed):
@@ -179,7 +191,7 @@ class TestGaussianEnergy:
             ev = bellman_energy(sysm, cert, B, profiles, t)
             evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
             assert ev.value == gaussian_energy(sysm, B, evolved)
-            assert ev.levels == 0 and ev.halfwidth == 0.0 and not ev.exact_panels
+            assert ev.levels == 0 and ev.halfwidth == 0.0
 
     def test_evolved_is_a_semigroup(self):
         g = GaussianProfile(0.7, -1.5, 2.0)
@@ -204,7 +216,86 @@ def reflect(profile):
     """The profile y -> u(-y)."""
     if isinstance(profile, Box):
         return Box(-profile.hi, -profile.lo, profile.height)
+    if isinstance(profile, SumOfBoxes):
+        return SumOfBoxes(tuple(reflect(b) for b in profile.boxes))
     return GaussianProfile(profile.amplitude, -profile.center, profile.variance)
+
+
+def box_mix(seed):
+    """A random k = 1 datum: 2..4 columns of either sign, Box, SumOfBoxes and
+    Gaussian profiles, at least one of them not Gaussian, and every box
+    containing 0, so the supports overlap."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    a = rng.uniform(0.5, 2.0, size=n) * rng.choice((-1.0, 1.0), size=n)
+
+    def box():
+        return Box(rng.uniform(-1.5, -0.1), rng.uniform(0.1, 1.5), rng.uniform(0.5, 2.0))
+
+    def profile(kind):
+        if kind == 0:
+            return box()
+        if kind == 1:
+            lo = rng.uniform(-3.0, 2.0)
+            return SumOfBoxes((box(), Box(lo, lo + rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0))))
+        return GaussianProfile(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(0.3, 2.0))
+
+    kinds = rng.integers(0, 3, size=n)
+    kinds[rng.integers(n)] = rng.integers(0, 2)
+    profiles = tuple(profile(kind) for kind in kinds)
+    sysm = VectorSystem(a[None, :])
+    return sysm, make_cert(sysm, np.eye(1)), BellmanSpec.young(rng.uniform(0.2, 0.9, size=n)), profiles
+
+
+def energy_by_panels(sysm, B, profiles):
+    """SciPy's quad of the t = 0 integrand summed over the breakpoint panels,
+    the two unbounded end panels included."""
+    a = sysm.A[0]
+    cuts = sorted({e / a_j for a_j, p in zip(a, profiles) for e in p.breakpoints()})
+
+    def f(x):
+        return float(B.evaluate(np.array([p.value(a_j * x) for a_j, p in zip(a, profiles)])))
+
+    edges = [-math.inf, *cuts, math.inf]
+    return sum(scipy_quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+class TestBoxEnergyAtZero:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_quad_over_panels(self, seed):
+        sysm, cert, B, profiles = box_mix(seed)
+        ev = bellman_energy(sysm, cert, B, profiles, 0.0)
+        assert ev.levels == 0 and ev.halfwidth == 0.0
+        assert ev.value > 0.0
+        assert ev.value == pytest.approx(energy_by_panels(sysm, B, profiles), rel=1e-12)
+
+    def test_all_boxes_is_a_panel_sum(self):
+        # u_1 = 2 on [0, 1] plus 1 on [1/4, 3/4]; u_2(-2x) = 3 for x in [1/2, 3/2]
+        sysm = VectorSystem(np.array([[1.0, -2.0]]))
+        profiles = (SumOfBoxes((Box(0.0, 1.0, 2.0), Box(0.25, 0.75, 1.0))),
+                    Box(-3.0, -1.0, 3.0))
+        B = BellmanSpec.young([0.3, 0.7])
+        ev = bellman_energy(sysm, make_cert(sysm, np.eye(1)), B, profiles, 0.0)
+        want = 0.25 * 3.0**0.3 * 3.0**0.7 + 0.25 * 2.0**0.3 * 3.0**0.7
+        assert ev.value == pytest.approx(want, rel=1e-14)
+
+    def test_disjoint_supports_give_zero(self):
+        sysm = VectorSystem(np.array([[1.0, 1.0, 1.0]]))
+        profiles = (Box(0.0, 1.0, 1.0), GaussianProfile(1.0, 0.5, 1.0), Box(2.0, 3.0, 1.0))
+        B = BellmanSpec.young([0.5, 0.5, 0.5])
+        assert bellman_energy(sysm, make_cert(sysm, np.eye(1)), B, profiles, 0.0).value == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sign_flips(self, seed):
+        # a_j -> -a_j with u_j reflected leaves every factor u_j(a_j x) unchanged
+        sysm, cert, B, profiles = box_mix(seed)
+        signs = np.random.default_rng(100 + seed).choice((-1.0, 1.0), size=sysm.n)
+        flipped = VectorSystem(sysm.A * signs)
+        reflected = tuple(p if s > 0 else reflect(p) for p, s in zip(profiles, signs))
+        want = bellman_energy(sysm, cert, B, profiles, 0.0).value
+        got = bellman_energy(flipped, make_cert(flipped, np.eye(1)), B, reflected, 0.0).value
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 @st.composite

@@ -5,46 +5,13 @@ import numpy as np
 import pytest
 
 from blflow.errors import QuadratureAnomaly, UnsupportedScaleError
-from blflow.quadrature import (_N0, _grid_sum, _trapezoid_sums, decay_quad,
-                               gaussian_halfwidth, panel_quad_1d, tensor_quad)
-
-
-class TestTensorQuad:
-    def test_gaussian_1d(self):
-        res = tensor_quad(lambda x: np.exp(-x[:, 0] ** 2), 1, 10.0)
-        assert res.converged
-        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-
-    def test_gaussian_2d(self):
-        res = tensor_quad(lambda x: np.exp(-np.sum(x**2, axis=1)), 2, 8.0)
-        assert res.converged
-        assert res.value == pytest.approx(math.pi, rel=1e-8)
-
-    def test_gaussian_3d(self):
-        res = tensor_quad(lambda x: np.exp(-np.sum(x**2, axis=1)), 3, 6.0, n0=24)
-        assert res.converged
-        assert res.value == pytest.approx(math.pi**1.5, rel=1e-7)
-
-    def test_polynomial_exact_after_extrapolation(self):
-        # midpoint + one Richardson step integrates cubics exactly
-        res = tensor_quad(lambda x: x[:, 0] ** 2, 1, 1.0, rel_tol=1e-13)
-        assert res.value == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-    def test_dimension_cap(self):
-        with pytest.raises(UnsupportedScaleError):
-            tensor_quad(lambda x: np.ones(len(x)), 4, 1.0)
-
-    def test_reports_levels_and_nodes(self):
-        res = tensor_quad(lambda x: np.exp(-x[:, 0] ** 2), 1, 10.0, n0=16)
-        assert res.levels >= 2
-        assert res.nodes_per_axis == 16 * 2 ** (res.levels - 1)
+from blflow.quadrature import _N0, _grid_sum, _trapezoid_sums, decay_quad
 
 
 class TestDecayQuad:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gaussian(self, k):
         res = decay_quad(lambda x: np.exp(-np.sum(x**2, axis=1)), np.eye(k))
-        assert res.converged
         assert res.value == pytest.approx(math.pi ** (k / 2), rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -150,36 +117,3 @@ class TestGridSum:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-
-
-class TestHalfwidth:
-    def test_tail_bound(self):
-        L = gaussian_halfwidth(2.0, log_tail=34.0)
-        assert 2.0 * L * L == pytest.approx(34.0)
-
-    def test_rejects_nonpositive_decay(self):
-        with pytest.raises(ValueError):
-            gaussian_halfwidth(0.0)
-
-
-class TestPanels:
-    def test_piecewise_constant_is_exact(self):
-        def f(x):
-            return ((x[:, 0] >= 0.0) & (x[:, 0] <= 1.0)).astype(float)
-
-        res = panel_quad_1d(f, [0.0, 1.0], 5.0)
-        assert res.converged
-        assert res.value == pytest.approx(1.0, abs=1e-14)
-
-    def test_piecewise_smooth(self):
-        def f(x):
-            v = np.abs(x[:, 0])  # kink at the origin
-            return np.exp(-v)
-
-        res = panel_quad_1d(f, [0.0], 30.0, rel_tol=1e-10)
-        assert res.converged
-        assert res.value == pytest.approx(2.0 * (1.0 - math.exp(-30.0)), rel=1e-9)
-
-    def test_breakpoints_outside_range_ignored(self):
-        res = panel_quad_1d(lambda x: np.exp(-x[:, 0] ** 2), [100.0], 10.0)
-        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)

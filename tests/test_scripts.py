@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,14 @@ def test_script_runs(argv):
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("problem", sorted(p.name for p in (ROOT / "problems").glob("*.json")))
+def test_flow_demo_on_every_problem(problem):
+    proc = subprocess.run([sys.executable, "scripts/run_flow_demo.py", f"problems/{problem}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    if json.loads((ROOT / "problems" / problem).read_text()).get("profiles"):
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert proc.returncode == 2
+        assert "needs profiles" in proc.stderr and "Traceback" not in proc.stderr
