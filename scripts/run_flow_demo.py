@@ -6,16 +6,16 @@ Examples
     python3 scripts/run_flow_demo.py problems/holder_boxes.json
     python3 scripts/run_flow_demo.py problems/lifted_section_triple.json --tmax 100
 
-A file without profiles, or a negative --tmax, prints ``error: ...`` and
-exits 2, as ``blflow flow`` does.
+A file without profiles, a negative --tmax, or a --quad-tol that is not a
+finite number > 0 exits 2, as ``blflow flow`` does.
 """
 
 import argparse
 import sys
 
 from blflow import monotonicity_scan
-from blflow.cli import EXIT_INPUT, INPUT_ERRORS, _bellman_of, _certificate_of
-from blflow.heatflow import DEFAULT_TIMES
+from blflow.cli import EXIT_INPUT, INPUT_ERRORS, _bellman_of, _certificate_of, positive_float
+from blflow.heatflow import QUAD_TOL, time_grid
 from blflow.io import parse_problem
 
 
@@ -23,13 +23,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file", help="problem JSON with profiles")
     parser.add_argument("--tmax", type=float, default=None)
-    parser.add_argument("--quad-tol", type=float, default=1e-8)
+    parser.add_argument("--quad-tol", type=positive_float, default=QUAD_TOL)
     args = parser.parse_args()
-
-    times = [t for t in DEFAULT_TIMES
-             if args.tmax is None or t <= args.tmax]
-    if args.tmax is not None and args.tmax not in times:
-        times.append(args.tmax)
 
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -37,7 +32,7 @@ def main() -> None:
         B = _bellman_of(problem)
         cert, _ = _certificate_of(problem)
         trace, verdict = monotonicity_scan(problem.system, cert, B,
-                                           problem.profiles, times=times,
+                                           problem.profiles, times=time_grid(args.tmax),
                                            quad_tol=args.quad_tol)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

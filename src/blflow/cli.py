@@ -1,8 +1,8 @@
 """Batch front end: parse a problem file, dispatch, emit a JSON/CSV report.
 
 Exit codes are a stable contract: 0 pass, 1 verdict-fail (e.g. the
-concavity check fails), 2 input error (data beyond the supported sizes
-and a negative --tmax included), 3 non-convergence, 4 certificate rejection.
+concavity check fails), 2 input error (unsupported sizes, --tmax < 0 and a
+--tol not finite and > 0 included), 3 non-convergence, 4 certificate rejection.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ EXIT_REJECT = 4
 
 #: errors in the problem or the options, reported with EXIT_INPUT
 INPUT_ERRORS = (StructuralError, DomainError, UnsupportedScaleError)
+
+
+def positive_float(text: str) -> float:
+    """argparse type of a tolerance: a finite number > 0, else exit 2."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text!r}")
+    return value
 
 
 def _load(path: str) -> Problem:
@@ -150,7 +158,8 @@ def cmd_solve_c(problem: Problem, args) -> int:
 def cmd_verify(problem: Problem, args) -> int:
     B = _bellman_of(problem)
     cert, _ = _certificate_of(problem)
-    report = verifier.verify(problem.system, cert, B, pde_tol=args.tol or verifier.PDE_TOL)
+    pde_tol = verifier.PDE_TOL if args.tol is None else args.tol
+    report = verifier.verify(problem.system, cert, B, pde_tol=pde_tol)
     _emit({"l3": {"ok": report.l3_ok, "max_eig": report.l3_max_eig},
            "pde": {"ok": report.pde_ok, "defect": report.pde_defect},
            "rank": {"ok": report.rank_ok, "worst": report.rank,
@@ -173,14 +182,9 @@ def cmd_flow(problem: Problem, args) -> int:
         raise StructuralError("flow needs profiles")
     B = _bellman_of(problem)
     cert, _ = _certificate_of(problem)
-    times = list(heatflow.DEFAULT_TIMES)
-    if args.tmax is not None:
-        times = [t for t in times if t <= args.tmax]
-        if args.tmax not in times:
-            times.append(args.tmax)
     trace, verdict = heatflow.monotonicity_scan(
-        problem.system, cert, B, problem.profiles, times=times,
-        quad_tol=args.tol or heatflow.QUAD_TOL)
+        problem.system, cert, B, problem.profiles, times=heatflow.time_grid(args.tmax),
+        quad_tol=heatflow.QUAD_TOL if args.tol is None else args.tol)
     csv_text = _trace_csv(trace)
     doc = {"monotone": verdict.monotone, "label": verdict.label,
            "mono_tol": verdict.mono_tol, "initial_value": verdict.initial_value,
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=positive_float, default=None)
         p.add_argument("--tmax", type=float, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -1,6 +1,9 @@
 """The sharp constant as a supremum over centered Gaussian trial functions.
 
-For trial functions g_j(x) = b_j^{1/2} exp(-pi x^2 b_j) the functional
+Gaussians attain the sharp bound (Lieb, Invent. Math. 102, 1990), so every
+closed form of the package is :func:`gaussian_integral`, here, in
+blflow.heatflow and in the verifier's L5.  For trial functions
+g_j(x) = b_j^{1/2} exp(-pi x^2 b_j) the functional
 
     int prod_j g_j(<a_j, x>)^{1/p_j} dx
 
@@ -9,7 +12,8 @@ Q(b) = sum_j (b_j / p_j) a_j a_j^T.  At b = p s^2, Q(b) = M(s) and the
 stationarity condition of the functional is the s-system of
 blflow.certificate, so the supremum comes from that module's Newton solve.
 The closed form is an implementation derivation, so it is validated against
-direct quadrature of the integrand (k <= 2) before it is relied on.
+direct quadrature of the integrand (k <= 2), once per process, before it is
+relied on.
 """
 
 from __future__ import annotations
@@ -22,41 +26,56 @@ import numpy as np
 
 from . import certificate, quadrature
 from .errors import EvaluationError
-from .model import Exponents, VectorSystem
+from .model import RANK_TOL, Exponents, VectorSystem
 
 
-def _quadratic_form(sys: VectorSystem, e: Exponents, b: np.ndarray) -> np.ndarray:
-    return (sys.A * (b * e.inv_p)) @ sys.A.T
+def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0) -> tuple[float, np.ndarray]:
+    """Integral over R^k of coeff prod_j (amp_j exp(-(<a_j, x> - c_j)^2 / v_j))^{w_j}.
+
+    The integrand is coeff prod amp_j^{w_j} exp(-x^T Q x + 2 b^T x - c0), where
+    Q = A diag(w/v) A^T, b = A (w c / v) and c0 = sum_j w_j c_j^2 / v_j, so
+    the integral is coeff prod amp_j^{w_j} pi^{k/2} det(Q)^{-1/2}
+    exp(b^T Q^{-1} b - c0).  Q = M M^T and b = M g for M = A diag(sqrt(w/v))
+    and g = sqrt(w/v) c, so one SVD M = U S V^T gives det(Q)^{1/2} = prod S
+    and b^T Q^{-1} b - c0 = -|g - V V^T g|^2, g's squared distance from the
+    row space of M.  The SVD keeps the digits of det(Q) that a Cholesky of
+    the formed Q loses when Q is ill-conditioned, and decides rank M = k to
+    round-off: where S_min <= RANK_TOL S_max the integral is math.inf.
+    Returns the integral and V^T, whose columns' squared norms are M's
+    leverage scores diag(V V^T).
+    """
+    root = np.sqrt(w / variance)
+    _, s, Vt = np.linalg.svd(A * root, full_matrices=False)
+    if not s[-1] > RANK_TOL * s[0]:
+        return math.inf, Vt
+    g = root * center
+    miss = g - Vt.T @ (Vt @ g)
+    return (coeff * float((amp**w).prod()) * math.pi ** (A.shape[0] / 2.0)
+            / float(s.prod()) * math.exp(-float(miss @ miss))), Vt
 
 
 def gaussian_objective(sys: VectorSystem, e: Exponents, log_b) -> tuple[float, np.ndarray]:
     """Value of the Gaussian functional and its gradient w.r.t. log b.
 
-    Raises EvaluationError when Q(b) is not positive definite (this happens
-    when b degenerates toward directions outside the finiteness polytope).
+    The value is :func:`gaussian_integral` on the columns b_j^{1/2} a_j,
+    prod_j b_j^{1/(2 p_j)} / prod S for the singular values S of
+    A diag(sqrt(b/p)); the gradient is value * (1/p - leverage) / 2 with the
+    same SVD's leverage scores (b_j / p_j) <Q(b)^{-1} a_j, a_j>.  Raises
+    EvaluationError when Q(b) is singular to round-off (this happens when b
+    degenerates toward directions outside the finiteness polytope).
     """
-    log_b = np.asarray(log_b, dtype=float).ravel()
-    b = np.exp(log_b)
-    Q = _quadratic_form(sys, e, b)
-    try:
-        Lc = np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError("Q(b) is singular or indefinite") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(Lc))))
-    logval = 0.5 * float(e.inv_p @ log_b) - 0.5 * logdet
-    value = math.exp(logval)
-    # d(logdet)/db_j = <Q^{-1} a_j, a_j> / p_j = |Lc^{-1} a_j|^2 / p_j
-    quad = np.sum(np.linalg.solve(Lc, sys.A) ** 2, axis=0)
-    grad_log = 0.5 * e.inv_p - 0.5 * b * e.inv_p * quad
-    return value, value * grad_log
+    root_b = np.exp(0.5 * np.asarray(log_b, dtype=float).ravel())
+    value, Vt = gaussian_integral(sys.A * root_b, e.inv_p, root_b, 0.0, 1.0 / math.pi)
+    if value == math.inf:
+        raise EvaluationError("Q(b) is singular or indefinite")
+    return value, 0.5 * value * (e.inv_p - np.sum(Vt**2, axis=0))
 
 
 def quadrature_objective(sys: VectorSystem, e: Exponents, log_b,
                          rel_tol: float = 1e-9) -> float:
     """Direct quadrature of the Gaussian integrand over R^k (k <= 3)."""
-    log_b = np.asarray(log_b, dtype=float).ravel()
-    b = np.exp(log_b)
-    Q = _quadratic_form(sys, e, b)
+    b = np.exp(np.asarray(log_b, dtype=float).ravel())
+    Q = (sys.A * (b * e.inv_p)) @ sys.A.T
     if np.linalg.eigvalsh(Q)[0] <= 0.0:
         raise EvaluationError("Q(b) is singular or indefinite")
     pref = float(np.prod(b ** (0.5 * e.inv_p)))
@@ -70,19 +89,23 @@ def quadrature_objective(sys: VectorSystem, e: Exponents, log_b,
 
 @functools.lru_cache(maxsize=1)
 def _closed_form_selftest() -> bool:
-    """One-time check of the closed form against quadrature; raises on failure."""
-    cases = [
-        (VectorSystem(np.array([[1.0, 1.0]])), Exponents([0.5, 0.5]), [0.0, 0.0]),
-        (VectorSystem(np.array([[1.0, 1.0]])), Exponents([0.5, 0.5]), [0.0, math.log(4.0)]),
-        (VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])),
-         Exponents([2 / 3, 2 / 3, 2 / 3]), [0.3, -0.1, 0.25]),
-    ]
-    for sysm, e, log_b in cases:
-        closed, _ = gaussian_objective(sysm, e, log_b)
+    """One-time check of the closed forms against quadrature; raises on failure.
+
+    Checks gaussian_objective, and gaussian_integral itself at the centres
+    <b_j^{1/2} a_j, x0>, a translate of the same integrand by x0.
+    """
+    holder = (VectorSystem(np.array([[1.0, 1.0]])), Exponents([0.5, 0.5]))
+    young3 = (VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])), Exponents([2 / 3] * 3))
+    for sysm, e, log_b in [(*holder, [0.0, 0.0]), (*holder, [0.0, math.log(4.0)]),
+                           (*young3, [0.3, -0.1, 0.25])]:
         quad = quadrature_objective(sysm, e, log_b)
-        if abs(closed - quad) > 1e-7 * abs(quad):
-            raise EvaluationError(
-                f"closed-form objective self-test failed: {closed!r} vs quadrature {quad!r}")
+        root_b = np.exp(0.5 * np.asarray(log_b))
+        Ab = sysm.A * root_b
+        shifted, _ = gaussian_integral(Ab, e.inv_p, root_b, 0.7 * Ab.sum(axis=0), 1.0 / math.pi)
+        for closed in (gaussian_objective(sysm, e, log_b)[0], shifted):
+            if not abs(closed - quad) <= 1e-7 * abs(quad):
+                raise EvaluationError(
+                    f"closed-form self-test failed: {closed!r} vs quadrature {quad!r}")
     return True
 
 

@@ -8,9 +8,10 @@ monotonicity violation in the trace indicates a real bug, not solver drift.
 The energy is the integral of B composed with the per-coordinate heat
 extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.  Every B in
 the catalog is a monomial, so for all-Gaussian data the integrand is a
-Gaussian in x and the energy has a closed form (gaussian_energy), at every
-time.  Box data at t = 0 is piecewise constant, so for k = 1 the integrand
-is a constant times a Gaussian between breakpoints and the energy is again a
+Gaussian in x and the energy, like the t -> infinity limit, is the closed
+form blflow.gaussian.gaussian_integral (gaussian_energy), at every time.  Box
+data at t = 0 is piecewise constant, so for k = 1 the integrand is a
+constant times a Gaussian between breakpoints and the energy is again a
 closed form (_box_energy_at_zero).  Otherwise the domination bounds make the
 integrand at most c exp(-x^T F x) with F = sum_j w_j delta_j(t) a_j a_j^T, so
 it is integrated over R^k by quadrature.decay_quad, the nested trapezoid
@@ -25,13 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import gaussian, quadrature
 from .errors import DomainError, StructuralError, UnsupportedScaleError
-from .model import RANK_TOL, BellmanSpec, GaussCert, VectorSystem
+from .model import BellmanSpec, GaussCert, VectorSystem
 from .verifier import check_L3
 
 QUAD_TOL = 1e-8
 DEFAULT_TIMES = (0.0, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
+
+
+def time_grid(tmax: float | None = None) -> list[float]:
+    """DEFAULT_TIMES up to ``tmax``, and ``tmax`` itself; all of them for None."""
+    if tmax is None:
+        return list(DEFAULT_TIMES)
+    return sorted({t for t in DEFAULT_TIMES if t <= tmax} | {tmax})
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -206,18 +214,6 @@ def _check_problem(sys: VectorSystem, B: BellmanSpec, profiles) -> None:
         raise StructuralError("need one profile per column and B of n variables")
 
 
-def _decay_form(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                profiles, t: float) -> np.ndarray:
-    """The quadratic form sum_j w_j delta_j(t) a_j a_j^T of the Gaussian bound
-    on the energy integrand, from the evolved domination bounds."""
-    deltas = np.array([evolved_domination(p, s, t)[1]
-                       for p, s in zip(profiles, cert.sigma)])
-    F = (sys.A * (B.weights * deltas)) @ sys.A.T
-    if float(np.linalg.eigvalsh(F)[0]) <= 0.0:
-        raise StructuralError("degenerate decay form; is rank(A) = k?")
-    return F
-
-
 def _profile_vector(sys, cert, profiles, X, t):
     """Stacked u_j(<a_j, x>, t) for an (m, k) batch of points -> (m, n)."""
     cols = [profiles[j].heat(X @ sys.A[:, j], cert.sigma[j], t)
@@ -228,28 +224,16 @@ def _profile_vector(sys, cert, profiles, X, t):
 def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
     """Integral over R^k of B(u_1(<a_1, x>), ..., u_n(<a_n, x>)) for Gaussian u_j.
 
-    With B = coeff prod y_j^{w_j} and u_j = amp_j exp(-(y - c_j)^2 / v_j) the
-    integrand is coeff prod amp_j^{w_j} exp(-x^T Q x + 2 b^T x - c0), where
-    Q = A diag(w/v) A^T, b = A (w c / v) and c0 = sum_j w_j c_j^2 / v_j, so
-    the integral is coeff prod amp_j^{w_j} pi^{k/2} det(Q)^{-1/2}
-    exp(b^T Q^{-1} b - c0) (Lieb, Invent. Math. 102, 1990).
-
-    Q = M M^T and b = M g for M = A diag(sqrt(w/v)) and g = sqrt(w/v) c, so
-    one SVD M = U S V^T gives det(Q)^{1/2} = prod S and
-    b^T Q^{-1} b - c0 = -|g - V V^T g|^2, g's squared distance from the row
-    space of M.  The SVD also decides rank(A) = k to round-off, where the
-    Cholesky pivots of the formed Q resolve only its square root.
+    With B = coeff prod y_j^{w_j} and u_j = amp_j exp(-(y - c_j)^2 / v_j) this
+    is :func:`blflow.gaussian.gaussian_integral`, after its one-time self-test;
+    where its SVD finds rank(A) < k it raises StructuralError.
     """
-    amp = np.array([p.amplitude for p in profiles])
-    c = np.array([p.center for p in profiles])
-    root = np.sqrt(B.weights / np.array([p.variance for p in profiles]))
-    _, s, Vt = np.linalg.svd(sys.A * root, full_matrices=False)
-    if not s[-1] > RANK_TOL * s[0]:
+    gaussian._closed_form_selftest()
+    amp, center, variance = np.array([(p.amplitude, p.center, p.variance) for p in profiles]).T
+    value, _ = gaussian.gaussian_integral(sys.A, B.weights, amp, center, variance, B.coeff)
+    if value == math.inf:
         raise StructuralError("degenerate Gaussian form; is rank(A) = k?")
-    g = root * c
-    miss = g - Vt.T @ (Vt @ g)
-    return (B.coeff * float(np.prod(amp**B.weights)) * math.pi ** (sys.k / 2.0)
-            / float(np.prod(s)) * math.exp(-float(miss @ miss)))
+    return value
 
 
 def _box_energy_at_zero(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
@@ -318,7 +302,11 @@ def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                 "box initial data at t = 0 is only integrated exactly for k = 1; "
                 "evaluate at t > 0 or use Gaussian profiles")
         return EnergyValue(_box_energy_at_zero(sys, B, profiles), 0.0, 0)
-    F = _decay_form(sys, cert, B, profiles, t)
+    # the Gaussian bound on the integrand, from the evolved domination bounds
+    deltas = np.array([evolved_domination(p, s, t)[1] for p, s in zip(profiles, cert.sigma)])
+    F = (sys.A * (B.weights * deltas)) @ sys.A.T
+    if float(np.linalg.eigvalsh(F)[0]) <= 0.0:
+        raise StructuralError("degenerate decay form; is rank(A) = k?")
 
     def integrand(X):
         return B.evaluate(_profile_vector(sys, cert, profiles, X, t))
@@ -327,31 +315,18 @@ def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     return EnergyValue(res.value, res.halfwidth, res.levels)
 
 
-def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses,
-              quad_tol: float = QUAD_TOL) -> EnergyValue:
+def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses) -> EnergyValue:
     """The t -> infinity limit: B of normalized Gaussians scaled by the masses.
 
     This is the energy of the extremizers gaussian_extremizer(m_j, sigma_j),
-    so it has the closed form :func:`gaussian_energy`; the quadrature value
-    is cross-checked against it before it is returned.
+    so it is the closed form :func:`gaussian_energy`, reported with
+    ``halfwidth`` and ``levels`` 0.
     """
     masses = np.asarray(masses, dtype=float).ravel()
     if masses.size != sys.n or np.any(masses <= 0.0):
         raise StructuralError("need one positive mass per column")
     limit = [gaussian_extremizer(m, s) for m, s in zip(masses, cert.sigma)]
-    amp = np.array([g.amplitude for g in limit])
-
-    def integrand(X):
-        proj = X @ sys.A
-        return B.evaluate(amp * np.exp(-(proj**2) / cert.sigma))
-
-    F = (sys.A * (B.weights / cert.sigma)) @ sys.A.T
-    res = quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
-    closed = gaussian_energy(sys, B, limit)
-    if abs(res.value - closed) > 1e-6 * abs(closed):
-        raise StructuralError(
-            f"limit self-test failed: quadrature {res.value!r} vs closed form {closed!r}")
-    return EnergyValue(res.value, res.halfwidth, res.levels)
+    return EnergyValue(gaussian_energy(sys, B, limit), 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -400,7 +375,7 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     mono_tol = max(1e-8, 10.0 * quad_tol * float(np.max(np.abs(values))))
     monotone = bool(np.all(np.diff(values) >= -mono_tol))
     certified = check_L3(sys, cert, B)[0] if check_certificate else None
-    limit = rhs_limit(sys, cert, B, [p.mass() for p in profiles], quad_tol=quad_tol)
+    limit = rhs_limit(sys, cert, B, [p.mass() for p in profiles])
     label = ("certified" if certified else
              "no certificate" if certified is False else "unchecked")
     verdict = FlowVerdict(monotone=monotone, certified=certified, mono_tol=mono_tol,

@@ -21,7 +21,6 @@ from .errors import CertificateRejection, DomainError, StructuralError
 
 # default tolerances, sized for double precision at desk scale (k <= 4, n <= 8)
 RANK_TOL = 1e-9
-FD_TOL = 1e-6
 HOMOG_TOL = 1e-8
 SYM_TOL = 1e-12
 
@@ -91,9 +90,6 @@ class VectorSystem:
     @property
     def n(self) -> int:
         return self.A.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.A[:, j]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ at 9.1e-5.
 
 L5 integrates B(exp(-<a_1, x>^2), ..., exp(-<a_n, x>^2)) over R^k, which is
 coeff * exp(-x^T F x) with F = A diag(w) A^T: the integral is
-coeff * pi^{k/2} det(F)^{-1/2}, finite iff F is positive definite.
+coeff * pi^{k/2} det(F)^{-1/2}, finite iff F is positive definite: the
+shared blflow.gaussian.gaussian_integral at unit Gaussians.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussian import gaussian_integral
 from .model import HOMOG_TOL, BellmanSpec, GaussCert, VectorSystem, numerical_rank, relative_top_eig
 
 #: top eigenvalue of K over ||G||_2 ||W||_F
@@ -129,13 +131,11 @@ def check_L5(sys: VectorSystem, B: BellmanSpec) -> L5Report:
     """Integrability probe: B(exp(-<a_1,x>^2), ...) over R^k in closed form.
 
     The integrand is coeff * exp(-x^T F x) with F = A diag(w) A^T; the
-    integral coeff * pi^{k/2} det(F)^{-1/2} converges iff F > 0.
+    integral coeff * pi^{k/2} det(F)^{-1/2} converges iff F > 0, and is
+    unconverged (inf) where gaussian_integral finds F singular to round-off.
     """
-    lam = np.linalg.eigvalsh((sys.A * B.weights) @ sys.A.T)
-    if lam[0] <= 0.0:
-        return L5Report(converged=False, value=math.inf)
-    return L5Report(converged=True,
-                    value=B.coeff * math.pi ** (sys.k / 2) / math.sqrt(float(np.prod(lam))))
+    value, _ = gaussian_integral(sys.A, B.weights, 1.0, 0.0, 1.0, B.coeff)
+    return L5Report(converged=value < math.inf, value=value)
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,23 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command, tol", [("verify", "0"), ("verify", "-0.001"),
+                                              ("flow", "-1"), ("flow", "0"),
+                                              ("flow", "nan"), ("flow", "inf")])
+    def test_tol_must_be_finite_and_positive(self, capsys, command, tol):
+        # rejected when parsed: 0 is not read as "use the default", and a
+        # negative or NaN quadrature tolerance never reaches the rule
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(PROBLEMS / "holder_boxes.json"), "--tol", tol, "--tmax", "1"])
+        assert exc.value.code == 2
+        assert "finite number > 0" in capsys.readouterr().err
+
+    def test_tol_is_honoured(self, capsys):
+        path = str(PROBLEMS / "holder_boxes.json")
+        assert run_json(capsys, ["verify", path])[1]["tolerances"]["pde_tol"] == 1e-8
+        code, doc = run_json(capsys, ["verify", path, "--tol", "1e-3"])
+        assert code == 0 and doc["tolerances"]["pde_tol"] == 1e-3
+
     def test_missing_exponents(self, tmp_path, capsys):
         doc = {"k": 1, "n": 2, "A": [[1.0, 1.0]]}
         assert main(["constant", write(tmp_path, doc)]) == 2

@@ -1,12 +1,33 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from blflow import (Exponents, VectorSystem, gaussian_objective, is_finite,
+from blflow import (Exponents, VectorSystem, gaussian, gaussian_objective, is_finite,
                     maximize_D, quadrature_objective)
 from blflow.errors import EvaluationError
+
+# Boundary data (1/p_4 = 1) on which the solver's last iterate has three b_j
+# near 1e-13 and one near 1, so Q(b) is ill-conditioned: a Cholesky of the
+# formed Q(b) gives D = 1.16148 where the exact value is 1.1616130834.
+BOUNDARY_A = np.array([[-0.7236627510493412, -0.7027862623237676, 0.980139775291338,
+                        0.5169632510497264],
+                       [0.6901537674632368, 0.7114010609276517, 0.19830789417429995,
+                        0.856007591709383]])
+BOUNDARY_INV_P = [0.5248647596796053, 0.029607066846247882, 0.44552817347414675, 1.0]
+
+
+def cauchy_binet_objective(A, inv_p, b):
+    """prod_j b_j^{1/(2 p_j)} det(Q(b))^{-1/2} with det(Q(b)) expanded by
+    Cauchy-Binet, sum over k-subsets S of det(A_S)^2 prod_{j in S} b_j / p_j:
+    a sum of positive terms, each exact to round-off however ill-conditioned
+    Q(b) is."""
+    k, n = A.shape
+    det = sum(np.linalg.det(A[:, S]) ** 2 * np.prod(b[list(S)] * inv_p[list(S)])
+              for S in combinations(range(n), k))
+    return float(np.prod(b ** (0.5 * inv_p))) / math.sqrt(det)
 
 
 def random_instance(rng):
@@ -76,6 +97,50 @@ class TestObjective:
             closed, _ = gaussian_objective(sysm, e, z)
             quad = quadrature_objective(sysm, e, z)
             assert abs(closed - quad) <= 1e-6 * abs(quad)
+
+    def test_ill_conditioned_matches_cauchy_binet(self):
+        sysm, e = VectorSystem(BOUNDARY_A), Exponents(BOUNDARY_INV_P)
+        res = maximize_D(sysm, e)
+        assert np.max(res.b) / np.min(res.b) > 1e11
+        want = cauchy_binet_objective(BOUNDARY_A, e.inv_p, res.b)
+        assert want == pytest.approx(1.161613083404, rel=1e-11)
+        assert res.value == pytest.approx(want, rel=1e-9)
+        assert gaussian_objective(sysm, e, res.log_b)[0] == pytest.approx(want, rel=1e-9)
+
+
+class TestSelfTest:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        gaussian._closed_form_selftest.cache_clear()
+        yield
+        gaussian._closed_form_selftest.cache_clear()
+
+    def test_catches_a_corrupted_shared_closed_form(self, monkeypatch):
+        exact = gaussian.gaussian_integral
+
+        def scaled(*args):
+            value, Vt = exact(*args)
+            return 1.01 * value, Vt
+
+        monkeypatch.setattr(gaussian, "gaussian_integral", scaled)
+        with pytest.raises(EvaluationError, match="self-test"):
+            gaussian._closed_form_selftest()
+
+    def test_checks_the_shared_closed_form_itself(self, monkeypatch):
+        # wrong only where some centre is nonzero, which gaussian_objective never
+        # passes: the objective still agrees with quadrature, the self-test must not
+        exact = gaussian.gaussian_integral
+
+        def rolled_centres(A, w, amp, center, variance, coeff=1.0):
+            return exact(A, w, amp, np.roll(center, 1), variance, coeff)
+
+        monkeypatch.setattr(gaussian, "gaussian_integral", rolled_centres)
+        sysm, e = VectorSystem(np.array([[1.0, 1.0]])), Exponents([0.5, 0.5])
+        z = [0.0, math.log(4.0)]
+        assert gaussian_objective(sysm, e, z)[0] == pytest.approx(
+            quadrature_objective(sysm, e, z), rel=1e-9)
+        with pytest.raises(EvaluationError, match="self-test"):
+            gaussian._closed_form_selftest()
 
 
 class TestMaximize:

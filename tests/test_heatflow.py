@@ -8,11 +8,12 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import erfc
 
 from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
-                    bellman_energy, bellman_identity_probe, gaussian_energy,
+                    bellman_energy, bellman_identity_probe, gaussian, gaussian_energy,
                     gaussian_extremizer, heat_extension, make_cert, monotonicity_scan,
-                    rhs_limit)
+                    quadrature, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
-from blflow.heatflow import DEFAULT_TIMES, erfc as heatflow_erfc, evolved_domination
+from blflow.heatflow import (DEFAULT_TIMES, erfc as heatflow_erfc, evolved_domination,
+                             time_grid)
 from blflow.quadrature import decay_quad
 
 PROFILES = [
@@ -122,7 +123,8 @@ class TestEnergy:
     def test_limit_is_geometric_mean_of_masses(self, holder, box_profiles):
         sysm, _, B, cert = holder
         ev = rhs_limit(sysm, cert, B, [p.mass() for p in box_profiles])
-        assert ev.value == pytest.approx(math.sqrt(2.0), rel=1e-8)
+        assert ev.value == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert ev.levels == 0 and ev.halfwidth == 0.0
 
     def test_late_time_energy_near_limit(self, holder, box_profiles):
         sysm, _, B, cert = holder
@@ -149,6 +151,12 @@ class TestEnergy:
             bellman_energy(sysm, cert, B, box_profiles, -1.0)
         with pytest.raises(DomainError):
             monotonicity_scan(sysm, cert, B, box_profiles, times=(-0.1, 0.0, 1.0))
+
+    def test_time_grid(self):
+        assert time_grid() == list(DEFAULT_TIMES)
+        assert time_grid(10.0) == [0.0, 1e-2, 1e-1, 1.0, 10.0]
+        assert time_grid(5.0) == [0.0, 1e-2, 1e-1, 1.0, 5.0]
+        assert time_grid(-1.0) == [-1.0]
 
     def test_rejects_missing_profiles(self, holder):
         sysm, _, B, cert = holder
@@ -192,6 +200,20 @@ class TestGaussianEnergy:
             evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
             assert ev.value == gaussian_energy(sysm, B, evolved)
             assert ev.levels == 0 and ev.halfwidth == 0.0
+
+    def test_gaussian_scan_and_limit_run_no_quadrature(self, monkeypatch):
+        # after the one-time self-test, every Gaussian value is the closed form
+        gaussian._closed_form_selftest()
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("decay_quad called on all-Gaussian data")
+
+        monkeypatch.setattr(quadrature, "decay_quad", no_quadrature)
+        sysm, cert, B, profiles = gaussian_datum(2, 7)
+        trace, verdict = monotonicity_scan(sysm, cert, B, profiles)
+        limit = rhs_limit(sysm, cert, B, [p.mass() for p in profiles])
+        assert set(trace.levels) == {0} and limit.levels == 0
+        assert verdict.limit_value == limit.value
 
     def test_evolved_is_a_semigroup(self):
         g = GaussianProfile(0.7, -1.5, 2.0)

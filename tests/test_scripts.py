@@ -18,6 +18,15 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("quad_tol", ["-1", "0", "nan"])
+def test_flow_demo_rejects_bad_quad_tol(quad_tol):
+    proc = subprocess.run([sys.executable, "scripts/run_flow_demo.py", "problems/holder_boxes.json",
+                           "--quad-tol", quad_tol, "--tmax", "1"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "finite number > 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("problem", sorted(p.name for p in (ROOT / "problems").glob("*.json")))
 def test_flow_demo_on_every_problem(problem):
     proc = subprocess.run([sys.executable, "scripts/run_flow_demo.py", f"problems/{problem}"],
