@@ -13,8 +13,8 @@ if _os.environ.get("BLFLOW_THREADS"):
 from .certificate import (build_C, certificate_defect, projection_check,
                           solve_certificate, solve_s_system)
 from .gaussian import gaussian_objective, maximize_D, quadrature_objective
-from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energy,
-                       bellman_identity_probe, gaussian_energy,
+from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energies,
+                       bellman_energy, bellman_identity_probe, gaussian_energy,
                        gaussian_extremizer, heat_extension, monotonicity_scan,
                        rhs_limit)
 from .model import (BellmanSpec, Exponents, GaussCert, VectorSystem,
@@ -27,8 +27,8 @@ from .verifier import (check_kn_structure, check_L3, check_L5,
 
 __all__ = [
     "BellmanSpec", "Box", "Exponents", "GaussCert", "GaussianProfile",
-    "SumOfBoxes", "VectorSystem", "bellman_energy", "bellman_identity_probe",
-    "build_C", "certificate_defect", "check_L3", "check_L5",
+    "SumOfBoxes", "VectorSystem", "bellman_energies", "bellman_energy",
+    "bellman_identity_probe", "build_C", "certificate_defect", "check_L3", "check_L5",
     "check_kn_structure", "check_pde_identity", "check_rank_bound",
     "enumerate_bases", "euler_check", "gaussian_energy", "gaussian_extremizer",
     "gaussian_objective", "hadamard_form", "heat_extension", "is_finite",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys as _sys
 
 import numpy as np
@@ -209,11 +210,19 @@ _COMMANDS = {
 }
 
 
+#: argparse's own test for a negative number takes only -<digits>[.<digits>],
+#: so it reads "--tol -1e-3" as a missing value followed by an option; a
+#: minus before a digit (or before .digit) is a number here, as no option
+#: starts that way
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blflow")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("file")
         p.add_argument("--tol", type=positive_float, default=None)
         p.add_argument("--tmax", type=float, default=None)

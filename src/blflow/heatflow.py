@@ -13,10 +13,13 @@ form blflow.gaussian.gaussian_integral (gaussian_energy), at every time.  Box
 data at t = 0 is piecewise constant, so for k = 1 the integrand is a
 constant times a Gaussian between breakpoints and the energy is again a
 closed form (_box_energy_at_zero).  Otherwise the domination bounds make the
-integrand at most c exp(-x^T F x) with F = sum_j w_j delta_j(t) a_j a_j^T, so
-it is integrated over R^k by quadrature.decay_quad, the nested trapezoid
-rule on the cube whitened by F, which evaluates each node once however many
-times it halves the mesh.
+integrand at time t at most c exp(-x^T F_t x) with
+F_t = sum_j w_j delta_j(t) a_j a_j^T, and bellman_energies integrates every
+such time of a grid over R^k in one quadrature.decay_quad pass: the nested
+trapezoid rule on the cube whitened by F_t, which is the same cube for every
+t, so the times share its nodes.  Each node is evaluated once however many
+times the mesh halves, and each time leaves the pass at its first level
+where two successive sums agree.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ def time_grid(tmax: float | None = None) -> list[float]:
         return list(DEFAULT_TIMES)
     return sorted({t for t in DEFAULT_TIMES if t <= tmax} | {tmax})
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def erfc(x):
     """The complementary error function of libm, elementwise over an array."""
-    return np.asarray(_erfc(x), dtype=float)
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def _erf_diff(a, b):
@@ -80,11 +81,11 @@ class Box:
         y = np.asarray(y, dtype=float)
         return self.height * ((y >= self.lo) & (y <= self.hi)).astype(float)
 
-    def heat(self, y, sigma: float, t: float):
-        if t == 0.0:
+    def heat(self, y, sigma: float, t):
+        if np.ndim(t) == 0 and t == 0.0:
             return self.value(y)
         y = np.asarray(y, dtype=float)
-        w = math.sqrt(4.0 * sigma * t)
+        w = np.sqrt(4.0 * sigma * t)
         return 0.5 * self.height * _erf_diff((y - self.lo) / w, (y - self.hi) / w)
 
     def heat_dy(self, y, sigma: float, t: float):
@@ -129,8 +130,11 @@ class GaussianProfile:
         return GaussianProfile(self.amplitude * math.sqrt(self.variance / vt),
                                self.center, vt)
 
-    def heat(self, y, sigma: float, t: float):
-        return self.evolved(sigma, t).value(y)
+    def heat(self, y, sigma: float, t):
+        vt = self.variance + 4.0 * sigma * t
+        y = np.asarray(y, dtype=float)
+        return (self.amplitude * np.sqrt(self.variance / vt)
+                * np.exp(-((y - self.center) ** 2) / vt))
 
     def heat_dy(self, y, sigma: float, t: float):
         g = self.evolved(sigma, t)
@@ -162,8 +166,13 @@ class SumOfBoxes:
     def value(self, y):
         return sum(b.value(y) for b in self.boxes)
 
-    def heat(self, y, sigma: float, t: float):
-        return sum(b.heat(y, sigma, t) for b in self.boxes)
+    def heat(self, y, sigma: float, t):
+        if np.ndim(t) == 0 and t == 0.0:
+            return self.value(y)
+        lo, hi, height = np.array([(b.lo, b.hi, b.height) for b in self.boxes]).T
+        y = np.asarray(y, dtype=float)[..., None]
+        w = np.sqrt(4.0 * sigma * t)[..., None]
+        return np.sum(0.5 * height * _erf_diff((y - lo) / w, (y - hi) / w), axis=-1)
 
     def heat_dy(self, y, sigma: float, t: float):
         return sum(b.heat_dy(y, sigma, t) for b in self.boxes)
@@ -176,6 +185,8 @@ class SumOfBoxes:
         return tuple(x for b in self.boxes for x in b.breakpoints())
 
 
+#: every profile's heat(y, sigma, t) takes one time t >= 0, or an array of
+#: times t > 0 broadcast against y (a (T, 1) column against (T, m) points)
 Profile = Box | GaussianProfile | SumOfBoxes
 
 
@@ -215,7 +226,8 @@ def _check_problem(sys: VectorSystem, B: BellmanSpec, profiles) -> None:
 
 
 def _profile_vector(sys, cert, profiles, X, t):
-    """Stacked u_j(<a_j, x>, t) for an (m, k) batch of points -> (m, n)."""
+    """Stacked u_j(<a_j, x>, t) for an (..., m, k) batch of points -> (..., m, n);
+    t is one time or an array of times broadcast against the (..., m) points."""
     cols = [profiles[j].heat(X @ sys.A[:, j], cert.sigma[j], t)
             for j in range(sys.n)]
     return np.stack(cols, axis=-1)
@@ -277,42 +289,63 @@ class EnergyValue:
     levels: int  # mesh doublings; 0 for a closed form
 
 
-def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                   profiles, t: float, quad_tol: float = QUAD_TOL) -> EnergyValue:
-    """Energy at time t >= 0.
+def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
+                     profiles, times, quad_tol: float = QUAD_TOL) -> list[EnergyValue]:
+    """Energies at the given times t >= 0, one EnergyValue per time.
 
     All-Gaussian data stay Gaussian under the heat flow, so their energy is
     :func:`gaussian_energy` of the evolved profiles; box data at t = 0 with
     k = 1 is :func:`_box_energy_at_zero`.  Both closed forms are reported
-    with ``halfwidth`` and ``levels`` 0.  Other data are integrated by the
-    nested trapezoid rule on the whitened decay cube: ``halfwidth`` is the
-    cube's reach sqrt(40 / lam_min(F)) along the softest direction of the
-    decay form F, and ``levels`` the number of mesh doublings.  Box data at
-    t = 0 with k >= 2 raises UnsupportedScaleError.
+    with ``halfwidth`` and ``levels`` 0.  Every other time is integrated in
+    one nested-trapezoid pass of :func:`blflow.quadrature.decay_quad` over
+    the stack of the times' decay forms F_t, which share the whitened cube:
+    ``halfwidth`` is the cube's reach sqrt(40 / lam_min(F_t)) along the
+    softest direction of F_t, and ``levels`` the number of mesh doublings
+    that time needed.  Box data at t = 0 with k >= 2 raises
+    UnsupportedScaleError.
     """
-    if not t >= 0.0:
-        raise DomainError(f"need t >= 0, got t = {t}")
+    times = [float(t) for t in times]
+    for t in times:
+        if not t >= 0.0:
+            raise DomainError(f"need t >= 0, got t = {t}")
     _check_problem(sys, B, profiles)
     if all(isinstance(p, GaussianProfile) for p in profiles):
-        evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
-        return EnergyValue(gaussian_energy(sys, B, evolved), 0.0, 0)
-    if t == 0.0:  # some profile is a box or a sum of boxes: discontinuous
-        if sys.k > 1:
-            raise UnsupportedScaleError(
-                "box initial data at t = 0 is only integrated exactly for k = 1; "
-                "evaluate at t > 0 or use Gaussian profiles")
-        return EnergyValue(_box_energy_at_zero(sys, B, profiles), 0.0, 0)
-    # the Gaussian bound on the integrand, from the evolved domination bounds
-    deltas = np.array([evolved_domination(p, s, t)[1] for p, s in zip(profiles, cert.sigma)])
-    F = (sys.A * (B.weights * deltas)) @ sys.A.T
-    if float(np.linalg.eigvalsh(F)[0]) <= 0.0:
+        return [EnergyValue(gaussian_energy(sys, B, [p.evolved(s, t) for p, s
+                                                     in zip(profiles, cert.sigma)]), 0.0, 0)
+                for t in times]
+    # some profile is a box or a sum of boxes: discontinuous at t = 0
+    if 0.0 in times and sys.k > 1:
+        raise UnsupportedScaleError(
+            "box initial data at t = 0 is only integrated exactly for k = 1; "
+            "evaluate at t > 0 or use Gaussian profiles")
+    ts = np.array([t for t in times if t > 0.0])
+    quad = iter(_energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol))
+    return [EnergyValue(_box_energy_at_zero(sys, B, profiles), 0.0, 0) if t == 0.0
+            else next(quad) for t in times]
+
+
+def _energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol) -> list[EnergyValue]:
+    """The energies at the times ts > 0, from one decay_quad pass over the
+    Gaussian bounds F_t = sum_j w_j delta_j(t) a_j a_j^T on the integrand."""
+    if not ts.size:
+        return []
+    deltas = np.array([[evolved_domination(p, s, t)[1] for p, s in zip(profiles, cert.sigma)]
+                       for t in ts])
+    F = (sys.A * (B.weights * deltas)[:, None, :]) @ sys.A.T
+    if np.any(np.linalg.eigvalsh(F)[:, 0] <= 0.0):
         raise StructuralError("degenerate decay form; is rank(A) = k?")
 
-    def integrand(X):
-        return B.evaluate(_profile_vector(sys, cert, profiles, X, t))
+    def integrand(X, idx):
+        return B.evaluate(_profile_vector(sys, cert, profiles, X, ts[idx, None]))
 
-    res = quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
-    return EnergyValue(res.value, res.halfwidth, res.levels)
+    return [EnergyValue(res.value, res.halfwidth, res.levels)
+            for res in quadrature.decay_quad(integrand, F, rel_tol=quad_tol)]
+
+
+def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
+                   profiles, t: float, quad_tol: float = QUAD_TOL) -> EnergyValue:
+    """Energy at one time t >= 0: :func:`bellman_energies` at [t]."""
+    return bellman_energies(sys, cert, B, profiles, [t], quad_tol)[0]
 
 
 def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses) -> EnergyValue:
@@ -366,8 +399,7 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     """
     _check_problem(sys, B, profiles)
     times = np.asarray(sorted(set(float(t) for t in times)))
-    evals = [bellman_energy(sys, cert, B, profiles, t, quad_tol=quad_tol)
-             for t in times]
+    evals = bellman_energies(sys, cert, B, profiles, times, quad_tol)
     values = np.array([ev.value for ev in evals])
     trace = EnergyTrace(times=times, values=values,
                         halfwidths=np.array([ev.halfwidth for ev in evals]),

@@ -9,12 +9,17 @@ sum and evaluates the new nodes only (:func:`_trapezoid_sums`).  On analytic
 integrands with Gaussian decay the trapezoid rule converges exponentially
 (Trefethen & Weideman, SIAM Rev. 56, 2014), so no extrapolation is applied.
 
+The cube does not depend on F, so a stack of forms (one per integrand)
+shares the z nodes: one pass integrates them all, and each form leaves it
+at its own first level where two successive sums agree.
+
 Every grid is summed by :func:`_grid_sum`, which evaluates the integrand in
 slabs along the first axis, so no (m**k, k) array of nodes is ever built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,13 +52,15 @@ class QuadResult:
     nodes_per_axis: int
 
 
-def _grid_sum(f, axes, weights) -> float:
+def _grid_sum(f, axes, weights, forms: int = 1):
     """sum of prod_i weights[i][j_i] * f(axes[0][j_0], ..., axes[k-1][j_{k-1}]).
 
     ``axes`` and ``weights`` hold one node array and one weight array per
-    axis; ``f`` maps an (m, k) array of points to an (m,) array.  The grid is
+    axis; ``f`` maps an (m, k) array of points to an (..., m) array, one row
+    per integrand, and the sums come back as an (...) array.  The grid is
     visited in slabs of whole rows along the first axis, each of at most
-    about _SLAB points, so memory does not grow with the grid.
+    about _SLAB points over all ``forms`` rows of f, so memory does not grow
+    with the grid.
     """
     k = len(axes)
     rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")],
@@ -61,21 +68,22 @@ def _grid_sum(f, axes, weights) -> float:
     rest_w = np.ones(1)
     for w in weights[1:]:
         rest_w = np.outer(rest_w, w).ravel()
-    rows = max(1, _SLAB // rest.shape[0])
+    rows = max(1, _SLAB // (forms * rest.shape[0]))
     total = 0.0
     for start in range(0, axes[0].size, rows):
         lead = axes[0][start:start + rows]
         pts = np.empty((lead.size, rest.shape[0], k))
         pts[:, :, 0] = lead[:, None]
         pts[:, :, 1:] = rest
-        vals = f(pts.reshape(-1, k)).reshape(lead.size, -1)
-        total += float(weights[0][start:start + rows] @ (vals @ rest_w))
+        vals = f(pts.reshape(-1, k))
+        vals = vals.reshape(*vals.shape[:-1], lead.size, -1)
+        total = total + (vals @ rest_w) @ weights[0][start:start + rows]
     return total
 
 
-def _trapezoid_sums(f, k: int, Z: float):
-    """Yield (m, S_m) for m = _N0, 2 _N0, 4 _N0, ...: the trapezoid sum of f
-    on [-Z, Z]^k with m intervals per axis.
+def _trapezoid_sums(f, k: int, Z: float, forms: int = 1):
+    """Yield (m, S_m) for m = _N0, 2 _N0, 4 _N0, ...: the trapezoid sums of
+    f's rows on [-Z, Z]^k with m intervals per axis (see :func:`_grid_sum`).
 
     Each level reuses the last: the nodes of the m-interval grid are the
     even-indexed nodes of the 2m-interval grid, where every weight is halved
@@ -83,7 +91,9 @@ def _trapezoid_sums(f, k: int, Z: float):
     Those are the nodes with an odd index on some axis; split by the first
     such axis i, they are k tensor grids (even indices before i, odd on i,
     all indices after i).  Every node is evaluated once, so the levels up to
-    m evaluate (m + 1)**k points in all.  Stops before a grid of more than
+    m evaluate (m + 1)**k points per row in all.  Sending a boolean mask
+    over the rows of S_m, in place of next(), keeps only those rows: f must
+    return only those rows from then on.  Stops before a grid of more than
     MAX_NODES nodes.
     """
     m, total = _N0, None
@@ -92,58 +102,87 @@ def _trapezoid_sums(f, k: int, Z: float):
         full_w = np.full(m + 1, 2.0 * Z / m)
         full_w[[0, -1]] *= 0.5
         if total is None:
-            total = _grid_sum(f, [full] * k, [full_w] * k)
+            total = _grid_sum(f, [full] * k, [full_w] * k, forms)
         else:
             even, even_w, odd, odd_w = full[::2], full_w[::2], full[1::2], full_w[1::2]
             total = total / 2**k + sum(
                 _grid_sum(f, [even] * i + [odd] + [full] * (k - 1 - i),
-                          [even_w] * i + [odd_w] + [full_w] * (k - 1 - i))
+                          [even_w] * i + [odd_w] + [full_w] * (k - 1 - i), forms)
                 for i in range(k))
-        yield m, total
+        keep = yield m, total
+        if keep is not None:
+            total, forms = total[keep], int(np.count_nonzero(keep))
         m *= 2
 
 
-def decay_quad(f, F, rel_tol: float = 1e-8) -> QuadResult:
+def decay_quad(f, F, rel_tol: float = 1e-8):
     """Integrate ``f`` over R^k, given |f(x)| <= c exp(-x^T F x).
 
     Parameters
     ----------
     f : callable
-        Maps an (m, k) array of points to an (m,) array of values.
-    F : (k, k) array
-        Symmetric positive definite decay form; k is at most ``MAX_DIM``.
+        For a single form, maps an (m, k) array of points to an (m,) array
+        of values.  For a stack of T forms, f(X, idx) maps the points
+        X (T_active, m, k) of the still-active forms, with their indices idx
+        into the stack, to a (T_active, m) array: row i is the integrand
+        bounded by form idx[i].
+    F : (k, k) or (T, k, k) array
+        Symmetric positive definite decay form(s); k is at most ``MAX_DIM``.
     rel_tol : float
         Stop when two successive trapezoid sums agree to this relative
         tolerance.
 
-    The coarsest grid has _N0 intervals per axis and each level doubles
-    them, evaluating the new nodes only; QuadratureAnomaly is raised rather
-    than evaluate more than MAX_NODES points, so a returned sum has met
-    ``rel_tol``.  The result's ``halfwidth`` is sqrt(LOG_TAIL / lam_min(F)),
-    the reach of the cube along F's softest direction, ``levels`` the number
-    of doublings and ``nodes_per_axis`` the final grid's.
+    Every form is whitened onto the same cube [-sqrt(LOG_TAIL),
+    sqrt(LOG_TAIL)]^k, so a stack shares one pass over the z nodes.  The
+    coarsest grid has _N0 intervals per axis and each level doubles them,
+    evaluating the new nodes only; a form leaves the pass at its first level
+    that agrees with the one before, so it is never evaluated on a finer
+    grid.  QuadratureAnomaly is raised rather than evaluate more than
+    MAX_NODES points for a form, so a returned sum has met ``rel_tol``.  A
+    result's ``halfwidth`` is sqrt(LOG_TAIL / lam_min(F)), the reach of the
+    cube along F's softest direction, ``levels`` the number of doublings and
+    ``nodes_per_axis`` the final grid's.  A single form gives one QuadResult,
+    a stack a list of them.
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    k = F.shape[0]
+    F = np.asarray(F, dtype=float)
+    single = F.ndim < 3
+    if single:
+        F = np.atleast_2d(F)[None]
+    batched = (lambda X, idx: f(X[0])[None]) if single else f
+    k = F.shape[-1]
     if k > MAX_DIM:
         raise UnsupportedScaleError(f"tensor quadrature supports k <= {MAX_DIM}, got k={k}")
     lam, U = np.linalg.eigh(F)
-    if lam[0] <= 0.0:
+    if np.any(lam[:, 0] <= 0.0):
         raise ValueError("decay form must be positive definite")
-    T = U / np.sqrt(lam)  # x = T z
-    jacobian = 1.0 / math.sqrt(float(np.prod(lam)))
+    T = U / np.sqrt(lam)[:, None, :]  # x = T[i] z
+    jacobian = 1.0 / np.sqrt(np.prod(lam, axis=-1))
     Z = math.sqrt(LOG_TAIL)
+    halfwidth = Z / np.sqrt(lam[:, 0])
+    active = np.arange(len(F))
+    results = [None] * len(F)
 
     def whitened(z):
-        return f(z @ T.T)
+        return batched(z @ T[active].transpose(0, 2, 1), active)
 
-    prev = None
-    for doublings, (m, total) in enumerate(_trapezoid_sums(whitened, k, Z)):
-        value = jacobian * total
-        if prev is not None and abs(value - prev) <= rel_tol * max(abs(value), abs(prev)):
-            return QuadResult(value, Z / math.sqrt(lam[0]), doublings, m + 1)
-        prev = value
+    sums = _trapezoid_sums(whitened, k, Z, len(F))
+    m, keep, prev = _N0 // 2, None, None  # if no grid fits, the next one has _N0 intervals
+    for doublings in itertools.count():
+        try:
+            m, total = sums.send(keep)
+        except StopIteration:
+            break
+        value = jacobian[active] * total
+        done = (np.zeros(active.size, dtype=bool) if prev is None else
+                np.abs(value - prev) <= rel_tol * np.maximum(np.abs(value), np.abs(prev)))
+        for i in np.flatnonzero(done):
+            results[active[i]] = QuadResult(float(value[i]), float(halfwidth[active[i]]),
+                                            doublings, m + 1)
+        keep = ~done
+        active, prev = active[keep], value[keep]
+        if not active.size:
+            return results[0] if single else results
     raise QuadratureAnomaly(
-        f"trapezoid sums did not reach rel_tol={rel_tol:g} within {MAX_NODES} "
-        f"nodes on R^{k}; the next grid would have {2 * m} intervals per axis")
-
+        f"trapezoid sums of {active.size} decay form(s) did not reach "
+        f"rel_tol={rel_tol:g} within {MAX_NODES} nodes on R^{k}; the next grid "
+        f"would have {2 * m} intervals per axis")

@@ -323,7 +323,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, tol", [("verify", "0"), ("verify", "-0.001"),
                                               ("flow", "-1"), ("flow", "0"),
-                                              ("flow", "nan"), ("flow", "inf")])
+                                              ("flow", "nan"), ("flow", "inf"),
+                                              ("verify", "-1e-3"), ("flow", "-1e-3")])
     def test_tol_must_be_finite_and_positive(self, capsys, command, tol):
         # rejected when parsed: 0 is not read as "use the default", and a
         # negative or NaN quadrature tolerance never reaches the rule

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import erfc
 
 from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
-                    bellman_energy, bellman_identity_probe, gaussian, gaussian_energy,
-                    gaussian_extremizer, heat_extension, make_cert, monotonicity_scan,
-                    quadrature, rhs_limit)
+                    bellman_energies, bellman_energy, bellman_identity_probe, cli,
+                    gaussian, gaussian_energy, gaussian_extremizer, heat_extension,
+                    make_cert, monotonicity_scan, quadrature, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
-from blflow.heatflow import (DEFAULT_TIMES, erfc as heatflow_erfc, evolved_domination,
-                             time_grid)
+from blflow.heatflow import (DEFAULT_TIMES, QUAD_TOL, erfc as heatflow_erfc,
+                             evolved_domination, time_grid)
 from blflow.quadrature import decay_quad
 
 PROFILES = [
@@ -55,6 +56,25 @@ class TestKernels:
         assert np.array_equal(got, [math.erfc(v) for v in x])
         assert np.max(np.abs(got - erfc(x)) / erfc(x)) <= 1e-13
         assert heatflow_erfc(10.0) == math.erfc(10.0)
+
+    def test_erfc_of_a_0d_array(self):
+        got = heatflow_erfc(np.array(0.5))
+        assert got.shape == () and got.dtype == np.float64
+        assert got == math.erfc(0.5)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_erfc_of_an_empty_array(self, shape):
+        got = heatflow_erfc(np.empty(shape))
+        assert got.shape == shape and got.dtype == np.float64
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_heat_takes_a_column_of_times(self, profile):
+        y = np.linspace(-4.0, 4.0, 17)
+        times = np.array([1e-2, 1.0, 50.0])
+        got = profile.heat(np.stack([y + t for t in times]), 1.3, times[:, None])
+        want = np.stack([profile.heat(y + t, 1.3, t) for t in times])
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_box_t_zero_is_indicator(self):
         b = Box(0.0, 2.0, 1.5)
@@ -406,6 +426,88 @@ class TestMonotonicity:
         _, verdict = monotonicity_scan(sysm, cert, B, box_profiles,
                                        check_certificate=False)
         assert verdict.certified is None and verdict.label == "unchecked"
+
+
+def per_time_quadrature(sysm, cert, B, profiles, t):
+    """decay_quad of the energy integrand at one time, on its own decay form."""
+    A, sigma = sysm.A, cert.sigma
+    d = np.array([evolved_domination(p, s, t)[1] for p, s in zip(profiles, sigma)])
+
+    def f(X):
+        return B.evaluate(np.stack([p.heat(X @ A[:, j], sigma[j], t)
+                                    for j, p in enumerate(profiles)], axis=-1))
+
+    return decay_quad(f, (A * (B.weights * d)) @ A.T, rel_tol=QUAD_TOL)
+
+
+def k2_boxes(young3, young3_cert):
+    sysm, _, B = young3
+    profiles = (Box(0.0, 1.0, 1.0), Box(-1.0, 0.5, 2.0),
+                SumOfBoxes((Box(-1.0, 0.0, 1.0), Box(0.5, 2.0, 2.0))))
+    return sysm, young3_cert, B, profiles
+
+
+class TestBatchedPass:
+    """monotonicity_scan integrates every t > 0 in one decay_quad pass."""
+
+    TIMES = DEFAULT_TIMES[1:]
+
+    def check_against_per_time(self, sysm, cert, B, profiles):
+        trace, _ = monotonicity_scan(sysm, cert, B, profiles, times=self.TIMES,
+                                     check_certificate=False)
+        for t, value, halfwidth, levels in zip(trace.times, trace.values,
+                                               trace.halfwidths, trace.levels):
+            want = per_time_quadrature(sysm, cert, B, profiles, t)
+            assert levels == want.levels
+            assert halfwidth == pytest.approx(want.halfwidth, rel=1e-14)
+            assert value == pytest.approx(want.value, rel=1e-13)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_k1_mixed_data_match_per_time_quadrature(self, seed):
+        self.check_against_per_time(*box_mix(seed))
+
+    def test_k2_box_data_match_per_time_quadrature(self, young3, young3_cert):
+        self.check_against_per_time(*k2_boxes(young3, young3_cert))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_each_time_evaluates_its_own_grid_once(self, monkeypatch, k, young3, young3_cert):
+        # one pass over the stack of forms; a converged time leaves it, so
+        # each time is evaluated on (m_t + 1)**k nodes up to its last level
+        data = box_mix(3) if k == 1 else k2_boxes(young3, young3_cert)
+        calls, points = [], [0]
+        decay_quad_of_stack = quadrature.decay_quad
+
+        def counting(f, F, rel_tol):
+            calls.append(len(F))
+
+            def g(X, idx):
+                points[0] += X.shape[0] * X.shape[1]
+                return f(X, idx)
+
+            return decay_quad_of_stack(g, F, rel_tol=rel_tol)
+
+        monkeypatch.setattr(quadrature, "decay_quad", counting)
+        trace, _ = monotonicity_scan(*data, times=self.TIMES, check_certificate=False)
+        assert calls == [len(self.TIMES)]
+        assert len(set(trace.levels)) > 1
+        assert points[0] == sum((quadrature._N0 * 2**int(L) + 1) ** k for L in trace.levels)
+
+    def test_t0_box_value_and_batch_keep_their_places(self):
+        sysm, cert, B, profiles = box_mix(2)
+        times = (0.0, 0.5, 3.0)
+        evals = bellman_energies(sysm, cert, B, profiles, times)
+        for t, ev in zip(times, evals):
+            alone = bellman_energy(sysm, cert, B, profiles, t)
+            assert (ev.levels, ev.halfwidth) == (alone.levels, alone.halfwidth)
+            assert ev.value == pytest.approx(alone.value, rel=1e-13)
+        assert evals[0].levels == 0 and evals[1].levels > 0
+
+    @pytest.mark.parametrize("budget", [8, 64])
+    def test_flow_exits_3_when_the_budget_is_too_small(self, monkeypatch, capsys, budget):
+        monkeypatch.setattr(quadrature, "MAX_NODES", budget)
+        path = Path(__file__).resolve().parent.parent / "problems" / "holder_boxes.json"
+        assert cli.main(["flow", str(path)]) == 3
+        assert "did not reach rel_tol" in capsys.readouterr().err
 
 
 class TestIdentityProbe:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blflow.errors import QuadratureAnomaly, UnsupportedScaleError
+from blflow import quadrature
 from blflow.quadrature import _N0, _grid_sum, _trapezoid_sums, decay_quad
 
 
@@ -63,6 +64,87 @@ class TestDecayQuad:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedScaleError):
             decay_quad(lambda x: np.ones(len(x)), np.eye(4))
+
+
+def form_stack(k, scales):
+    """G and the forms s * G: exp(-x^T G x) is bounded by each of them, and
+    the smaller s, the narrower the integrand on the whitened cube."""
+    rng = np.random.default_rng(10 + k)
+    M = rng.normal(size=(k, k))
+    G = M @ M.T + 0.5 * np.eye(k)
+    return G, np.array([s * G for s in scales])
+
+
+class TestStackOfForms:
+    SCALES = (1.0, 0.3, 0.12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_form_matches_its_own_pass(self, k):
+        G, F = form_stack(k, self.SCALES)
+        shifts = np.linspace(-0.2, 0.3, len(F))
+
+        def f_one(i):
+            def f(x):
+                d = x - shifts[i]
+                return np.exp(-np.einsum("ij,jl,il->i", d, G, d))
+            return f
+
+        def f_stack(X, idx):
+            d = X - shifts[idx, None, None]
+            return np.exp(-np.einsum("tij,jl,til->ti", d, G, d))
+
+        results = decay_quad(f_stack, F, rel_tol=1e-12)
+        assert len({r.levels for r in results}) > 1
+        for i, res in enumerate(results):
+            alone = decay_quad(f_one(i), F[i], rel_tol=1e-12)
+            assert (res.levels, res.nodes_per_axis) == (alone.levels, alone.nodes_per_axis)
+            assert res.halfwidth == alone.halfwidth
+            assert res.value == pytest.approx(alone.value, rel=1e-13)
+            assert res.value == pytest.approx(math.pi ** (k / 2) / math.sqrt(np.linalg.det(G)),
+                                              rel=1e-11)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_converged_form_leaves_the_pass(self, k):
+        G, F = form_stack(k, self.SCALES)
+        points = np.zeros(len(F), dtype=int)
+
+        def f(X, idx):
+            np.add.at(points, idx, X.shape[1])
+            return np.exp(-np.einsum("tij,jl,til->ti", X, G, X))
+
+        results = decay_quad(f, F, rel_tol=1e-12)
+        assert list(points) == [r.nodes_per_axis**k for r in results]
+
+    def test_slab_counts_the_points_of_every_active_form(self, monkeypatch):
+        G, F = form_stack(1, self.SCALES)
+        sizes = []
+
+        def f(X, idx):
+            sizes.append(X.shape[0] * X.shape[1])
+            return np.exp(-G[0, 0] * X[..., 0] ** 2)
+
+        want = decay_quad(f, F, rel_tol=1e-12)
+        monkeypatch.setattr(quadrature, "_SLAB", 64)
+        sizes.clear()
+        got = decay_quad(f, F, rel_tol=1e-12)
+        assert [r.levels for r in got] == [r.levels for r in want]
+        assert [r.value for r in got] == pytest.approx([r.value for r in want], rel=1e-13)
+        assert max(sizes) <= 64
+
+    def test_one_unconverged_form_raises(self):
+        # the step converges only like h; the smooth form converges early
+        def f(X, idx):
+            x = X[..., 0]
+            return np.exp(-x**2) * np.where(idx[:, None] == 1, x > 1 / 3, 1.0)
+
+        with pytest.raises(QuadratureAnomaly, match="1 decay form"):
+            decay_quad(f, np.array([np.eye(1), np.eye(1)]), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("budget", [8, 40])
+    def test_budget_below_the_first_grids_raises(self, monkeypatch, budget):
+        monkeypatch.setattr(quadrature, "MAX_NODES", budget)
+        with pytest.raises(QuadratureAnomaly):
+            decay_quad(lambda x: np.exp(-x[:, 0] ** 2), np.eye(1), rel_tol=1e-12)
 
 
 class TestNestedTrapezoid:
