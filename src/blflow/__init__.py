@@ -18,8 +18,7 @@ from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energies,
                        gaussian_extremizer, heat_extension, monotonicity_scan,
                        rhs_limit)
 from .model import (BellmanSpec, Exponents, GaussCert, VectorSystem,
-                    euler_check, lift_section, make_cert, numerical_rank,
-                    psd_leq_zero)
+                    euler_check, make_cert, numerical_rank, psd_leq_zero)
 from .polytope import enumerate_bases, is_finite
 from .verifier import (check_kn_structure, check_L3, check_L5,
                        check_pde_identity, check_rank_bound, hadamard_form,
@@ -32,7 +31,7 @@ __all__ = [
     "check_kn_structure", "check_pde_identity", "check_rank_bound",
     "enumerate_bases", "euler_check", "gaussian_energy", "gaussian_extremizer",
     "gaussian_objective", "hadamard_form", "heat_extension", "is_finite",
-    "lift_section", "make_cert", "maximize_D", "monotonicity_scan",
+    "make_cert", "maximize_D", "monotonicity_scan",
     "numerical_rank", "projection_check", "psd_leq_zero",
     "quadrature_objective", "rhs_limit", "solve_certificate",
     "solve_s_system", "verify",

@@ -5,22 +5,24 @@ The auxiliary weights s_j^2 satisfy the nonlinear system
     1/p_j = s_j^2 <M(s)^{-1} a_j, a_j>,   M(s) = A diag(s^2) A^T,
 
 solved by one gauge-projected Newton iteration on the concave log of the
-Gaussian functional (see solve_s_system); the same solve gives the sharp
-constant in blflow.gaussian.  The certificate is then
-C = M(s)^{-1}; its quality is measured by the Frobenius defect of
-A diag(1/(p_j sigma_j)) A^T C = I and by the spectrum of the projector
-P = (A S)^T C (A S), S = diag(s_j), which must be an orthogonal projection
-of rank k.
+Gaussian functional (see solve_s_system), a log-sum-exp over the basis
+table that decides finiteness; the same solve gives the sharp constant in
+blflow.gaussian.  The certificate is then C = M(s)^{-1}; its quality is
+measured by the Frobenius defect of A diag(1/(p_j sigma_j)) A^T C = I and
+by the spectrum of the projector P = (A S)^T C (A S), S = diag(s_j), which
+must be an orthogonal projection of rank k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificateRejection, IterationError
 from .model import Exponents, GaussCert, VectorSystem, numerical_rank
+from .polytope import BasisIndicatorSet, enumerate_bases
 
 MAX_ITER = 100
 RES_TOL = 1e-10
@@ -30,8 +32,6 @@ _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
 # a predicted increase t * slope below this times max(1, |f|) is lost in f's round-off
 _ROUNDOFF = 1e-12
-# Cholesky pivot ratio below which cond(M) > 1e12 and f, P are mostly round-off
-_MIN_PIVOT_RATIO = 1e-6
 # a larger part of the gradient outside the Hessian's range is not round-off
 _RANGE_TOL = 1e-8
 # beyond this |sum(1/p) - k| no s^2 can meet the system
@@ -44,31 +44,28 @@ class SSystemResult:
     residual: float
     iterations: int
     converged: bool
+    f: float  # the log-objective f at z = log s_sq
     notes: tuple[str, ...] = ()
 
 
-def _newton_terms(sys: VectorSystem, e: Exponents, z: np.ndarray):
-    """f(z), the residual vector 1/p - tau and P at s^2 = exp(z), from one Cholesky of M(s).
+def _newton_terms(bases: BasisIndicatorSet, x: np.ndarray, z: np.ndarray):
+    """f(z), the residual x - tau and the Hessian factor K at s^2 = exp(z).
 
-    f(z) = (<1/p, z> - log det M(e^z)) / 2, P = (A S)^T M^{-1} (A S) and
-    tau = diag P.  Raises LinAlgError when M(s) is not numerically positive
-    definite.
+    By Cauchy-Binet det M(e^z) = sum_B c_B e^{<1_B, z>} over the bases B,
+    with c_B = det(A_B)^2, so f(z) = (<x, z> - log det M(e^z)) / 2 is a
+    log-sum-exp over the basis table.  Under mu_B = c_B e^{<1_B, z>} / det M
+    the marginals are tau = mu V, and K = V^T diag(mu) V - tau tau^T, the
+    covariance of 1_B, is -2 times the Hessian of f.
     """
-    AS = sys.A * np.exp(0.5 * z)
-    L = np.linalg.cholesky(AS @ AS.T)
-    pivots = np.diag(L)
-    if pivots.min() < _MIN_PIVOT_RATIO * pivots.max():
-        raise np.linalg.LinAlgError("M(s) is numerically singular")
-    W = np.linalg.solve(L, AS)
-    P = W.T @ W
-    f = 0.5 * float(e.inv_p @ z) - float(np.sum(np.log(pivots)))
-    return f, e.inv_p - np.diag(P), P
-
-
-def _result(z, residual, iterations, converged, note=None) -> SSystemResult:
-    s_sq = np.exp(z - z.max())
-    return SSystemResult(s_sq / s_sq.sum(), residual, iterations, converged,
-                         notes=() if note is None else (note,))
+    V = bases.vectors
+    logw = bases.log_c + V @ z
+    top = float(logw.max())
+    mu = np.exp(logw - top)
+    total = float(mu.sum())
+    mu /= total
+    tau = mu @ V
+    f = 0.5 * (float(x @ z) - top - math.log(total))
+    return f, x - tau, (V.T * mu) @ V - np.outer(tau, tau)
 
 
 def solve_s_system(sys: VectorSystem, e: Exponents,
@@ -76,48 +73,52 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
     """Gauge-projected Newton iteration for the auxiliary weights.
 
     In z = log s^2 the system is the stationarity condition of the concave
-    f(z) = (<1/p, z> - log det M(e^z)) / 2: the gradient is (1/p - tau) / 2
-    with tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian is
-    -(diag tau - P o P) / 2.  The Hessian annihilates the gauge direction
-    (1, ..., 1), so z stays on sum(z) = 0 and the step is a least-squares
-    solve, which also covers decomposable data with a larger null space.
-    Steps are capped and backtracked (Armijo on f; only in the round-off
-    endgame, where f cannot show the predicted increase, a drop in the
-    residual also accepts a step).  Off the interior of the
-    finiteness polytope the supremum is not attained and the iterates run
-    off to infinity; the solve stops unconverged when their gauge spread
-    exceeds _DIVERGENCE_SPREAD, M(s) turns numerically singular or the
+    f(z) = (<1/p, z> - log det M(e^z)) / 2, evaluated on the basis table of
+    polytope.enumerate_bases (see _newton_terms): the gradient is
+    (1/p - tau) / 2 with tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian
+    is -K / 2.  K annihilates the gauge direction (1, ..., 1), so z stays on
+    sum(z) = 0 and the step is a least-squares solve, which also covers
+    decomposable data with a larger null space.  Steps are capped and
+    backtracked (Armijo on f; only in the round-off endgame, where f cannot
+    show the predicted increase, a drop in the residual also accepts a
+    step).  Off the interior of the finiteness polytope the supremum is not
+    attained and the iterates run off to infinity; the solve stops
+    unconverged when their gauge spread exceeds _DIVERGENCE_SPREAD or the
     gradient leaves the Hessian's range.  Off-degree exponents,
     |sum(1/p_j) - k| > 1e-12, stop it unconverged after the first evaluation.
-    s^2 is returned normalized to sum(s^2) = 1; the residual is
-    max_j |1/p_j - tau_j|.
+    s^2 is returned normalized to sum(s^2) = 1, with f there; the residual
+    is max_j |1/p_j - tau_j|.  The basis table caps n at polytope.MAX_N.
     """
+    bases = enumerate_bases(sys)
+    x = e.inv_p
+    degree = float(x.sum())
+
+    def result(z, f, residual, iterations, converged, note=None) -> SSystemResult:
+        shift = float(np.logaddexp.reduce(z))  # sum(exp(z - shift)) = 1
+        return SSystemResult(np.exp(z - shift), residual, iterations, converged,
+                             f - 0.5 * shift * (degree - sys.k),
+                             () if note is None else (note,))
+
     z = np.zeros(sys.n)
-    try:
-        f, r, P = _newton_terms(sys, e, z)
-    except np.linalg.LinAlgError as exc:
-        raise IterationError("M(s) is numerically singular or non-finite") from exc
+    f, r, K = _newton_terms(bases, x, z)
     residual = float(np.max(np.abs(r)))
     it = 1
-    degree = float(e.inv_p.sum())
     if abs(degree - sys.k) > _DEGREE_TOL:
         # sum(1/p - tau) = sum(1/p) - k at every z, so the residual cannot vanish
-        return _result(z, residual, it, False, f"sum(1/p_j) = {degree!r} differs from "
-                       f"k = {sys.k}: the s-system has no solution")
+        return result(z, f, residual, it, False, f"sum(1/p_j) = {degree!r} differs from "
+                      f"k = {sys.k}: the s-system has no solution")
     while residual > res_tol:
         if it == MAX_ITER:
-            return _result(z, residual, it, False, f"no convergence in {MAX_ITER} iterations")
+            return result(z, f, residual, it, False, f"no convergence in {MAX_ITER} iterations")
         if float(np.max(np.abs(z))) > _DIVERGENCE_SPREAD:
-            return _result(z, residual, it, False, "the gauge spread of log s^2 exceeds "
-                           f"{_DIVERGENCE_SPREAD:g}: the supremum is not attained")
+            return result(z, f, residual, it, False, "the gauge spread of log s^2 exceeds "
+                          f"{_DIVERGENCE_SPREAD:g}: the supremum is not attained")
         r = r - r.mean()
-        K = np.diag(np.diag(P)) - P * P
         d = np.linalg.lstsq(K, r, rcond=None)[0]
         if float(np.max(np.abs(r - K @ d))) > _RANGE_TOL:
-            # f is linear along K's null space, which is the same at every
-            # z, unless M(s) is so ill-conditioned that K looks singular
-            return _result(z, residual, it, False, "the gradient leaves the range "
-                           "of the Hessian: the supremum is not attained")
+            # f is linear along K's null space, which is the same at every z
+            return result(z, f, residual, it, False, "the gradient leaves the range "
+                          "of the Hessian: the supremum is not attained")
         d -= d.mean()
         longest = float(np.max(np.abs(d)))
         if longest > _MAX_STEP:
@@ -125,11 +126,7 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
         slope = 0.5 * float(r @ d)
         t = 1.0
         while t >= _MIN_STEP:
-            try:
-                f_new, r_new, P_new = _newton_terms(sys, e, z + t * d)
-            except np.linalg.LinAlgError:
-                t *= 0.5
-                continue
+            f_new, r_new, K_new = _newton_terms(bases, x, z + t * d)
             if f_new >= f + _ARMIJO * t * slope:
                 break
             # round-off in f hides the last steps; there a lower residual takes them
@@ -138,11 +135,11 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
                 break
             t *= 0.5
         else:
-            return _result(z, residual, it, False, "line search stalled")
-        z, f, r, P = z + t * d, f_new, r_new, P_new
+            return result(z, f, residual, it, False, "line search stalled")
+        z, f, r, K = z + t * d, f_new, r_new, K_new
         residual = float(np.max(np.abs(r)))
         it += 1
-    return _result(z, residual, it, True)
+    return result(z, f, residual, it, True)
 
 
 def build_C(sys: VectorSystem, e: Exponents, s_sq,

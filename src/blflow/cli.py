@@ -17,7 +17,7 @@ import numpy as np
 
 from . import certificate, gaussian, heatflow, polytope, verifier
 from .errors import (BLFlowError, CertificateRejection, DomainError, IterationError,
-                     StructuralError, UnsupportedScaleError)
+                     QuadratureAnomaly, StructuralError, UnsupportedScaleError)
 from .io import Problem, parse_problem
 from .model import BellmanSpec, make_cert
 
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except CertificateRejection as exc:
         print(f"certificate rejected: {exc}", file=_sys.stderr)
         return EXIT_REJECT
-    except IterationError as exc:
+    except (IterationError, QuadratureAnomaly) as exc:
         print(f"non-convergence: {exc}", file=_sys.stderr)
         return EXIT_NOCONV
     except BLFlowError as exc:

@@ -1,19 +1,18 @@
 """The sharp constant as a supremum over centered Gaussian trial functions.
 
-Gaussians attain the sharp bound (Lieb, Invent. Math. 102, 1990), so every
-closed form of the package is :func:`gaussian_integral`, here, in
-blflow.heatflow and in the verifier's L5.  For trial functions
-g_j(x) = b_j^{1/2} exp(-pi x^2 b_j) the functional
+Gaussians attain the sharp bound (Lieb, Invent. Math. 102, 1990).  For trial
+functions g_j(x) = b_j^{1/2} exp(-pi x^2 b_j) the functional
 
     int prod_j g_j(<a_j, x>)^{1/p_j} dx
 
 has the closed form  prod_j b_j^{1/(2 p_j)} * det(Q(b))^{-1/2}  with
 Q(b) = sum_j (b_j / p_j) a_j a_j^T.  At b = p s^2, Q(b) = M(s) and the
 stationarity condition of the functional is the s-system of
-blflow.certificate, so the supremum comes from that module's Newton solve.
-The closed form is an implementation derivation, so it is validated against
-direct quadrature of the integrand (k <= 2), once per process, before it is
-relied on.
+blflow.certificate, so the supremum and its value come from that module's
+Newton solve on the basis table.  :func:`gaussian_integral` is every other
+closed form of the package (the objective here, blflow.heatflow, the
+verifier's L5); it is validated against direct quadrature of the integrand
+(k <= 2), once per process, before blflow.heatflow relies on it.
 """
 
 from __future__ import annotations
@@ -129,15 +128,15 @@ def maximize_D(sys: VectorSystem, e: Exponents,
 
     The maximizer is b = p s^2 with s^2 from certificate.solve_s_system: in
     log coordinates the logarithm of the functional is concave, so the one
-    stationary point that solver finds is the maximum.  ``converged`` is the
+    stationary point that solver finds is the maximum.  There the functional
+    is exp(f - sum_j x_j log x_j / 2), x = 1/p, with the solver's
+    log-objective f, so no determinant of Q(b) is formed.  ``converged`` is the
     solver's, to ``res_tol``; off the interior of the finiteness polytope the
     supremum is not attained, and the value is that at the solver's last
     iterate.
     """
-    _closed_form_selftest()
     result = certificate.solve_s_system(sys, e, res_tol=res_tol)
-    log_b = np.log(e.p * result.s_sq)
-    value, _ = gaussian_objective(sys, e, log_b)
-    return MaximizeResult(value=value, log_b=log_b, iterations=result.iterations,
+    return MaximizeResult(value=math.exp(result.f - 0.5 * float(e.inv_p @ np.log(e.inv_p))),
+                          log_b=np.log(e.p * result.s_sq), iterations=result.iterations,
                           residual=result.residual, converged=result.converged,
                           notes=result.notes)

@@ -116,11 +116,6 @@ class Exponents:
     def p(self) -> np.ndarray:
         return 1.0 / self.inv_p
 
-    def require_degree(self, k: int, tol: float = 1e-12) -> None:
-        s = float(self.inv_p.sum())
-        if abs(s - k) > tol:
-            raise StructuralError(f"sum(1/p_j) = {s!r} differs from k = {k}")
-
 
 @dataclass(frozen=True)
 class BellmanSpec:
@@ -234,11 +229,6 @@ class BellmanSpec:
         i = np.arange(self.n)
         H[..., i, i] = b * self.weights * (self.weights - 1.0) / y**2
         return H
-
-
-def lift_section(phi_id: str, alpha=(), section_vars=None, theta=None) -> BellmanSpec:
-    """Build a lifted-section candidate from the section catalog."""
-    return BellmanSpec.lifted(phi_id, alpha, section_vars=section_vars, theta=theta)
 
 
 def euler_check(B: BellmanSpec, y, k: float | None = None,

@@ -9,6 +9,10 @@ interior iff, in addition, every tight S is a separator,
 r(S) + r(E \\ S) = k.  The rank of S is the largest |B & S| over the bases B,
 so one stacked determinant over the k-subsets and one product against the
 2^n - 2 proper subsets give the whole rank table; n is capped at MAX_N.
+
+enumerate_bases is the package's one test of which column subsets are
+bases.  Its table keeps log det(A_B)^2 per basis, from which
+blflow.certificate solves the s-system and blflow.gaussian takes D.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ class BasisIndicatorSet:
 
     subsets: tuple[tuple[int, ...], ...]
     vectors: np.ndarray  # shape (m, n), one row per basis
+    log_c: np.ndarray  # shape (m,), log det(A_B)^2 per basis
     masks: np.ndarray  # shape (2^n - 2, n), one row per proper subset
     ranks: np.ndarray  # shape (2^n - 2,)
 
@@ -74,7 +79,8 @@ def enumerate_bases(sys: VectorSystem, basis_tol: float = BASIS_TOL) -> BasisInd
     combos = np.array(list(combinations(range(n), k)))
     norms = np.linalg.norm(sys.A, axis=0)
     dets = np.abs(np.linalg.det(np.moveaxis(sys.A[:, combos], 1, 0)))
-    rows = combos[dets > basis_tol * np.prod(norms[combos], axis=1)]
+    keep = dets > basis_tol * np.prod(norms[combos], axis=1)
+    rows = combos[keep]
     if not len(rows):
         # cannot happen for a valid VectorSystem (rank(A) = k)
         raise StructuralError("no basis subsets found: rank(A) < k")
@@ -83,7 +89,8 @@ def enumerate_bases(sys: VectorSystem, basis_tol: float = BASIS_TOL) -> BasisInd
     bits = np.arange(1, 2**n - 1)
     masks = ((bits[:, None] >> np.arange(n)) & 1).astype(float)
     ranks = (masks @ vectors.T).max(axis=1, initial=0.0)
-    return BasisIndicatorSet(tuple(map(tuple, rows.tolist())), vectors, masks, ranks)
+    return BasisIndicatorSet(tuple(map(tuple, rows.tolist())), vectors,
+                             2.0 * np.log(dets[keep]), masks, ranks)
 
 
 def is_finite(sys: VectorSystem, e: Exponents,

@@ -46,7 +46,7 @@ class TestSSystem:
         # k=1: s_j^2 proportional to 1/p_j
         assert np.allclose(res.s_sq, [0.5, 0.5], atol=1e-10)
 
-    @pytest.mark.parametrize("slack", [1.0, 1e-3])
+    @pytest.mark.parametrize("slack", [1.0, 1e-3, 1e-6])
     def test_random_polytope_points(self, slack):
         rng = np.random.default_rng(43)
         for _ in range(30):
@@ -68,6 +68,35 @@ class TestSSystem:
         res = solve_s_system(sysm, e)
         assert res.converged and res.residual <= 1e-10
         assert res.iterations <= 10
+
+    def test_near_parallel_columns_converge(self):
+        # columns 2 and 4 agree to about 3e-5: a Cholesky of M(s) left a
+        # residual floor near 3e-9 here, and the solve stalled at the cap
+        sysm = VectorSystem(np.array([
+            [-0.9589445956610344, 0.7442804396149855, -0.7670032035340819, 0.744254019577437],
+            [-0.2835934809767233, -0.6678672227370677, -0.641643269869213, -0.6678966644196]]))
+        e = Exponents([0.4628884557817873, 0.4303930545233402, 0.4690916393391361,
+                       0.6376268503557364])
+        assert is_finite(sysm, e).verdict == "inside"
+        res = solve_s_system(sysm, e)
+        assert res.converged and res.residual <= 1e-10
+        assert res.iterations <= 10
+
+    def test_stress_set_converges_everywhere(self):
+        # 3000 random interior data, k = 2, n = 3..5: unit columns and a
+        # Dirichlet-weighted average of the basis indicators
+        rng = np.random.default_rng(1)
+        failures = []
+        for i in range(3000):
+            n = int(rng.integers(3, 6))
+            A = rng.normal(size=(2, n))
+            sysm = VectorSystem(A / np.linalg.norm(A, axis=0))
+            V = enumerate_bases(sysm).vectors
+            e = Exponents(rng.dirichlet(np.ones(len(V))) @ V)
+            res = solve_s_system(sysm, e)
+            if not (res.converged and res.residual <= 1e-10):
+                failures.append((i, res.residual, res.notes))
+        assert failures == []
 
     def test_warm_start_converges_fast(self, young3):
         # the symmetric start is already young3's solution

@@ -43,10 +43,12 @@ NEAR_SINGULAR = {
     "inv_p": [0.8, 0.01, 0.39, 0.8],
 }
 
-# inside the polytope, but no solve meets a residual tolerance below round-off
+# inside the polytope, but no solve meets a residual tolerance below round-off:
+# the residual's floor on this datum is near 3e-17
 UNREACHABLE_TOL = {
-    "k": 2, "n": 3, "A": [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]],
-    "inv_p": [0.6, 0.7, 0.7], "tolerances": {"res_tol": 1e-30},
+    "k": 2, "n": 4,
+    "A": [[0.80395, 0.77417, 0.53890, 0.73327], [0.59469, -0.63298, 0.84237, 0.67994]],
+    "inv_p": [0.16589, 0.34105, 0.72269, 0.77037], "tolerances": {"res_tol": 1e-30},
 }
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

@@ -9,14 +9,17 @@ from blflow import (Exponents, VectorSystem, gaussian, gaussian_objective, is_fi
                     maximize_D, quadrature_objective)
 from blflow.errors import EvaluationError
 
-# Boundary data (1/p_4 = 1) on which the solver's last iterate has three b_j
-# near 1e-13 and one near 1, so Q(b) is ill-conditioned: a Cholesky of the
-# formed Q(b) gives D = 1.16148 where the exact value is 1.1616130834.
+# Boundary data (1/p_4 = 1), where the supremum is reached only in a limit.
+# At BOUNDARY_LOG_B three b_j are near 1e-13 and one near 1, so Q(b) is
+# ill-conditioned: a Cholesky of the formed Q(b) gives D = 1.16148 where the
+# exact value is 1.1616130834.
 BOUNDARY_A = np.array([[-0.7236627510493412, -0.7027862623237676, 0.980139775291338,
                         0.5169632510497264],
                        [0.6901537674632368, 0.7114010609276517, 0.19830789417429995,
                         0.856007591709383]])
 BOUNDARY_INV_P = [0.5248647596796053, 0.029607066846247882, 0.44552817347414675, 1.0]
+BOUNDARY_LOG_B = np.array([-29.598907292239275, -29.58474937195965, -29.03526937595481,
+                           -1.8696155734689383e-13])
 
 
 def cauchy_binet_objective(A, inv_p, b):
@@ -100,12 +103,23 @@ class TestObjective:
 
     def test_ill_conditioned_matches_cauchy_binet(self):
         sysm, e = VectorSystem(BOUNDARY_A), Exponents(BOUNDARY_INV_P)
+        # the SVD closed form at a b spanning 7e12, where Q(b) is ill-conditioned
+        b = np.exp(BOUNDARY_LOG_B)
+        assert np.max(b) / np.min(b) > 7e12
+        assert gaussian_objective(sysm, e, BOUNDARY_LOG_B)[0] == pytest.approx(
+            cauchy_binet_objective(BOUNDARY_A, e.inv_p, b), rel=1e-9)
+        # 1/p_4 = 1: D factorises through the quotient by a_4, a k = 1 datum
+        # with columns c_j = det[a_j, a_4] / |a_4|
+        a4 = BOUNDARY_A[:, 3]
+        c = np.array([np.linalg.det(np.column_stack([BOUNDARY_A[:, j], a4]))
+                      for j in range(3)]) / np.linalg.norm(a4)
+        exact = float(np.prod(np.abs(c) ** -e.inv_p[:3])) / np.linalg.norm(a4)
+        assert exact == pytest.approx(1.1616130834043372, rel=1e-15)
         res = maximize_D(sysm, e)
-        assert np.max(res.b) / np.min(res.b) > 1e11
-        want = cauchy_binet_objective(BOUNDARY_A, e.inv_p, res.b)
-        assert want == pytest.approx(1.161613083404, rel=1e-11)
-        assert res.value == pytest.approx(want, rel=1e-9)
-        assert gaussian_objective(sysm, e, res.log_b)[0] == pytest.approx(want, rel=1e-9)
+        assert abs(res.value - exact) <= 1e-10 * exact
+        assert res.value <= exact * (1.0 + 1e-15)
+        assert res.value == pytest.approx(
+            cauchy_binet_objective(BOUNDARY_A, e.inv_p, res.b), rel=1e-13)
 
 
 class TestSelfTest:

@@ -507,7 +507,8 @@ class TestBatchedPass:
         monkeypatch.setattr(quadrature, "MAX_NODES", budget)
         path = Path(__file__).resolve().parent.parent / "problems" / "holder_boxes.json"
         assert cli.main(["flow", str(path)]) == 3
-        assert "did not reach rel_tol" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("non-convergence: ") and "did not reach rel_tol" in err
 
 
 class TestIdentityProbe:
