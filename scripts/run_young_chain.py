@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """End-to-end walkthrough on the three-function convolution system.
 
-Solves the auxiliary weight system, builds the certifying matrix C, runs
-the full verifier battery, and compares the optimized constant D against
-direct quadrature at the maximizer.
+Solves the auxiliary weight system once, on the basis table of the
+finiteness verdict, and reads off both the certifying matrix C and the
+sharp constant D; runs the full verifier battery on C, and compares D
+against direct quadrature at the maximizer b = p s^2.
 """
 
 import numpy as np
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, certificate_defect,
-                    gaussian_objective, is_finite, maximize_D,
-                    projection_check, quadrature_objective, solve_certificate,
-                    verify)
+from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, certificate_defect,
+                    gaussian_objective, is_finite, projection_check,
+                    quadrature_objective, solve_s_system, verify)
 
 
 def main() -> None:
@@ -23,7 +23,8 @@ def main() -> None:
     print(f"polytope verdict: {verdict.verdict} (slack r(S) - x(S) = {verdict.slack:.3e} "
           f"at columns S = {verdict.witness})")
 
-    cert, result = solve_certificate(sysm, e)
+    result = solve_s_system(verdict.bases, e)
+    cert = build_C(sysm, e, result.s_sq)
     print(f"s^2 = {cert.s_sq}  ({result.iterations} iterations, "
           f"residual {result.residual:.3e})")
     print(f"C =\n{cert.C}")
@@ -37,11 +38,10 @@ def main() -> None:
     print(f"verifier: ok={report.ok}  L3 max eig {report.l3_max_eig:.3e}  "
           f"PDE defect {report.pde_defect:.3e}  rank {report.rank}")
 
-    res = maximize_D(sysm, e)
-    v_closed, _ = gaussian_objective(sysm, e, res.log_b)
-    v_quad = quadrature_objective(sysm, e, res.log_b)
-    print(f"D = {res.value:.15f}  ({res.iterations} Newton iterations, "
-          f"residual {res.residual:.2e})")
+    log_b = np.log(e.p * result.s_sq)
+    v_closed, _ = gaussian_objective(sysm, e, log_b)
+    v_quad = quadrature_objective(sysm, e, log_b)
+    print(f"D = {result.D:.15f}  (from the same solve)")
     print(f"quadrature cross-check at argmax: {v_quad:.15f} "
           f"(closed form {v_closed:.15f})")
 

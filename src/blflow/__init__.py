@@ -10,9 +10,8 @@ if _os.environ.get("BLFLOW_THREADS"):
     _os.environ["OMP_NUM_THREADS"] = _os.environ["BLFLOW_THREADS"]
     _os.environ["OPENBLAS_NUM_THREADS"] = _os.environ["BLFLOW_THREADS"]
 
-from .certificate import (build_C, certificate_defect, projection_check,
-                          solve_certificate, solve_s_system)
-from .gaussian import gaussian_objective, maximize_D, quadrature_objective
+from .certificate import build_C, certificate_defect, projection_check, solve_s_system
+from .gaussian import gaussian_objective, quadrature_objective
 from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energies,
                        bellman_energy, bellman_identity_probe, gaussian_energy,
                        gaussian_extremizer, heat_extension, monotonicity_scan,
@@ -31,10 +30,9 @@ __all__ = [
     "check_kn_structure", "check_pde_identity", "check_rank_bound",
     "enumerate_bases", "euler_check", "gaussian_energy", "gaussian_extremizer",
     "gaussian_objective", "hadamard_form", "heat_extension", "is_finite",
-    "make_cert", "maximize_D", "monotonicity_scan",
+    "make_cert", "monotonicity_scan",
     "numerical_rank", "projection_check", "psd_leq_zero",
-    "quadrature_objective", "rhs_limit", "solve_certificate",
-    "solve_s_system", "verify",
+    "quadrature_objective", "rhs_limit", "solve_s_system", "verify",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Solve for the certifying matrix C and verify its algebraic identities.
+"""Solve for the certifying matrix C and the sharp constant D, and check C.
 
 The auxiliary weights s_j^2 satisfy the nonlinear system
 
@@ -6,8 +6,9 @@ The auxiliary weights s_j^2 satisfy the nonlinear system
 
 solved by one gauge-projected Newton iteration on the concave log of the
 Gaussian functional (see solve_s_system), a log-sum-exp over the basis
-table that decides finiteness; the same solve gives the sharp constant in
-blflow.gaussian.  The certificate is then C = M(s)^{-1}; its quality is
+table of polytope.is_finite's verdict.  That one solve gives both answers:
+D, the functional's value at its maximizer b = p s^2 (blflow.gaussian), and
+the certificate C = M(s)^{-1} (build_C).  The certificate's quality is
 measured by the Frobenius defect of A diag(1/(p_j sigma_j)) A^T C = I and
 by the spectrum of the projector P = (A S)^T C (A S), S = diag(s_j), which
 must be an orthogonal projection of rank k.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import CertificateRejection, IterationError
 from .model import Exponents, GaussCert, VectorSystem, numerical_rank
-from .polytope import BasisIndicatorSet, enumerate_bases
+from .polytope import BasisIndicatorSet
 
 MAX_ITER = 100
 RES_TOL = 1e-10
@@ -45,6 +46,7 @@ class SSystemResult:
     iterations: int
     converged: bool
     f: float  # the log-objective f at z = log s_sq
+    D: float  # the Gaussian functional at b = p s_sq, exp(f - sum(x log x) / 2)
     notes: tuple[str, ...] = ()
 
 
@@ -68,16 +70,17 @@ def _newton_terms(bases: BasisIndicatorSet, x: np.ndarray, z: np.ndarray):
     return f, x - tau, (V.T * mu) @ V - np.outer(tau, tau)
 
 
-def solve_s_system(sys: VectorSystem, e: Exponents,
+def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
                    res_tol: float = RES_TOL) -> SSystemResult:
     """Gauge-projected Newton iteration for the auxiliary weights.
 
     In z = log s^2 the system is the stationarity condition of the concave
-    f(z) = (<1/p, z> - log det M(e^z)) / 2, evaluated on the basis table of
-    polytope.enumerate_bases (see _newton_terms): the gradient is
-    (1/p - tau) / 2 with tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian
-    is -K / 2.  K annihilates the gauge direction (1, ..., 1), so z stays on
-    sum(z) = 0 and the step is a least-squares solve, which also covers
+    f(z) = (<1/p, z> - log det M(e^z)) / 2, evaluated on the basis table
+    ``bases`` of A (polytope.is_finite's; n and k are read from it, see
+    _newton_terms): the gradient is (1/p - tau) / 2 with
+    tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian is -K / 2.  K
+    annihilates the gauge direction (1, ..., 1), so z stays on sum(z) = 0
+    and the step is a least-squares solve, which also covers
     decomposable data with a larger null space.  Steps are capped and
     backtracked (Armijo on f; only in the round-off endgame, where f cannot
     show the predicted increase, a drop in the residual also accepts a
@@ -87,26 +90,31 @@ def solve_s_system(sys: VectorSystem, e: Exponents,
     gradient leaves the Hessian's range.  Off-degree exponents,
     |sum(1/p_j) - k| > 1e-12, stop it unconverged after the first evaluation.
     s^2 is returned normalized to sum(s^2) = 1, with f there; the residual
-    is max_j |1/p_j - tau_j|.  The basis table caps n at polytope.MAX_N.
+    is max_j |1/p_j - tau_j|.  D = exp(f - sum_j x_j log x_j / 2), x = 1/p,
+    is the Gaussian functional at b = p s^2 (no determinant of Q(b) is
+    formed): the concave f's one stationary point is its maximum, so D is
+    the sharp constant when the solve converges, and off the interior of
+    the polytope the value at the last iterate.
     """
-    bases = enumerate_bases(sys)
+    n, k = bases.vectors.shape[1], len(bases.subsets[0])
     x = e.inv_p
     degree = float(x.sum())
 
     def result(z, f, residual, iterations, converged, note=None) -> SSystemResult:
         shift = float(np.logaddexp.reduce(z))  # sum(exp(z - shift)) = 1
-        return SSystemResult(np.exp(z - shift), residual, iterations, converged,
-                             f - 0.5 * shift * (degree - sys.k),
+        f = f - 0.5 * shift * (degree - k)
+        return SSystemResult(np.exp(z - shift), residual, iterations, converged, f,
+                             math.exp(f - 0.5 * float(x @ np.log(x))),
                              () if note is None else (note,))
 
-    z = np.zeros(sys.n)
+    z = np.zeros(n)
     f, r, K = _newton_terms(bases, x, z)
     residual = float(np.max(np.abs(r)))
     it = 1
-    if abs(degree - sys.k) > _DEGREE_TOL:
+    if abs(degree - k) > _DEGREE_TOL:
         # sum(1/p - tau) = sum(1/p) - k at every z, so the residual cannot vanish
         return result(z, f, residual, it, False, f"sum(1/p_j) = {degree!r} differs from "
-                      f"k = {sys.k}: the s-system has no solution")
+                      f"k = {k}: the s-system has no solution")
     while residual > res_tol:
         if it == MAX_ITER:
             return result(z, f, residual, it, False, f"no convergence in {MAX_ITER} iterations")
@@ -208,21 +216,3 @@ def projection_check(sys: VectorSystem, cert: GaussCert,
                             idempotency_defect=idem, symmetry_defect=sym,
                             trace=float(np.trace(P)), diag_bound_ok=diag_bound_ok)
 
-
-def solve_certificate(sys: VectorSystem, e: Exponents, boundary_slack: float | None = None,
-                      **solver_kw) -> tuple[GaussCert, SSystemResult]:
-    """Convenience chain: solve the s^2 system then build C.
-
-    ``boundary_slack`` (``polytope.is_finite``'s slack, when known) attaches a
-    warning to the certificate for exponents within 1e-6 of the polytope's
-    relative boundary: the slack is the l1 distance to it up to a factor of 2.
-    There the weights s^2 spread over about log10(1/slack) decades, so C rests
-    on a few columns and moves a lot with the exponents.
-    """
-    result = solve_s_system(sys, e, **solver_kw)
-    notes = result.notes
-    if boundary_slack is not None and boundary_slack < 1e-6:
-        notes = notes + ("exponents within 1e-6 of the polytope boundary; "
-                         "the weights s^2 spread over many decades",)
-    cert = build_C(sys, e, result.s_sq, notes=notes)
-    return cert, result

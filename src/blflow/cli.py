@@ -15,7 +15,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import certificate, gaussian, heatflow, polytope, verifier
+from . import certificate, heatflow, polytope, verifier
 from .errors import (BLFlowError, CertificateRejection, DomainError, IterationError,
                      QuadratureAnomaly, StructuralError, UnsupportedScaleError)
 from .io import Problem, parse_problem
@@ -73,20 +73,34 @@ def _res_tol(problem: Problem) -> float:
     return problem.tolerances.get("res_tol", certificate.RES_TOL)
 
 
+def _membership(problem: Problem) -> polytope.MembershipVerdict:
+    """Polytope verdict for the file's exponents, at the file's boundary_tol."""
+    return polytope.is_finite(problem.system, problem.exponents,
+                              boundary_tol=problem.tolerances.get("boundary_tol",
+                                                                  polytope.BOUNDARY_TOL))
+
+
 def _solved_certificate(problem: Problem):
     """Polytope verdict, solved certificate and solve result for the file's exponents.
 
     Off the interior of the polytope no certificate exists, however small the
     residual the solver reaches far out along a ray, so that raises
-    IterationError (exit 3).
+    IterationError (exit 3).  Within 1e-6 of the boundary (the slack is the
+    l1 distance to it up to a factor of 2) the certificate carries a note:
+    there s^2 spreads over about log10(1/slack) decades, so C rests on a few
+    columns and moves a lot with the exponents.
     """
-    verdict = polytope.is_finite(problem.system, problem.exponents)
+    verdict = _membership(problem)
     if verdict.verdict != "inside":
         raise IterationError(f"exponents not inside the polytope ({verdict.verdict}); "
                              "no certificate exists")
-    cert, result = certificate.solve_certificate(
-        problem.system, problem.exponents, boundary_slack=verdict.slack,
-        res_tol=_res_tol(problem))
+    result = certificate.solve_s_system(verdict.bases, problem.exponents,
+                                        res_tol=_res_tol(problem))
+    notes = result.notes
+    if verdict.slack < 1e-6:
+        notes += ("exponents within 1e-6 of the polytope boundary; "
+                  "the weights s^2 spread over many decades",)
+    cert = certificate.build_C(problem.system, problem.exponents, result.s_sq, notes=notes)
     return verdict, cert, result
 
 
@@ -105,31 +119,29 @@ def _certificate_of(problem: Problem):
 def cmd_finiteness(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("finiteness needs inv_p")
-    v = polytope.is_finite(problem.system, problem.exponents,
-                           boundary_tol=problem.tolerances.get("boundary_tol",
-                                                               polytope.BOUNDARY_TOL))
+    v = _membership(problem)
     _emit({"verdict": v.verdict,
            "witness": None if v.witness is None else list(v.witness),
            "slack": v.slack if math.isfinite(v.slack) else None,
-           "basis_count": v.basis_count}, args.out)
+           "basis_count": v.bases.count}, args.out)
     return EXIT_OK
 
 
 def cmd_constant(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("constant needs inv_p")
-    verdict = polytope.is_finite(problem.system, problem.exponents)
+    verdict = _membership(problem)
     warnings = []
     if verdict.verdict != "inside":
         warnings.append(f"exponents are {verdict.verdict} the polytope; "
                         "the supremum may be infinite or attained only in a limit")
-    result = gaussian.maximize_D(problem.system, problem.exponents,
-                                 res_tol=_res_tol(problem))
+    result = certificate.solve_s_system(verdict.bases, problem.exponents,
+                                        res_tol=_res_tol(problem))
     status = ("sup not attained / infinite" if verdict.verdict != "inside"
               else "converged" if result.converged
               else "non-convergence")
-    _emit({"D": result.value, "argmax_b": result.b, "iterations": result.iterations,
-           "residual": result.residual, "status": status,
+    _emit({"D": result.D, "argmax_b": problem.exponents.p * result.s_sq,
+           "iterations": result.iterations, "residual": result.residual, "status": status,
            "warnings": warnings, "notes": list(result.notes)}, args.out)
     if status == "non-convergence":
         return EXIT_NOCONV

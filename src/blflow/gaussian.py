@@ -7,23 +7,24 @@ functions g_j(x) = b_j^{1/2} exp(-pi x^2 b_j) the functional
 
 has the closed form  prod_j b_j^{1/(2 p_j)} * det(Q(b))^{-1/2}  with
 Q(b) = sum_j (b_j / p_j) a_j a_j^T.  At b = p s^2, Q(b) = M(s) and the
-stationarity condition of the functional is the s-system of
-blflow.certificate, so the supremum and its value come from that module's
-Newton solve on the basis table.  :func:`gaussian_integral` is every other
-closed form of the package (the objective here, blflow.heatflow, the
-verifier's L5); it is validated against direct quadrature of the integrand
-(k <= 2), once per process, before blflow.heatflow relies on it.
+stationarity condition of the functional is the s-system, so the supremum
+D is not searched for here: blflow.certificate.solve_s_system returns it
+with its maximizer, from the one Newton solve that also gives C.  This
+module keeps the functional itself, as an oracle for that solve.
+:func:`gaussian_integral` is every other closed form of the package (the
+objective here, blflow.heatflow, the verifier's L5); it is validated against
+direct quadrature of the integrand (k <= 2), once per process, before
+blflow.heatflow relies on it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import certificate, quadrature
+from . import quadrature
 from .errors import EvaluationError
 from .model import RANK_TOL, Exponents, VectorSystem
 
@@ -107,36 +108,3 @@ def _closed_form_selftest() -> bool:
                     f"closed-form self-test failed: {closed!r} vs quadrature {quad!r}")
     return True
 
-
-@dataclass(frozen=True)
-class MaximizeResult:
-    value: float
-    log_b: np.ndarray
-    iterations: int
-    residual: float
-    converged: bool
-    notes: tuple[str, ...] = ()
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.exp(self.log_b)
-
-
-def maximize_D(sys: VectorSystem, e: Exponents,
-               res_tol: float = certificate.RES_TOL) -> MaximizeResult:
-    """Supremum of the Gaussian functional.
-
-    The maximizer is b = p s^2 with s^2 from certificate.solve_s_system: in
-    log coordinates the logarithm of the functional is concave, so the one
-    stationary point that solver finds is the maximum.  There the functional
-    is exp(f - sum_j x_j log x_j / 2), x = 1/p, with the solver's
-    log-objective f, so no determinant of Q(b) is formed.  ``converged`` is the
-    solver's, to ``res_tol``; off the interior of the finiteness polytope the
-    supremum is not attained, and the value is that at the solver's last
-    iterate.
-    """
-    result = certificate.solve_s_system(sys, e, res_tol=res_tol)
-    return MaximizeResult(value=math.exp(result.f - 0.5 * float(e.inv_p @ np.log(e.inv_p))),
-                          log_b=np.log(e.p * result.s_sq), iterations=result.iterations,
-                          residual=result.residual, converged=result.converged,
-                          notes=result.notes)

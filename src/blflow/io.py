@@ -7,6 +7,7 @@ round-trip float repr) so that parse -> serialize is byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,22 @@ def _parse_profile(doc) -> Profile:
     raise StructuralError(f"unknown profile type {kind!r}")
 
 
+def _parse_tolerances(doc) -> dict:
+    """res_tol a finite number > 0 and boundary_tol one >= 0; no other keys."""
+    if not isinstance(doc, dict):
+        raise StructuralError("tolerances must be a JSON object")
+    for key, value in doc.items():
+        if key not in ("res_tol", "boundary_tol"):
+            raise StructuralError(f"unknown tolerance {key!r}: only res_tol and boundary_tol")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and (isinstance(value, int) or math.isfinite(value))
+                and (value > 0 if key == "res_tol" else value >= 0)):
+            bound = "> 0" if key == "res_tol" else ">= 0"
+            raise StructuralError(f"tolerances.{key} must be a finite number {bound}, "
+                                  f"got {value!r}")
+    return dict(doc)
+
+
 def parse_problem(text: str) -> Problem:
     try:
         doc = json.loads(text)
@@ -86,7 +103,7 @@ def parse_problem(text: str) -> Problem:
             raise StructuralError("C must be k x k")
     return Problem(system=system, exponents=e, B=B, profiles=profiles, C=C,
                    seed=int(doc.get("seed", 0)),
-                   tolerances=dict(doc.get("tolerances", {})))
+                   tolerances=_parse_tolerances(doc.get("tolerances", {})))
 
 
 def _B_doc(B: BellmanSpec):

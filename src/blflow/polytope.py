@@ -11,14 +11,15 @@ so one stacked determinant over the k-subsets and one product against the
 2^n - 2 proper subsets give the whole rank table; n is capped at MAX_N.
 
 enumerate_bases is the package's one test of which column subsets are
-bases.  Its table keeps log det(A_B)^2 per basis, from which
-blflow.certificate solves the s-system and blflow.gaussian takes D.
+bases.  Its table keeps log det(A_B)^2 per basis; is_finite hands it on with
+its verdict, and blflow.certificate solves the s-system, whose solution
+gives both C and D, on that same table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -63,7 +64,7 @@ class MembershipVerdict:
     verdict: str  # "inside" | "boundary" | "outside"
     witness: tuple[int, ...] | None  # the column subset S that attains the slack
     slack: float  # r(S) - x(S) at the witness; inf when every S is a separator
-    basis_count: int
+    bases: BasisIndicatorSet = field(compare=False, repr=False)  # the table it was read from
 
 
 def enumerate_bases(sys: VectorSystem, basis_tol: float = BASIS_TOL) -> BasisIndicatorSet:
@@ -110,19 +111,18 @@ def is_finite(sys: VectorSystem, e: Exponents,
     x = e.inv_p
     off_degree = float(x.sum()) - sys.k
     if abs(off_degree) > DEGREE_TOL:
-        return MembershipVerdict("outside", tuple(range(sys.n)), -abs(off_degree), bases.count)
+        return MembershipVerdict("outside", tuple(range(sys.n)), -abs(off_degree), bases)
     room = bases.ranks - bases.masks @ x
     if room.size and room.min() < -DEGREE_TOL:
         worst = int(np.argmin(room))
-        return MembershipVerdict("outside", _columns(bases.masks[worst]), float(room[worst]),
-                                 bases.count)
+        return MembershipVerdict("outside", _columns(bases.masks[worst]), float(room[worst]), bases)
     candidates = np.flatnonzero(bases.ranks + bases.ranks[::-1] > sys.k)
     if not candidates.size:
-        return MembershipVerdict("inside", None, math.inf, bases.count)
+        return MembershipVerdict("inside", None, math.inf, bases)
     tight = candidates[np.argmin(room[candidates])]
     slack = float(room[tight])
     verdict = "inside" if slack > boundary_tol else "boundary"
-    return MembershipVerdict(verdict, _columns(bases.masks[tight]), slack, bases.count)
+    return MembershipVerdict(verdict, _columns(bases.masks[tight]), slack, bases)
 
 
 def _columns(mask: np.ndarray) -> tuple[int, ...]:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blflow import (BellmanSpec, Box, Exponents, VectorSystem, make_cert,
-                    solve_certificate)
+from blflow import (BellmanSpec, Box, Exponents, VectorSystem, build_C,
+                    enumerate_bases, make_cert, solve_s_system)
 
 
 @pytest.fixture(scope="session")
@@ -29,9 +29,9 @@ def young3():
 @pytest.fixture(scope="session")
 def young3_cert(young3):
     sysm, e, _ = young3
-    cert, result = solve_certificate(sysm, e)
+    result = solve_s_system(enumerate_bases(sysm), e)
     assert result.converged
-    return cert
+    return build_C(sysm, e, result.s_sq)
 
 
 @pytest.fixture(scope="session")

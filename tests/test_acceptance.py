@@ -15,9 +15,8 @@ from blflow import (BellmanSpec, Box, Exponents, VectorSystem,
                     check_L3, check_pde_identity, check_rank_bound,
                     enumerate_bases, euler_check, gaussian_extremizer,
                     gaussian_objective, hadamard_form, is_finite, make_cert,
-                    maximize_D, monotonicity_scan, numerical_rank,
-                    projection_check, quadrature_objective, solve_certificate,
-                    solve_s_system)
+                    monotonicity_scan, numerical_rank, projection_check,
+                    quadrature_objective, solve_s_system)
 from blflow.errors import EvaluationError
 
 
@@ -32,8 +31,8 @@ def _report(num: int, name: str, ok: bool, elapsed: float, budget: float) -> Non
 def test_criterion_1_holder_constant():
     t0 = time.perf_counter()
     sysm = VectorSystem(np.array([[1.0, 1.0]]))
-    res = maximize_D(sysm, Exponents([0.5, 0.5]))
-    ok = abs(res.value - 1.0) <= 1e-9 and res.converged
+    res = solve_s_system(enumerate_bases(sysm), Exponents([0.5, 0.5]))
+    ok = abs(res.D - 1.0) <= 1e-9 and res.converged
     _report(1, "two-function mean constant D = 1", ok, time.perf_counter() - t0, 1.0)
 
 
@@ -67,7 +66,7 @@ def test_criterion_3_young_certificate_chain():
     sysm = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
     B = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
-    result = solve_s_system(sysm, e)
+    result = solve_s_system(enumerate_bases(sysm), e)
     cert = build_C(sysm, e, result.s_sq)
     proj = projection_check(sysm, cert)
     eig_on_01 = np.all(np.minimum(np.abs(proj.eigenvalues),
@@ -151,7 +150,7 @@ def test_criterion_7_equality_cases():
     sysm2 = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e2 = Exponents([2 / 3, 2 / 3, 2 / 3])
     B2 = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
-    cert2, _ = solve_certificate(sysm2, e2)
+    cert2 = build_C(sysm2, e2, solve_s_system(enumerate_bases(sysm2), e2).s_sq)
     profiles2 = tuple(gaussian_extremizer(m, s)
                       for m, s in zip((1.0, 2.0, 1.5), cert2.sigma))
     trace2, verdict2 = monotonicity_scan(sysm2, cert2, B2, profiles2,
@@ -246,7 +245,7 @@ def test_criterion_9_property_suites():
     # 4) gauge covariance (lambda C, s^2 / lambda)
     sysm = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
-    base = solve_s_system(sysm, e)
+    base = solve_s_system(enumerate_bases(sysm), e)
     C0 = build_C(sysm, e, base.s_sq).C
     for _ in range(100):
         lam = float(np.exp(rng.uniform(-2, 2)))

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from blflow import (Exponents, VectorSystem, build_C, certificate_defect,
                     enumerate_bases, gaussian_objective, is_finite, make_cert,
-                    maximize_D, projection_check, solve_certificate,
-                    solve_s_system)
+                    projection_check, solve_s_system)
+from blflow.cli import _solved_certificate
 from blflow.errors import CertificateRejection
+from blflow.io import parse_problem
 
 
 def polytope_point(rng, slack):
@@ -27,7 +30,7 @@ def polytope_point(rng, slack):
 class TestSSystem:
     def test_young_golden_weights(self, young3):
         sysm, e, _ = young3
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged
         assert res.residual <= 1e-10
         assert np.allclose(res.s_sq, [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
@@ -35,13 +38,13 @@ class TestSSystem:
     def test_identity_system(self):
         sysm = VectorSystem(np.eye(2))
         e = Exponents([1.0, 1.0])
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged
         assert np.allclose(res.s_sq, [0.5, 0.5], atol=1e-10)
 
     def test_scalar_system(self, holder):
         sysm, e, _, _ = holder
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged
         # k=1: s_j^2 proportional to 1/p_j
         assert np.allclose(res.s_sq, [0.5, 0.5], atol=1e-10)
@@ -52,11 +55,11 @@ class TestSSystem:
         for _ in range(30):
             sysm, e = polytope_point(rng, slack)
             assert is_finite(sysm, e).verdict == "inside"
-            res = solve_s_system(sysm, e)
+            res = solve_s_system(enumerate_bases(sysm), e)
             assert res.converged and res.residual <= 1e-10
             assert projection_check(sysm, build_C(sysm, e, res.s_sq)).ok
             closed, _ = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
-            assert maximize_D(sysm, e).value == pytest.approx(closed, rel=1e-12)
+            assert res.D == pytest.approx(closed, rel=1e-12)
 
     def test_far_steps_need_armijo(self):
         # accepting any step that lowered the residual let this interior datum
@@ -65,7 +68,7 @@ class TestSSystem:
                                       [0.59469, -0.63298, 0.84237, 0.67994]]))
         e = Exponents([0.16589, 0.34105, 0.72269, 0.77037])
         assert is_finite(sysm, e).verdict == "inside"
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged and res.residual <= 1e-10
         assert res.iterations <= 10
 
@@ -78,7 +81,7 @@ class TestSSystem:
         e = Exponents([0.4628884557817873, 0.4303930545233402, 0.4690916393391361,
                        0.6376268503557364])
         assert is_finite(sysm, e).verdict == "inside"
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged and res.residual <= 1e-10
         assert res.iterations <= 10
 
@@ -91,9 +94,9 @@ class TestSSystem:
             n = int(rng.integers(3, 6))
             A = rng.normal(size=(2, n))
             sysm = VectorSystem(A / np.linalg.norm(A, axis=0))
-            V = enumerate_bases(sysm).vectors
-            e = Exponents(rng.dirichlet(np.ones(len(V))) @ V)
-            res = solve_s_system(sysm, e)
+            bases = enumerate_bases(sysm)
+            e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
+            res = solve_s_system(bases, e)
             if not (res.converged and res.residual <= 1e-10):
                 failures.append((i, res.residual, res.notes))
         assert failures == []
@@ -101,14 +104,14 @@ class TestSSystem:
     def test_warm_start_converges_fast(self, young3):
         # the symmetric start is already young3's solution
         sysm, e, _ = young3
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged and res.iterations == 1
 
 
     def test_off_degree_fails_fast(self, young3):
         # sum(1/p) = 1.5 != k = 2: no s^2 solves the system
         sysm, _, _ = young3
-        res = solve_s_system(sysm, Exponents([0.5, 0.5, 0.5]))
+        res = solve_s_system(enumerate_bases(sysm), Exponents([0.5, 0.5, 0.5]))
         assert not res.converged and res.iterations == 1
         assert "1.5" in res.notes[0] and "k = 2" in res.notes[0]
 
@@ -118,7 +121,7 @@ class TestBuildC:
         # A = I, p = (1, 1): s^2 = (1/2, 1/2), M = I/2, C = 2I
         sysm = VectorSystem(np.eye(2))
         e = Exponents([1.0, 1.0])
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         cert = build_C(sysm, e, res.s_sq)
         assert np.allclose(cert.C, 2.0 * np.eye(2), atol=1e-10)
         assert np.allclose(cert.sigma, [2.0, 2.0], atol=1e-10)
@@ -154,7 +157,7 @@ class TestProjection:
     def test_holder_projection(self, holder):
         # k=1, s^2 = (1/2, 1/2), C = (1): P = [[1/2, 1/2], [1/2, 1/2]]
         sysm, e, _, _ = holder
-        res = solve_s_system(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         cert = build_C(sysm, e, res.s_sq)
         S = np.sqrt(cert.s_sq)
         P = (sysm.A * S).T @ cert.C @ (sysm.A * S)
@@ -186,9 +189,11 @@ class TestProjection:
             inv_p = w * (k / w.sum())
             if np.any(inv_p >= 1.0):
                 continue
-            cert, res = solve_certificate(sysm, Exponents(inv_p))
+            e = Exponents(inv_p)
+            res = solve_s_system(enumerate_bases(sysm), e)
             if not res.converged:
                 continue
+            cert = build_C(sysm, e, res.s_sq)
             rep = projection_check(sysm, cert)
             assert rep.trace == pytest.approx(k, abs=1e-8)
             assert rep.diag_bound_ok
@@ -202,13 +207,21 @@ class TestProjection:
         assert not rep.diag_bound_ok
 
 
+def solved(A, inv_p):
+    """Verdict, certificate and solve result along the CLI's solve chain."""
+    k, n = np.shape(A)
+    return _solved_certificate(parse_problem(json.dumps(
+        {"k": k, "n": n, "A": A, "inv_p": inv_p})))
+
+
 class TestSolveChain:
-    def test_boundary_warning_note(self, young3):
-        sysm, e, _ = young3
-        cert, _ = solve_certificate(sysm, e, boundary_slack=1e-8)
+    def test_boundary_warning_note(self):
+        # slack 1e-7: inside, but within 1e-6 of the boundary
+        verdict, cert, res = solved([[1.0, 1.0]], [1.0 - 1e-7, 1e-7])
+        assert verdict.verdict == "inside" and res.converged
         assert any("boundary" in note for note in cert.notes)
 
     def test_clean_run_has_no_notes(self, young3):
         sysm, e, _ = young3
-        cert, res = solve_certificate(sysm, e, boundary_slack=0.3)
+        _, cert, res = solved(sysm.A.tolist(), e.inv_p.tolist())
         assert res.converged and cert.notes == ()

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blflow import certificate
+import blflow
+from blflow import certificate, polytope
 from blflow.cli import main
 
 HOLDER = {
@@ -49,6 +50,13 @@ UNREACHABLE_TOL = {
     "k": 2, "n": 4,
     "A": [[0.80395, 0.77417, 0.53890, 0.73327], [0.59469, -0.63298, 0.84237, 0.67994]],
     "inv_p": [0.16589, 0.34105, 0.72269, 0.77037], "tolerances": {"res_tol": 1e-30},
+}
+
+# k = 1 exponents 1e-5 from the boundary: inside at the default boundary_tol,
+# on the boundary at the file's own
+WIDE_BOUNDARY_TOL = {
+    "k": 1, "n": 2, "A": [[1.0, 1.0]], "inv_p": [1.0 - 1e-5, 1e-5],
+    "tolerances": {"boundary_tol": 1e-3},
 }
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -147,6 +155,13 @@ class TestConstant:
         code, doc = run_json(capsys, ["solve-c", path])
         assert code == 3 and not doc["converged"]
 
+    def test_honours_boundary_tol(self, tmp_path, capsys):
+        path = write(tmp_path, WIDE_BOUNDARY_TOL)
+        assert run_json(capsys, ["finiteness", path])[1]["verdict"] == "boundary"
+        code, doc = run_json(capsys, ["constant", path])
+        assert code == 0 and doc["status"] == "sup not attained / infinite"
+        assert main(["solve-c", path]) == 3
+
 
 class TestSolveC:
     def test_young_certificate(self, tmp_path, capsys):
@@ -172,6 +187,44 @@ class TestSolveC:
     @OFF_INTERIOR
     def test_off_interior_has_no_certificate(self, tmp_path, capsys, doc):
         assert main(["solve-c", write(tmp_path, doc)]) == 3
+
+    def test_boundary_note(self, tmp_path, capsys):
+        # slack 1e-7: inside, but within 1e-6 of the boundary
+        near = {"k": 1, "n": 2, "A": [[1.0, 1.0]], "inv_p": [1.0 - 1e-7, 1e-7]}
+        code, doc = run_json(capsys, ["solve-c", write(tmp_path, near)])
+        assert code == 0 and doc["polytope_verdict"] == "inside"
+        assert any("boundary" in note for note in doc["notes"])
+        code, doc = run_json(capsys, ["solve-c", write(tmp_path, YOUNG3)])
+        assert code == 0 and doc["converged"] and doc["notes"] == []
+
+
+class TestOneBasisTable:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Calls of enumerate_bases, through every blflow module that binds it."""
+        calls = []
+        original = polytope.enumerate_bases
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "blflow" or name.startswith("blflow.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c", "verify", "flow"])
+    def test_solved_data_build_it_once(self, tmp_path, capsys, builds, command):
+        assert main([command, write(tmp_path, HOLDER), "--tmax", "1"]) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "flow"])
+    def test_explicit_C_builds_none(self, tmp_path, capsys, builds, command):
+        assert main([command, write(tmp_path, dict(HOLDER, C=[[1.0]])), "--tmax", "1"]) == 0
+        assert builds == []
 
 
 class TestVerify:
@@ -341,6 +394,21 @@ class TestExitCodes:
         code, doc = run_json(capsys, ["verify", path, "--tol", "1e-3"])
         assert code == 0 and doc["tolerances"]["pde_tol"] == 1e-3
 
+    @pytest.mark.parametrize("tolerances", [
+        [], "x", None, {"res_tol": "x"}, {"res_tol": 0}, {"res_tol": -1},
+        {"res_tol": True}, {"res_tol": None}, {"res_tol": math.nan}, {"res_tol": math.inf},
+        {"boundary_tol": "x"}, {"boundary_tol": -1}, {"boundary_tol": False},
+        {"boundary_tol": math.inf}, {"res_tol": 1e-10, "mono_tol": 1e-3},
+    ], ids=["list", "string", "null", "res_tol_string", "res_tol_zero", "res_tol_negative",
+            "res_tol_bool", "res_tol_null", "res_tol_nan", "res_tol_inf", "boundary_tol_string",
+            "boundary_tol_negative", "boundary_tol_bool", "boundary_tol_inf", "unknown_key"])
+    def test_bad_tolerances_are_input_errors(self, tmp_path, capsys, tolerances):
+        path = write(tmp_path, dict(YOUNG3, tolerances=tolerances))
+        for command in ("finiteness", "constant", "solve-c", "verify"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "tolerance" in err
+
     def test_missing_exponents(self, tmp_path, capsys):
         doc = {"k": 1, "n": 2, "A": [[1.0, 1.0]]}
         assert main(["constant", write(tmp_path, doc)]) == 2
@@ -403,3 +471,8 @@ class TestImports:
                    if line.startswith("import time:")]
         assert "blflow.cli" in modules
         assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+    def test_every_export_resolves(self):
+        namespace = {}
+        exec("from blflow import *", namespace)
+        assert [name for name in blflow.__all__ if name not in namespace] == []

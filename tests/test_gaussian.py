@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from blflow import (Exponents, VectorSystem, gaussian, gaussian_objective, is_finite,
-                    maximize_D, quadrature_objective)
+from blflow import (Exponents, VectorSystem, enumerate_bases, gaussian, gaussian_objective,
+                    is_finite, quadrature_objective, solve_s_system)
 from blflow.errors import EvaluationError
 
 # Boundary data (1/p_4 = 1), where the supremum is reached only in a limit.
@@ -115,11 +115,11 @@ class TestObjective:
                       for j in range(3)]) / np.linalg.norm(a4)
         exact = float(np.prod(np.abs(c) ** -e.inv_p[:3])) / np.linalg.norm(a4)
         assert exact == pytest.approx(1.1616130834043372, rel=1e-15)
-        res = maximize_D(sysm, e)
-        assert abs(res.value - exact) <= 1e-10 * exact
-        assert res.value <= exact * (1.0 + 1e-15)
-        assert res.value == pytest.approx(
-            cauchy_binet_objective(BOUNDARY_A, e.inv_p, res.b), rel=1e-13)
+        res = solve_s_system(enumerate_bases(sysm), e)
+        assert abs(res.D - exact) <= 1e-10 * exact
+        assert res.D <= exact * (1.0 + 1e-15)
+        assert res.D == pytest.approx(
+            cauchy_binet_objective(BOUNDARY_A, e.inv_p, e.p * res.s_sq), rel=1e-13)
 
 
 class TestSelfTest:
@@ -160,16 +160,17 @@ class TestSelfTest:
 class TestMaximize:
     def test_holder_constant_is_one(self, holder):
         sysm, e, _, _ = holder
-        res = maximize_D(sysm, e)
-        assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert res.b[0] == pytest.approx(res.b[1], rel=1e-6)
+        res = solve_s_system(enumerate_bases(sysm), e)
+        b = e.p * res.s_sq
+        assert res.D == pytest.approx(1.0, abs=1e-9)
+        assert b[0] == pytest.approx(b[1], rel=1e-6)
         assert res.converged
 
     def test_identity_system_is_flat(self):
         sysm = VectorSystem(np.eye(2))
         e = Exponents([1.0, 1.0])
-        res = maximize_D(sysm, e)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
+        res = solve_s_system(enumerate_bases(sysm), e)
+        assert res.D == pytest.approx(1.0, abs=1e-12)
 
     def test_young_matches_grid_polish_oracle(self, young3):
         sysm, e, _ = young3
@@ -187,31 +188,31 @@ class TestMaximize:
         polish = minimize(neg, [best[1], best[2]], method="Nelder-Mead",
                           options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 5000})
         oracle = -polish.fun
-        res = maximize_D(sysm, e)
-        assert res.value == pytest.approx(oracle, rel=1e-6)
+        res = solve_s_system(enumerate_bases(sysm), e)
+        assert res.D == pytest.approx(oracle, rel=1e-6)
 
     def test_supremum_dominates_random_points(self, young3):
         sysm, e, _ = young3
-        res = maximize_D(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         rng = np.random.default_rng(37)
         for _ in range(100):
             z = rng.normal(size=3)
             z -= z.mean()
             v, _ = gaussian_objective(sysm, e, z)
-            assert res.value >= v - 1e-12
+            assert res.D >= v - 1e-12
 
     def test_orthogonal_invariance(self, young3):
         sysm, e, _ = young3
-        base = maximize_D(sysm, e).value
+        base = solve_s_system(enumerate_bases(sysm), e).D
         rng = np.random.default_rng(41)
         for _ in range(5):
             U, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-            rotated = maximize_D(VectorSystem(U @ sysm.A), e).value
+            rotated = solve_s_system(enumerate_bases(VectorSystem(U @ sysm.A)), e).D
             assert rotated == pytest.approx(base, rel=1e-9)
 
     def test_divergence_outside_polytope(self):
         sysm = VectorSystem(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
         e = Exponents([0.6, 0.6, 0.8])
         assert is_finite(sysm, e).verdict == "outside"
-        res = maximize_D(sysm, e)
+        res = solve_s_system(enumerate_bases(sysm), e)
         assert not res.converged

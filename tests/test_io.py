@@ -95,3 +95,11 @@ class TestRoundTrip:
         p = parse_problem(json.dumps(doc))
         assert p.tolerances == {"res_tol": 1e-12}
         assert parse_problem(serialize_problem(p)).tolerances == {"res_tol": 1e-12}
+
+    @pytest.mark.parametrize("tolerances", [
+        {}, {"res_tol": 1e-30}, {"res_tol": 1}, {"boundary_tol": 0},
+        {"res_tol": 1e-8, "boundary_tol": 1e-3},
+    ])
+    def test_valid_tolerances_accepted(self, tolerances):
+        doc = dict(FULL_DOC, tolerances=tolerances)
+        assert parse_problem(json.dumps(doc)).tolerances == tolerances

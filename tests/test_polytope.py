@@ -135,7 +135,7 @@ class TestMembership:
         # every proper subset is a non-separator; the singletons have room 1/3
         v = is_finite(tri_system, Exponents([2 / 3, 2 / 3, 2 / 3]))
         assert v.verdict == "inside"
-        assert v.basis_count == 3
+        assert v.bases.count == 3
         assert v.witness == (0,)
         assert v.slack == pytest.approx(1 / 3, abs=1e-12)
 
@@ -191,7 +191,7 @@ class TestStructures:
         # A = I: every subset is a separator, K = {1}, and no slack exists
         sysm = VectorSystem(np.eye(3))
         v = is_finite(sysm, Exponents([1.0, 1.0, 1.0]))
-        assert (v.verdict, v.witness, v.slack, v.basis_count) == ("inside", None, math.inf, 1)
+        assert (v.verdict, v.witness, v.slack, v.bases.count) == ("inside", None, math.inf, 1)
         v = is_finite(sysm, Exponents([1.0, 1.0, 0.5]))
         assert v.verdict == "outside" and v.witness == (0, 1, 2)
         assert v.slack == pytest.approx(-0.5)

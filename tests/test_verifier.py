@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, check_kn_structure,
+from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, check_kn_structure,
                     check_L3, check_L5, check_pde_identity, check_rank_bound,
-                    enumerate_bases, hadamard_form, make_cert, solve_certificate,
+                    enumerate_bases, hadamard_form, make_cert, solve_s_system,
                     verify)
 from blflow.model import HOMOG_TOL
 from blflow.quadrature import decay_quad
@@ -18,11 +18,11 @@ def interior_datum(rng, k, n):
     """Random unit columns, interior exponents, their certificate solve and Young B."""
     A = rng.normal(size=(k, n))
     sysm = VectorSystem(A / np.linalg.norm(A, axis=0))
-    V = enumerate_bases(sysm).vectors
-    e = Exponents(rng.dirichlet(np.ones(len(V))) @ V)
-    cert, result = solve_certificate(sysm, e)
+    bases = enumerate_bases(sysm)
+    e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
+    result = solve_s_system(bases, e)
     assert result.converged
-    return sysm, e, cert, BellmanSpec.young(e.inv_p)
+    return sysm, e, build_C(sysm, e, result.s_sq), BellmanSpec.young(e.inv_p)
 
 
 class TestHadamardForm:
