@@ -13,9 +13,8 @@ if _os.environ.get("BLFLOW_THREADS"):
 from .certificate import build_C, certificate_defect, projection_check, solve_s_system
 from .gaussian import gaussian_objective, quadrature_objective
 from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energies,
-                       bellman_energy, bellman_identity_probe, gaussian_energy,
-                       gaussian_extremizer, heat_extension, monotonicity_scan,
-                       rhs_limit)
+                       bellman_identity_probe, gaussian_energy, gaussian_extremizer,
+                       monotonicity_scan, rhs_limit)
 from .model import (BellmanSpec, Exponents, GaussCert, VectorSystem,
                     euler_check, make_cert, numerical_rank, psd_leq_zero)
 from .polytope import enumerate_bases, is_finite
@@ -25,11 +24,11 @@ from .verifier import (check_kn_structure, check_L3, check_L5,
 
 __all__ = [
     "BellmanSpec", "Box", "Exponents", "GaussCert", "GaussianProfile",
-    "SumOfBoxes", "VectorSystem", "bellman_energies", "bellman_energy",
+    "SumOfBoxes", "VectorSystem", "bellman_energies",
     "bellman_identity_probe", "build_C", "certificate_defect", "check_L3", "check_L5",
     "check_kn_structure", "check_pde_identity", "check_rank_bound",
     "enumerate_bases", "euler_check", "gaussian_energy", "gaussian_extremizer",
-    "gaussian_objective", "hadamard_form", "heat_extension", "is_finite",
+    "gaussian_objective", "hadamard_form", "is_finite",
     "make_cert", "monotonicity_scan",
     "numerical_rank", "projection_check", "psd_leq_zero",
     "quadrature_objective", "rhs_limit", "solve_s_system", "verify",

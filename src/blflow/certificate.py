@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CertificateRejection, IterationError
 from .model import Exponents, GaussCert, VectorSystem, numerical_rank
-from .polytope import BasisIndicatorSet
+from .polytope import DEGREE_TOL, BasisIndicatorSet
 
 MAX_ITER = 100
 RES_TOL = 1e-10
@@ -35,8 +35,6 @@ _MIN_STEP = 2.0**-30
 _ROUNDOFF = 1e-12
 # a larger part of the gradient outside the Hessian's range is not round-off
 _RANGE_TOL = 1e-8
-# beyond this |sum(1/p) - k| no s^2 can meet the system
-_DEGREE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,17 +86,26 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     attained and the iterates run off to infinity; the solve stops
     unconverged when their gauge spread exceeds _DIVERGENCE_SPREAD or the
     gradient leaves the Hessian's range.  Off-degree exponents,
-    |sum(1/p_j) - k| > 1e-12, stop it unconverged after the first evaluation.
-    s^2 is returned normalized to sum(s^2) = 1, with f there; the residual
-    is max_j |1/p_j - tau_j|.  D = exp(f - sum_j x_j log x_j / 2), x = 1/p,
-    is the Gaussian functional at b = p s^2 (no determinant of Q(b) is
-    formed): the concave f's one stationary point is its maximum, so D is
-    the sharp constant when the solve converges, and off the interior of
-    the polytope the value at the last iterate.
+    |sum(1/p_j) - k| > polytope.DEGREE_TOL, stop it unconverged after the
+    first evaluation.  Within that tolerance, exponents that miss the
+    degree by more than res_tol are solved at x = (1/p) k / sum(1/p), and
+    all others at x = 1/p.  s^2 is returned normalized to sum(s^2) = 1, with
+    f there; the residual is max_j |x_j - tau_j|.
+    D = exp(f - sum_j x_j log x_j / 2) is the Gaussian functional at
+    b = p s^2 (no determinant of Q(b) is formed): the concave f's one
+    stationary point is its maximum, so D is the sharp constant when the
+    solve converges, and off the interior of the polytope the value at the
+    last iterate.
     """
     n, k = bases.vectors.shape[1], len(bases.subsets[0])
     x = e.inv_p
     degree = float(x.sum())
+    off_degree = abs(degree - k) > DEGREE_TOL
+    if res_tol < abs(degree - k) <= DEGREE_TOL:
+        # sum(x - tau) = sum(x) - k at every z, so at x the residual could not
+        # meet res_tol; x k / sum(x) has degree k up to round-off
+        x = x * (k / degree)
+        degree = float(x.sum())
 
     def result(z, f, residual, iterations, converged, note=None) -> SSystemResult:
         shift = float(np.logaddexp.reduce(z))  # sum(exp(z - shift)) = 1
@@ -111,7 +118,7 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     f, r, K = _newton_terms(bases, x, z)
     residual = float(np.max(np.abs(r)))
     it = 1
-    if abs(degree - k) > _DEGREE_TOL:
+    if off_degree:
         # sum(1/p - tau) = sum(1/p) - k at every z, so the residual cannot vanish
         return result(z, f, residual, it, False, f"sum(1/p_j) = {degree!r} differs from "
                       f"k = {k}: the s-system has no solution")

@@ -1,8 +1,9 @@
 """Batch front end: parse a problem file, dispatch, emit a JSON/CSV report.
 
 Exit codes are a stable contract: 0 pass, 1 verdict-fail (e.g. the
-concavity check fails), 2 input error (unsupported sizes, --tmax < 0 and a
---tol not finite and > 0 included), 3 non-convergence, 4 certificate rejection.
+concavity check fails), 2 input error (unsupported sizes, a malformed field,
+a --tmax not finite and >= 0 and a --tol not finite and > 0 included),
+3 non-convergence, 4 certificate rejection.
 """
 
 from __future__ import annotations

@@ -62,8 +62,52 @@ def _erf_diff(a, b):
 # profiles
 
 
+class _Boxes:
+    """The one body of Box and SumOfBoxes: the sum of height * 1_[lo, hi]
+    over the (lo, hi, height) arrays that _set_edges builds once per profile."""
+
+    def _set_edges(self, rows) -> None:
+        lo, hi, height = np.array(rows, dtype=float).T
+        if not np.all((lo < hi) & (height > 0.0)):
+            raise StructuralError("box needs lo < hi and positive height")
+        object.__setattr__(self, "_edges", (lo, hi, height))
+
+    def mass(self) -> float:
+        lo, hi, height = self._edges
+        return float(np.sum(height * (hi - lo)))
+
+    def value(self, y):
+        lo, hi, height = self._edges
+        y = np.asarray(y, dtype=float)[..., None]
+        return (height * ((y >= lo) & (y <= hi))).sum(axis=-1)
+
+    def heat(self, y, sigma: float, t):
+        if np.ndim(t) == 0 and t == 0.0:
+            return self.value(y)
+        lo, hi, height = self._edges
+        y = np.asarray(y, dtype=float)[..., None]
+        w = np.sqrt(4.0 * sigma * t)[..., None]
+        return (0.5 * height * _erf_diff((y - lo) / w, (y - hi) / w)).sum(axis=-1)
+
+    def heat_dy(self, y, sigma: float, t: float):
+        if t == 0.0:
+            raise DomainError("box data is not differentiable at t = 0")
+        lo, hi, height = self._edges
+        y = np.asarray(y, dtype=float)[..., None]
+        w = math.sqrt(4.0 * sigma * t)
+        gauss = np.exp(-((y - lo) / w) ** 2) - np.exp(-((y - hi) / w) ** 2)
+        return (height / (w * math.sqrt(math.pi)) * gauss).sum(axis=-1)
+
+    def domination(self) -> tuple[float, float]:
+        lo, hi, height = self._edges
+        return float(np.sum(height * np.exp(np.maximum(lo * lo, hi * hi)))), 1.0
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(np.ravel(self._edges[:2], order="F").tolist())  # lo, hi of each box
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(_Boxes):
     """Indicator of [lo, hi] scaled to the given height."""
 
     lo: float
@@ -71,37 +115,7 @@ class Box:
     height: float
 
     def __post_init__(self):
-        if not (self.lo < self.hi and self.height > 0.0):
-            raise StructuralError("box needs lo < hi and positive height")
-
-    def mass(self) -> float:
-        return self.height * (self.hi - self.lo)
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.height * ((y >= self.lo) & (y <= self.hi)).astype(float)
-
-    def heat(self, y, sigma: float, t):
-        if np.ndim(t) == 0 and t == 0.0:
-            return self.value(y)
-        y = np.asarray(y, dtype=float)
-        w = np.sqrt(4.0 * sigma * t)
-        return 0.5 * self.height * _erf_diff((y - self.lo) / w, (y - self.hi) / w)
-
-    def heat_dy(self, y, sigma: float, t: float):
-        if t == 0.0:
-            raise DomainError("box data is not differentiable at t = 0")
-        y = np.asarray(y, dtype=float)
-        w = math.sqrt(4.0 * sigma * t)
-        c = self.height / (w * math.sqrt(math.pi))
-        return c * (np.exp(-((y - self.lo) / w) ** 2) - np.exp(-((y - self.hi) / w) ** 2))
-
-    def domination(self) -> tuple[float, float]:
-        m = max(abs(self.lo), abs(self.hi))
-        return self.height * math.exp(m * m), 1.0
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self.lo, self.hi)
+        self._set_edges([(self.lo, self.hi, self.height)])
 
 
 @dataclass(frozen=True)
@@ -152,49 +166,19 @@ class GaussianProfile:
 
 
 @dataclass(frozen=True)
-class SumOfBoxes:
+class SumOfBoxes(_Boxes):
     boxes: tuple[Box, ...]
 
     def __post_init__(self):
         if not self.boxes:
             raise StructuralError("sum of boxes needs at least one box")
         object.__setattr__(self, "boxes", tuple(self.boxes))
-
-    def mass(self) -> float:
-        return sum(b.mass() for b in self.boxes)
-
-    def value(self, y):
-        return sum(b.value(y) for b in self.boxes)
-
-    def heat(self, y, sigma: float, t):
-        if np.ndim(t) == 0 and t == 0.0:
-            return self.value(y)
-        lo, hi, height = np.array([(b.lo, b.hi, b.height) for b in self.boxes]).T
-        y = np.asarray(y, dtype=float)[..., None]
-        w = np.sqrt(4.0 * sigma * t)[..., None]
-        return np.sum(0.5 * height * _erf_diff((y - lo) / w, (y - hi) / w), axis=-1)
-
-    def heat_dy(self, y, sigma: float, t: float):
-        return sum(b.heat_dy(y, sigma, t) for b in self.boxes)
-
-    def domination(self) -> tuple[float, float]:
-        pairs = [b.domination() for b in self.boxes]
-        return sum(b for b, _ in pairs), min(d for _, d in pairs)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(x for b in self.boxes for x in b.breakpoints())
+        self._set_edges([(b.lo, b.hi, b.height) for b in self.boxes])
 
 
 #: every profile's heat(y, sigma, t) takes one time t >= 0, or an array of
 #: times t > 0 broadcast against y (a (T, 1) column against (T, m) points)
 Profile = Box | GaussianProfile | SumOfBoxes
-
-
-def heat_extension(profile: Profile, sigma: float, y, t: float):
-    """Closed-form heat extension u(y, t) with diffusivity sigma (t >= 0)."""
-    if t < 0.0 or sigma <= 0.0:
-        raise DomainError("need t >= 0 and sigma > 0")
-    return profile.heat(y, sigma, t)
 
 
 def evolved_domination(profile: Profile, sigma: float, t: float) -> tuple[float, float]:
@@ -283,49 +267,60 @@ def _box_energy_at_zero(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyValue:
-    value: float
-    halfwidth: float
-    levels: int  # mesh doublings; 0 for a closed form
+class EnergyTrace:
+    times: np.ndarray  # strictly increasing, finite and >= 0
+    values: np.ndarray
+    halfwidths: np.ndarray  # the decay cube's reach; 0 for a closed form
+    levels: np.ndarray  # mesh doublings; 0 for a closed form
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise StructuralError("trace values must be finite")
 
 
 def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                     profiles, times, quad_tol: float = QUAD_TOL) -> list[EnergyValue]:
-    """Energies at the given times t >= 0, one EnergyValue per time.
+                     profiles, times, quad_tol: float = QUAD_TOL) -> EnergyTrace:
+    """The energy trace over the given times, sorted and without repeats.
 
-    All-Gaussian data stay Gaussian under the heat flow, so their energy is
+    Every time must be finite and >= 0 (DomainError otherwise).  All-Gaussian
+    data stay Gaussian under the heat flow, so their energy is
     :func:`gaussian_energy` of the evolved profiles; box data at t = 0 with
     k = 1 is :func:`_box_energy_at_zero`.  Both closed forms are reported
-    with ``halfwidth`` and ``levels`` 0.  Every other time is integrated in
-    one nested-trapezoid pass of :func:`blflow.quadrature.decay_quad` over
-    the stack of the times' decay forms F_t, which share the whitened cube:
-    ``halfwidth`` is the cube's reach sqrt(40 / lam_min(F_t)) along the
-    softest direction of F_t, and ``levels`` the number of mesh doublings
-    that time needed.  Box data at t = 0 with k >= 2 raises
-    UnsupportedScaleError.
+    with halfwidth and levels 0.  Every other time is integrated in one
+    nested-trapezoid pass of :func:`blflow.quadrature.decay_quad` over the
+    stack of the times' decay forms F_t, which share the whitened cube: the
+    halfwidth is the cube's reach sqrt(40 / lam_min(F_t)) along the softest
+    direction of F_t, and levels the number of mesh doublings that time
+    needed.  Box data at t = 0 with k >= 2 raises UnsupportedScaleError.
     """
-    times = [float(t) for t in times]
+    times = sorted({float(t) for t in times})
     for t in times:
-        if not t >= 0.0:
-            raise DomainError(f"need t >= 0, got t = {t}")
+        if not (math.isfinite(t) and t >= 0.0):
+            raise DomainError(f"need finite t >= 0, got t = {t}")
     _check_problem(sys, B, profiles)
+    values, halfwidths = np.zeros((2, len(times)))
+    levels = np.zeros(len(times), dtype=int)
     if all(isinstance(p, GaussianProfile) for p in profiles):
-        return [EnergyValue(gaussian_energy(sys, B, [p.evolved(s, t) for p, s
-                                                     in zip(profiles, cert.sigma)]), 0.0, 0)
-                for t in times]
-    # some profile is a box or a sum of boxes: discontinuous at t = 0
-    if 0.0 in times and sys.k > 1:
+        for i, t in enumerate(times):
+            evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
+            values[i] = gaussian_energy(sys, B, evolved)
+        return EnergyTrace(np.array(times), values, halfwidths, levels)
+    # some profile is a box or a sum of boxes, discontinuous at t = 0: times[0]
+    start = int(0.0 in times)
+    if start and sys.k > 1:
         raise UnsupportedScaleError(
             "box initial data at t = 0 is only integrated exactly for k = 1; "
             "evaluate at t > 0 or use Gaussian profiles")
-    ts = np.array([t for t in times if t > 0.0])
-    quad = iter(_energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol))
-    return [EnergyValue(_box_energy_at_zero(sys, B, profiles), 0.0, 0) if t == 0.0
-            else next(quad) for t in times]
+    results = _energies_by_quadrature(sys, cert, B, profiles, np.array(times[start:]), quad_tol)
+    for i, res in enumerate(results, start):
+        values[i], halfwidths[i], levels[i] = res.value, res.halfwidth, res.levels
+    if start:
+        values[0] = _box_energy_at_zero(sys, B, profiles)
+    return EnergyTrace(np.array(times), values, halfwidths, levels)
 
 
-def _energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol) -> list[EnergyValue]:
-    """The energies at the times ts > 0, from one decay_quad pass over the
+def _energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol) -> list:
+    """decay_quad's results at the times ts > 0, from one pass over the
     Gaussian bounds F_t = sum_j w_j delta_j(t) a_j a_j^T on the integrand."""
     if not ts.size:
         return []
@@ -338,43 +333,19 @@ def _energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol) -> list[Energy
     def integrand(X, idx):
         return B.evaluate(_profile_vector(sys, cert, profiles, X, ts[idx, None]))
 
-    return [EnergyValue(res.value, res.halfwidth, res.levels)
-            for res in quadrature.decay_quad(integrand, F, rel_tol=quad_tol)]
+    return quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
 
 
-def bellman_energy(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                   profiles, t: float, quad_tol: float = QUAD_TOL) -> EnergyValue:
-    """Energy at one time t >= 0: :func:`bellman_energies` at [t]."""
-    return bellman_energies(sys, cert, B, profiles, [t], quad_tol)[0]
-
-
-def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses) -> EnergyValue:
+def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses) -> float:
     """The t -> infinity limit: B of normalized Gaussians scaled by the masses.
 
     This is the energy of the extremizers gaussian_extremizer(m_j, sigma_j),
-    so it is the closed form :func:`gaussian_energy`, reported with
-    ``halfwidth`` and ``levels`` 0.
+    so it is the closed form :func:`gaussian_energy`.
     """
     masses = np.asarray(masses, dtype=float).ravel()
     if masses.size != sys.n or np.any(masses <= 0.0):
         raise StructuralError("need one positive mass per column")
-    limit = [gaussian_extremizer(m, s) for m, s in zip(masses, cert.sigma)]
-    return EnergyValue(gaussian_energy(sys, B, limit), 0.0, 0)
-
-
-@dataclass(frozen=True)
-class EnergyTrace:
-    times: np.ndarray
-    values: np.ndarray
-    halfwidths: np.ndarray
-    levels: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0.0):
-            raise StructuralError("times must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise StructuralError("trace values must be finite")
+    return gaussian_energy(sys, B, [gaussian_extremizer(m, s) for m, s in zip(masses, cert.sigma)])
 
 
 @dataclass(frozen=True)
@@ -391,19 +362,15 @@ class FlowVerdict:
 def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                       profiles, times=DEFAULT_TIMES, quad_tol: float = QUAD_TOL,
                       check_certificate: bool = True) -> tuple[EnergyTrace, FlowVerdict]:
-    """Sample the energy over a time grid and check it never decreases.
+    """The energy trace of :func:`bellman_energies` over a time grid, and
+    whether it never decreases.
 
-    Every time must be >= 0 (DomainError otherwise).  When the certificate
-    fails (or is not checked) the verdict is labeled accordingly:
-    monotonicity is only guaranteed under the concavity condition.
+    When the certificate fails (or is not checked) the verdict is labeled
+    accordingly: monotonicity is only guaranteed under the concavity
+    condition.
     """
-    _check_problem(sys, B, profiles)
-    times = np.asarray(sorted(set(float(t) for t in times)))
-    evals = bellman_energies(sys, cert, B, profiles, times, quad_tol)
-    values = np.array([ev.value for ev in evals])
-    trace = EnergyTrace(times=times, values=values,
-                        halfwidths=np.array([ev.halfwidth for ev in evals]),
-                        levels=np.array([ev.levels for ev in evals]))
+    trace = bellman_energies(sys, cert, B, profiles, times, quad_tol)
+    values = trace.values
     mono_tol = max(1e-8, 10.0 * quad_tol * float(np.max(np.abs(values))))
     monotone = bool(np.all(np.diff(values) >= -mono_tol))
     certified = check_L3(sys, cert, B)[0] if check_certificate else None
@@ -411,8 +378,8 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     label = ("certified" if certified else
              "no certificate" if certified is False else "unchecked")
     verdict = FlowVerdict(monotone=monotone, certified=certified, mono_tol=mono_tol,
-                          initial_value=float(values[0]), limit_value=limit.value,
-                          final_gap=abs(float(values[-1]) - limit.value), label=label)
+                          initial_value=float(values[0]), limit_value=limit,
+                          final_gap=abs(float(values[-1]) - limit), label=label)
     return trace, verdict
 
 

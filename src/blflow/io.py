@@ -70,6 +70,24 @@ def _parse_tolerances(doc) -> dict:
     return dict(doc)
 
 
+def _field(doc: dict, key: str, convert, default=None):
+    """convert(doc[key]), or ``default`` when key is absent.
+
+    A ValueError, KeyError, TypeError or AttributeError that convert raises
+    on a malformed value is reported as a StructuralError that names the
+    field.
+    """
+    if key not in doc:
+        return default
+    try:
+        return convert(doc[key])
+    except StructuralError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise StructuralError(f"malformed field {key!r}: {detail}") from exc
+
+
 def parse_problem(text: str) -> Problem:
     try:
         doc = json.loads(text)
@@ -77,32 +95,28 @@ def parse_problem(text: str) -> Problem:
         raise StructuralError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StructuralError("problem file must be a JSON object")
-    try:
-        k, n = int(doc["k"]), int(doc["n"])
-        A = np.asarray(doc["A"], dtype=float)
-    except KeyError as exc:
-        raise StructuralError(f"missing required field {exc}") from exc
+    for key in ("k", "n", "A"):
+        if key not in doc:
+            raise StructuralError(f"missing required field {key!r}")
+    k, n = _field(doc, "k", int), _field(doc, "n", int)
+    A = _field(doc, "A", lambda a: np.asarray(a, dtype=float))
     if A.shape != (k, n):
         raise StructuralError(f"A must be a {k}x{n} row-major array, got shape {A.shape}")
     system = VectorSystem(A)
-    e = Exponents(doc["inv_p"]) if "inv_p" in doc else None
+    e = _field(doc, "inv_p", Exponents)
     if e is not None and e.n != n:
         raise StructuralError("inv_p length differs from n")
-    B = _parse_B(doc["B"], n) if "B" in doc else None
+    B = _field(doc, "B", lambda b: _parse_B(b, n))
     if B is not None and B.n != n:
         raise StructuralError("B has the wrong number of variables")
-    profiles = None
-    if "profiles" in doc:
-        profiles = tuple(_parse_profile(p) for p in doc["profiles"])
-        if len(profiles) != n:
-            raise StructuralError("need one profile per column of A")
-    C = None
-    if "C" in doc:
-        C = np.asarray(doc["C"], dtype=float)
-        if C.shape != (k, k):
-            raise StructuralError("C must be k x k")
+    profiles = _field(doc, "profiles", lambda ps: tuple(map(_parse_profile, ps)))
+    if profiles is not None and len(profiles) != n:
+        raise StructuralError("need one profile per column of A")
+    C = _field(doc, "C", lambda c: np.asarray(c, dtype=float))
+    if C is not None and C.shape != (k, k):
+        raise StructuralError("C must be k x k")
     return Problem(system=system, exponents=e, B=B, profiles=profiles, C=C,
-                   seed=int(doc.get("seed", 0)),
+                   seed=_field(doc, "seed", int, 0),
                    tolerances=_parse_tolerances(doc.get("tolerances", {})))
 
 

@@ -69,7 +69,6 @@ class VectorSystem:
     """The k x n matrix A whose j-th column is the vector a_j."""
 
     A: np.ndarray
-    rank_tol: float = RANK_TOL
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -80,7 +79,7 @@ class VectorSystem:
         norms = np.linalg.norm(A, axis=0)
         if np.any(norms == 0.0):
             raise StructuralError("every column of A must be nonzero")
-        if numerical_rank(A, self.rank_tol) < k:
+        if numerical_rank(A) < k:
             raise StructuralError("rank(A) < k")
 
     @property

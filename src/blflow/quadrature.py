@@ -5,7 +5,7 @@ c * exp(-x^T F x).  It whitens in F's eigenbasis, x = U diag(lam)^{-1/2} z,
 and applies the nested trapezoid rule on the fixed cube
 [-sqrt(LOG_TAIL), sqrt(LOG_TAIL)]^k in z, halving the mesh width until two
 successive sums agree.  The grids are nested: each halving keeps the last
-sum and evaluates the new nodes only (:func:`_trapezoid_sums`).  On analytic
+sum and evaluates the new nodes only (:func:`_new_nodes_sum`).  On analytic
 integrands with Gaussian decay the trapezoid rule converges exponentially
 (Trefethen & Weideman, SIAM Rev. 56, 2014), so no extrapolation is applied.
 
@@ -19,7 +19,6 @@ slabs along the first axis, so no (m**k, k) array of nodes is ever built.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,8 +47,7 @@ MAX_NODES = 1 << 23
 class QuadResult:
     value: float
     halfwidth: float
-    levels: int
-    nodes_per_axis: int
+    levels: int  # mesh doublings: the last grid has _N0 * 2**levels intervals per axis
 
 
 def _grid_sum(f, axes, weights, forms: int = 1):
@@ -81,38 +79,28 @@ def _grid_sum(f, axes, weights, forms: int = 1):
     return total
 
 
-def _trapezoid_sums(f, k: int, Z: float, forms: int = 1):
-    """Yield (m, S_m) for m = _N0, 2 _N0, 4 _N0, ...: the trapezoid sums of
-    f's rows on [-Z, Z]^k with m intervals per axis (see :func:`_grid_sum`).
+def _trapezoid_grid(Z: float, m: int):
+    """Nodes and weights of the trapezoid rule with m intervals on [-Z, Z]."""
+    nodes = np.linspace(-Z, Z, m + 1)
+    weights = np.full(m + 1, 2.0 * Z / m)
+    weights[[0, -1]] *= 0.5
+    return nodes, weights
 
-    Each level reuses the last: the nodes of the m-interval grid are the
-    even-indexed nodes of the 2m-interval grid, where every weight is halved
-    on each axis, so S_2m = S_m / 2**k plus the sum over the new nodes only.
-    Those are the nodes with an odd index on some axis; split by the first
-    such axis i, they are k tensor grids (even indices before i, odd on i,
-    all indices after i).  Every node is evaluated once, so the levels up to
-    m evaluate (m + 1)**k points per row in all.  Sending a boolean mask
-    over the rows of S_m, in place of next(), keeps only those rows: f must
-    return only those rows from then on.  Stops before a grid of more than
-    MAX_NODES nodes.
+
+def _new_nodes_sum(f, k: int, Z: float, m: int, forms: int = 1):
+    """S_m - S_{m/2} / 2**k: the part of the trapezoid sum S_m of f's rows on
+    [-Z, Z]^k, m intervals per axis, over the nodes that S_{m/2} lacks.
+
+    The m/2-interval nodes are the even-indexed m-interval nodes, whose
+    weights halve on each axis.  The new nodes have an odd index on some
+    axis; split by the first such axis i, they are k tensor grids (even
+    indices before i, odd on i, all indices after i).
     """
-    m, total = _N0, None
-    while (m + 1) ** k <= MAX_NODES:
-        full = np.linspace(-Z, Z, m + 1)
-        full_w = np.full(m + 1, 2.0 * Z / m)
-        full_w[[0, -1]] *= 0.5
-        if total is None:
-            total = _grid_sum(f, [full] * k, [full_w] * k, forms)
-        else:
-            even, even_w, odd, odd_w = full[::2], full_w[::2], full[1::2], full_w[1::2]
-            total = total / 2**k + sum(
-                _grid_sum(f, [even] * i + [odd] + [full] * (k - 1 - i),
-                          [even_w] * i + [odd_w] + [full_w] * (k - 1 - i), forms)
-                for i in range(k))
-        keep = yield m, total
-        if keep is not None:
-            total, forms = total[keep], int(np.count_nonzero(keep))
-        m *= 2
+    full, full_w = _trapezoid_grid(Z, m)
+    even, even_w, odd, odd_w = full[::2], full_w[::2], full[1::2], full_w[1::2]
+    return sum(_grid_sum(f, [even] * i + [odd] + [full] * (k - 1 - i),
+                         [even_w] * i + [odd_w] + [full_w] * (k - 1 - i), forms)
+               for i in range(k))
 
 
 def decay_quad(f, F, rel_tol: float = 1e-8):
@@ -140,9 +128,8 @@ def decay_quad(f, F, rel_tol: float = 1e-8):
     grid.  QuadratureAnomaly is raised rather than evaluate more than
     MAX_NODES points for a form, so a returned sum has met ``rel_tol``.  A
     result's ``halfwidth`` is sqrt(LOG_TAIL / lam_min(F)), the reach of the
-    cube along F's softest direction, ``levels`` the number of doublings and
-    ``nodes_per_axis`` the final grid's.  A single form gives one QuadResult,
-    a stack a list of them.
+    cube along F's softest direction, and ``levels`` the number of doublings.
+    A single form gives one QuadResult, a stack a list of them.
     """
     F = np.asarray(F, dtype=float)
     single = F.ndim < 3
@@ -165,24 +152,23 @@ def decay_quad(f, F, rel_tol: float = 1e-8):
     def whitened(z):
         return batched(z @ T[active].transpose(0, 2, 1), active)
 
-    sums = _trapezoid_sums(whitened, k, Z, len(F))
-    m, keep, prev = _N0 // 2, None, None  # if no grid fits, the next one has _N0 intervals
-    for doublings in itertools.count():
-        try:
-            m, total = sums.send(keep)
-        except StopIteration:
-            break
+    m, levels, total = _N0, 0, None
+    prev = np.full(len(F), np.nan)  # the first level agrees with nothing
+    while (m + 1) ** k <= MAX_NODES:
+        if total is None:
+            nodes, weights = _trapezoid_grid(Z, m)
+            total = _grid_sum(whitened, [nodes] * k, [weights] * k, active.size)
+        else:
+            total = total / 2**k + _new_nodes_sum(whitened, k, Z, m, active.size)
         value = jacobian[active] * total
-        done = (np.zeros(active.size, dtype=bool) if prev is None else
-                np.abs(value - prev) <= rel_tol * np.maximum(np.abs(value), np.abs(prev)))
+        done = np.abs(value - prev) <= rel_tol * np.maximum(np.abs(value), np.abs(prev))
         for i in np.flatnonzero(done):
-            results[active[i]] = QuadResult(float(value[i]), float(halfwidth[active[i]]),
-                                            doublings, m + 1)
-        keep = ~done
-        active, prev = active[keep], value[keep]
+            results[active[i]] = QuadResult(float(value[i]), float(halfwidth[active[i]]), levels)
+        active, prev, total = active[~done], value[~done], total[~done]
         if not active.size:
             return results[0] if single else results
+        m, levels = 2 * m, levels + 1
     raise QuadratureAnomaly(
         f"trapezoid sums of {active.size} decay form(s) did not reach "
         f"rel_tol={rel_tol:g} within {MAX_NODES} nodes on R^{k}; the next grid "
-        f"would have {2 * m} intervals per axis")
+        f"would have {m} intervals per axis")

@@ -148,6 +148,18 @@ class TestConstant:
         assert code == 0 and doc["status"] == "sup not attained / infinite"
         assert any("sum(1/p_j) = 1.5 differs from k = 2" in note for note in doc["notes"])
 
+    def test_degree_within_tolerance_gets_one_verdict(self, tmp_path, capsys):
+        # sum(1/p) = 2 + 1e-9 is within polytope.DEGREE_TOL of k = 2: the
+        # polytope calls it inside, and the solver solves at degree exactly 2
+        path = write(tmp_path, dict(YOUNG3, inv_p=[0.666666667] * 3))
+        assert run_json(capsys, ["finiteness", path])[1]["verdict"] == "inside"
+        code, doc = run_json(capsys, ["constant", path])
+        assert code == 0 and doc["status"] == "converged" and not doc["notes"]
+        exact = run_json(capsys, ["constant", write(tmp_path, YOUNG3, "exact.json")])[1]
+        assert doc["D"] == pytest.approx(exact["D"], rel=1e-15)
+        code, doc = run_json(capsys, ["solve-c", path])
+        assert code == 0 and doc["converged"]
+
     def test_honours_res_tol(self, tmp_path, capsys):
         path = write(tmp_path, UNREACHABLE_TOL)
         code, doc = run_json(capsys, ["constant", path])
@@ -375,6 +387,29 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("problem", ["holder_boxes", "lifted_section_triple"])
+    @pytest.mark.parametrize("tmax", ["inf", "nan"])
+    def test_non_finite_tmax_is_input_error(self, problem, tmax):
+        proc = subprocess.run([sys.executable, "-m", "blflow.cli", "flow",
+                               str(PROBLEMS / f"{problem}.json"), "--tmax", tmax],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: need finite t >= 0, got t = {tmax}\n"
+
+    @pytest.mark.parametrize("field", [
+        {"k": "x"}, {"seed": "x"}, {"inv_p": "abc"}, {"profiles": 5},
+        {"B": {"variant": "young"}},
+        {"profiles": [{"type": "box", "lo": 0.0, "height": 1.0}] * 3},
+        {"B": 5},
+    ], ids=["k", "seed", "inv_p", "profiles", "young_without_alpha", "box_without_hi",
+            "B_not_an_object"])
+    def test_malformed_field_is_input_error(self, tmp_path, field):
+        path = write(tmp_path, dict(YOUNG3, **field))
+        proc = subprocess.run([sys.executable, "-m", "blflow.cli", "finiteness", path],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: malformed field {next(iter(field))!r}")
 
     @pytest.mark.parametrize("command, tol", [("verify", "0"), ("verify", "-0.001"),
                                               ("flow", "-1"), ("flow", "0"),

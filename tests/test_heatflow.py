@@ -9,9 +9,9 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import erfc
 
 from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
-                    bellman_energies, bellman_energy, bellman_identity_probe, cli,
-                    gaussian, gaussian_energy, gaussian_extremizer, heat_extension,
-                    make_cert, monotonicity_scan, quadrature, rhs_limit)
+                    bellman_energies, bellman_identity_probe, cli, gaussian,
+                    gaussian_energy, gaussian_extremizer, make_cert, monotonicity_scan,
+                    quadrature, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
 from blflow.heatflow import (DEFAULT_TIMES, QUAD_TOL, erfc as heatflow_erfc,
                              evolved_domination, time_grid)
@@ -31,7 +31,7 @@ class TestKernels:
         # unit box, sigma = 1: u(y, t) = (erf((y-lo)/w) - erf((y-hi)/w))/2
         b = Box(0.0, 1.0, 1.0)
         w = math.sqrt(4.0 * 1.0 * 0.25)
-        got = heat_extension(b, 1.0, 0.3, 0.25)
+        got = b.heat(0.3, 1.0, 0.25)
         want = 0.5 * (math.erf(0.3 / w) - math.erf((0.3 - 1.0) / w))
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -43,7 +43,7 @@ class TestKernels:
         sigma, t = 1.0, 0.01
         w = math.sqrt(4.0 * sigma * t)
         y = b.hi + 10.0 * w if side > 0 else b.lo - 10.0 * w
-        u = float(heat_extension(b, sigma, y, t))
+        u = float(b.heat(y, sigma, t))
         assert u > 0.0
         assert u == pytest.approx(0.5 * b.height * erfc(10.0), rel=1e-12)
 
@@ -76,10 +76,25 @@ class TestKernels:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
+    def test_box_is_a_sum_of_one_box(self):
+        # Box and SumOfBoxes share one body, so one box gives the same bits
+        lo, hi, h = -0.7, 1.3, 2.5
+        box, one = Box(lo, hi, h), SumOfBoxes((Box(lo, hi, h),))
+        y = np.linspace(-4.0, 4.0, 33)
+        times = np.array([1e-2, 1.0, 50.0])
+        column = np.stack([y + t for t in times])
+        pairs = [(p.value(y), p.heat(y, 1.3, 0.4), p.heat(column, 1.3, times[:, None]),
+                  p.heat_dy(y, 1.3, 0.4)) for p in (box, one)]
+        for got, want in zip(*pairs):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert box.mass() == one.mass() == h * (hi - lo)
+        assert box.domination() == one.domination()
+        assert box.breakpoints() == one.breakpoints() == (lo, hi)
+
     def test_box_t_zero_is_indicator(self):
         b = Box(0.0, 2.0, 1.5)
         y = np.array([-0.1, 0.0, 1.0, 2.0, 2.1])
-        assert np.array_equal(heat_extension(b, 1.0, y, 0.0),
+        assert np.array_equal(b.heat(y, 1.0, 0.0),
                               [0.0, 1.5, 1.5, 1.5, 0.0])
 
     def test_gaussian_self_similar(self):
@@ -90,13 +105,13 @@ class TestKernels:
         for t in (0.0, 0.1, 1.0, 10.0):
             vt = sigma + 4.0 * sigma * t
             want = (3.0 / math.sqrt(math.pi * vt)) * np.exp(-(y**2) / vt)
-            assert np.max(np.abs(heat_extension(g, sigma, y, t) - want)) <= 1e-12
+            assert np.max(np.abs(g.heat(y, sigma, t) - want)) <= 1e-12
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: type(p).__name__)
     def test_mass_conservation(self, profile):
         for sigma, t in [(1.0, 0.3), (2.5, 1.0), (0.5, 10.0)]:
             span = 30.0 + math.sqrt(4.0 * sigma * t) * 20.0
-            val, err = scipy_quad(lambda y: float(heat_extension(profile, sigma, y, t)),
+            val, err = scipy_quad(lambda y: float(profile.heat(y, sigma, t)),
                                   -span, span, limit=400, points=(-5.0, 0.0, 5.0))
             assert val == pytest.approx(profile.mass(), rel=1e-8)
 
@@ -105,11 +120,11 @@ class TestKernels:
         sigma, t, h = 1.3, 0.7, 1e-4
         for profile in PROFILES:
             for y in (-0.8, 0.2, 1.4):
-                ut = (heat_extension(profile, sigma, y, t + h)
-                      - heat_extension(profile, sigma, y, t - h)) / (2 * h)
-                uyy = (heat_extension(profile, sigma, y + h, t)
-                       - 2 * heat_extension(profile, sigma, y, t)
-                       + heat_extension(profile, sigma, y - h, t)) / h**2
+                ut = (profile.heat(y, sigma, t + h)
+                      - profile.heat(y, sigma, t - h)) / (2 * h)
+                uyy = (profile.heat(y + h, sigma, t)
+                       - 2 * profile.heat(y, sigma, t)
+                       + profile.heat(y - h, sigma, t)) / h**2
                 assert ut == pytest.approx(sigma * uyy, rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: type(p).__name__)
@@ -120,7 +135,7 @@ class TestKernels:
             y = rng.uniform(-6.0, 6.0)
             t = rng.uniform(0.0, 50.0)
             b, d = evolved_domination(profile, sigma, t)
-            u = float(heat_extension(profile, sigma, y, t))
+            u = float(profile.heat(y, sigma, t))
             assert u <= b * math.exp(-d * y * y) * (1.0 + 1e-12) + 1e-300
 
     def test_profile_invariants(self):
@@ -135,40 +150,39 @@ class TestKernels:
 class TestEnergy:
     def test_box_initial_energy_exact(self, holder, box_profiles):
         sysm, _, B, cert = holder
-        ev = bellman_energy(sysm, cert, B, box_profiles, 0.0)
-        assert ev.levels == 0 and ev.halfwidth == 0.0
+        trace = bellman_energies(sysm, cert, B, box_profiles, [0.0])
+        assert trace.levels[0] == 0 and trace.halfwidths[0] == 0.0
         # sqrt(1_[0,1] * 1_[0,2]) integrates to exactly 1
-        assert ev.value == pytest.approx(1.0, abs=1e-12)
+        assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_limit_is_geometric_mean_of_masses(self, holder, box_profiles):
         sysm, _, B, cert = holder
-        ev = rhs_limit(sysm, cert, B, [p.mass() for p in box_profiles])
-        assert ev.value == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert ev.levels == 0 and ev.halfwidth == 0.0
+        limit = rhs_limit(sysm, cert, B, [p.mass() for p in box_profiles])
+        assert isinstance(limit, float)
+        assert limit == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_late_time_energy_near_limit(self, holder, box_profiles):
         sysm, _, B, cert = holder
-        ev = bellman_energy(sysm, cert, B, box_profiles, 1000.0)
-        assert math.sqrt(2.0) - 1e-3 <= ev.value <= math.sqrt(2.0) + 1e-8
+        value = bellman_energies(sysm, cert, B, box_profiles, [1000.0]).values[0]
+        assert math.sqrt(2.0) - 1e-3 <= value <= math.sqrt(2.0) + 1e-8
 
     def test_k2_boxes_at_t0_unsupported(self, young3, young3_cert):
         sysm, _, B = young3
         boxes = (Box(0.0, 1.0, 1.0),) * 3
         with pytest.raises(UnsupportedScaleError):
-            bellman_energy(sysm, young3_cert, B, boxes, 0.0)
+            bellman_energies(sysm, young3_cert, B, boxes, [0.0])
         # positive time is fine
-        ev = bellman_energy(sysm, young3_cert, B, boxes, 0.5)
-        assert ev.value > 0.0
+        assert bellman_energies(sysm, young3_cert, B, boxes, [0.5]).values[0] > 0.0
 
     def test_rejects_profile_count_mismatch(self, holder):
         sysm, _, B, cert = holder
         with pytest.raises(StructuralError):
-            bellman_energy(sysm, cert, B, (Box(0.0, 1.0, 1.0),), 1.0)
+            bellman_energies(sysm, cert, B, (Box(0.0, 1.0, 1.0),), [1.0])
 
     def test_rejects_negative_time(self, holder, box_profiles):
         sysm, _, B, cert = holder
         with pytest.raises(DomainError):
-            bellman_energy(sysm, cert, B, box_profiles, -1.0)
+            bellman_energies(sysm, cert, B, box_profiles, [-1.0])
         with pytest.raises(DomainError):
             monotonicity_scan(sysm, cert, B, box_profiles, times=(-0.1, 0.0, 1.0))
 
@@ -213,13 +227,13 @@ class TestGaussianEnergy:
             evolved = [p.evolved(s, t) for p, s in zip(profiles, sigma)]
             assert gaussian_energy(sysm, B, evolved) == pytest.approx(want, rel=1e-10)
 
-    def test_bellman_energy_is_the_closed_form(self):
+    def test_bellman_energies_are_the_closed_form(self):
         sysm, cert, B, profiles = gaussian_datum(2, 7)
-        for t in (0.0, 1.0):
-            ev = bellman_energy(sysm, cert, B, profiles, t)
+        trace = bellman_energies(sysm, cert, B, profiles, (0.0, 1.0))
+        for t, value in zip(trace.times, trace.values):
             evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
-            assert ev.value == gaussian_energy(sysm, B, evolved)
-            assert ev.levels == 0 and ev.halfwidth == 0.0
+            assert value == gaussian_energy(sysm, B, evolved)
+        assert set(trace.levels) == {0} and set(trace.halfwidths) == {0.0}
 
     def test_gaussian_scan_and_limit_run_no_quadrature(self, monkeypatch):
         # after the one-time self-test, every Gaussian value is the closed form
@@ -232,8 +246,8 @@ class TestGaussianEnergy:
         sysm, cert, B, profiles = gaussian_datum(2, 7)
         trace, verdict = monotonicity_scan(sysm, cert, B, profiles)
         limit = rhs_limit(sysm, cert, B, [p.mass() for p in profiles])
-        assert set(trace.levels) == {0} and limit.levels == 0
-        assert verdict.limit_value == limit.value
+        assert set(trace.levels) == {0}
+        assert verdict.limit_value == limit
 
     def test_evolved_is_a_semigroup(self):
         g = GaussianProfile(0.7, -1.5, 2.0)
@@ -243,15 +257,17 @@ class TestGaussianEnergy:
         assert twice.amplitude == pytest.approx(once.amplitude, rel=1e-14)
         assert once.center == g.center and once.mass() == pytest.approx(g.mass(), rel=1e-14)
 
-    def test_rank_deficient_A_raises(self):
-        # rank_tol=0 admits a rank-1 A; Q = A diag(w/v) A^T is then singular
-        sysm = VectorSystem(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), rank_tol=0.0)
+    def test_degenerate_gaussian_form_raises(self):
+        # A has full rank, but the variances 1e24 leave Q = A diag(w/v) A^T
+        # numerically rank 1
+        sysm = VectorSystem(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         B = BellmanSpec.young([0.5, 0.5, 0.5])
-        profiles = tuple(GaussianProfile(1.0, c, 1.0) for c in (0.0, 0.5, -0.5))
+        profiles = tuple(GaussianProfile(1.0, c, v)
+                         for c, v in ((0.0, 1.0), (0.5, 1e24), (-0.5, 1e24)))
         with pytest.raises(StructuralError):
             gaussian_energy(sysm, B, profiles)
         with pytest.raises(StructuralError):
-            bellman_energy(sysm, make_cert(sysm, np.eye(2)), B, profiles, 1.0)
+            bellman_energies(sysm, make_cert(sysm, np.eye(2)), B, profiles, [1.0])
 
 
 def reflect(profile):
@@ -307,10 +323,10 @@ class TestBoxEnergyAtZero:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_quad_over_panels(self, seed):
         sysm, cert, B, profiles = box_mix(seed)
-        ev = bellman_energy(sysm, cert, B, profiles, 0.0)
-        assert ev.levels == 0 and ev.halfwidth == 0.0
-        assert ev.value > 0.0
-        assert ev.value == pytest.approx(energy_by_panels(sysm, B, profiles), rel=1e-12)
+        trace = bellman_energies(sysm, cert, B, profiles, [0.0])
+        assert trace.levels[0] == 0 and trace.halfwidths[0] == 0.0
+        assert trace.values[0] > 0.0
+        assert trace.values[0] == pytest.approx(energy_by_panels(sysm, B, profiles), rel=1e-12)
 
     def test_all_boxes_is_a_panel_sum(self):
         # u_1 = 2 on [0, 1] plus 1 on [1/4, 3/4]; u_2(-2x) = 3 for x in [1/2, 3/2]
@@ -318,15 +334,16 @@ class TestBoxEnergyAtZero:
         profiles = (SumOfBoxes((Box(0.0, 1.0, 2.0), Box(0.25, 0.75, 1.0))),
                     Box(-3.0, -1.0, 3.0))
         B = BellmanSpec.young([0.3, 0.7])
-        ev = bellman_energy(sysm, make_cert(sysm, np.eye(1)), B, profiles, 0.0)
+        trace = bellman_energies(sysm, make_cert(sysm, np.eye(1)), B, profiles, [0.0])
         want = 0.25 * 3.0**0.3 * 3.0**0.7 + 0.25 * 2.0**0.3 * 3.0**0.7
-        assert ev.value == pytest.approx(want, rel=1e-14)
+        assert trace.values[0] == pytest.approx(want, rel=1e-14)
 
     def test_disjoint_supports_give_zero(self):
         sysm = VectorSystem(np.array([[1.0, 1.0, 1.0]]))
         profiles = (Box(0.0, 1.0, 1.0), GaussianProfile(1.0, 0.5, 1.0), Box(2.0, 3.0, 1.0))
         B = BellmanSpec.young([0.5, 0.5, 0.5])
-        assert bellman_energy(sysm, make_cert(sysm, np.eye(1)), B, profiles, 0.0).value == 0.0
+        cert = make_cert(sysm, np.eye(1))
+        assert bellman_energies(sysm, cert, B, profiles, [0.0]).values[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sign_flips(self, seed):
@@ -335,8 +352,9 @@ class TestBoxEnergyAtZero:
         signs = np.random.default_rng(100 + seed).choice((-1.0, 1.0), size=sysm.n)
         flipped = VectorSystem(sysm.A * signs)
         reflected = tuple(p if s > 0 else reflect(p) for p, s in zip(profiles, signs))
-        want = bellman_energy(sysm, cert, B, profiles, 0.0).value
-        got = bellman_energy(flipped, make_cert(flipped, np.eye(1)), B, reflected, 0.0).value
+        want = bellman_energies(sysm, cert, B, profiles, [0.0]).values[0]
+        got = bellman_energies(flipped, make_cert(flipped, np.eye(1)), B, reflected,
+                               [0.0]).values[0]
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -383,8 +401,8 @@ class TestSymmetries:
         for Av, Cv, pv in variants:
             sysm = VectorSystem(Av)
             cert = make_cert(sysm, 0.5 * (Cv + Cv.T))
-            energies.append(bellman_energy(sysm, cert, B, pv, t).value)
-            limits.append(rhs_limit(sysm, cert, B, masses).value)
+            energies.append(bellman_energies(sysm, cert, B, pv, [t]).values[0])
+            limits.append(rhs_limit(sysm, cert, B, masses))
         for values in (energies, limits):
             assert max(values) - min(values) <= 1e-9 * abs(values[0])
 
@@ -495,12 +513,13 @@ class TestBatchedPass:
     def test_t0_box_value_and_batch_keep_their_places(self):
         sysm, cert, B, profiles = box_mix(2)
         times = (0.0, 0.5, 3.0)
-        evals = bellman_energies(sysm, cert, B, profiles, times)
-        for t, ev in zip(times, evals):
-            alone = bellman_energy(sysm, cert, B, profiles, t)
-            assert (ev.levels, ev.halfwidth) == (alone.levels, alone.halfwidth)
-            assert ev.value == pytest.approx(alone.value, rel=1e-13)
-        assert evals[0].levels == 0 and evals[1].levels > 0
+        trace = bellman_energies(sysm, cert, B, profiles, times)
+        assert list(trace.times) == list(times)
+        for i, t in enumerate(times):
+            alone = bellman_energies(sysm, cert, B, profiles, [t])
+            assert (trace.levels[i], trace.halfwidths[i]) == (alone.levels[0], alone.halfwidths[0])
+            assert trace.values[i] == pytest.approx(alone.values[0], rel=1e-13)
+        assert trace.levels[0] == 0 and trace.levels[1] > 0
 
     @pytest.mark.parametrize("budget", [8, 64])
     def test_flow_exits_3_when_the_budget_is_too_small(self, monkeypatch, capsys, budget):

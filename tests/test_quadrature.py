@@ -6,7 +6,7 @@ import pytest
 
 from blflow.errors import QuadratureAnomaly, UnsupportedScaleError
 from blflow import quadrature
-from blflow.quadrature import _N0, _grid_sum, _trapezoid_sums, decay_quad
+from blflow.quadrature import _N0, _grid_sum, _new_nodes_sum, decay_quad
 
 
 class TestDecayQuad:
@@ -39,15 +39,21 @@ class TestDecayQuad:
             return np.exp(-np.einsum("ij,jl,il->i", x, F, x))
 
         res = decay_quad(f, F, rel_tol=1e-12)
-        assert res.nodes_per_axis <= 129
+        assert _N0 * 2**res.levels + 1 <= 129
         assert res.value == pytest.approx(math.pi / math.sqrt(np.linalg.det(F)), rel=1e-12)
         # the cube reaches sqrt(40 / lam_min) along the softest direction
         assert res.halfwidth == pytest.approx(math.sqrt(40.0))
 
     def test_levels_count_doublings(self):
-        res = decay_quad(lambda x: np.exp(-x[:, 0] ** 2), np.eye(1))
+        points = []
+
+        def f(x):
+            points.append(len(x))
+            return np.exp(-x[:, 0] ** 2)
+
+        res = decay_quad(f, np.eye(1))
         assert res.levels >= 1
-        assert res.nodes_per_axis == 16 * 2**res.levels + 1
+        assert sum(points) == 16 * 2**res.levels + 1
 
     def test_rough_integrand_raises_at_budget(self):
         # a step inside the decay envelope converges only like h
@@ -97,7 +103,7 @@ class TestStackOfForms:
         assert len({r.levels for r in results}) > 1
         for i, res in enumerate(results):
             alone = decay_quad(f_one(i), F[i], rel_tol=1e-12)
-            assert (res.levels, res.nodes_per_axis) == (alone.levels, alone.nodes_per_axis)
+            assert res.levels == alone.levels
             assert res.halfwidth == alone.halfwidth
             assert res.value == pytest.approx(alone.value, rel=1e-13)
             assert res.value == pytest.approx(math.pi ** (k / 2) / math.sqrt(np.linalg.det(G)),
@@ -113,7 +119,7 @@ class TestStackOfForms:
             return np.exp(-np.einsum("tij,jl,til->ti", X, G, X))
 
         results = decay_quad(f, F, rel_tol=1e-12)
-        assert list(points) == [r.nodes_per_axis**k for r in results]
+        assert list(points) == [(_N0 * 2**r.levels + 1) ** k for r in results]
 
     def test_slab_counts_the_points_of_every_active_form(self, monkeypatch):
         G, F = form_stack(1, self.SCALES)
@@ -154,14 +160,16 @@ class TestNestedTrapezoid:
             return np.exp(-np.sum((z - 0.3) ** 2, axis=1)) * np.cos(z[:, 0])
 
         Z = 2.5
-        sums = _trapezoid_sums(f, k, Z)
+        nested = None
         for level in range(levels):
-            m, nested = next(sums)
-            assert m == _N0 * 2**level
+            m = _N0 * 2**level
             axis = np.linspace(-Z, Z, m + 1)
             w = np.full(m + 1, 2.0 * Z / m)
             w[[0, -1]] *= 0.5
-            assert nested == pytest.approx(_grid_sum(f, [axis] * k, [w] * k), rel=1e-13)
+            full = _grid_sum(f, [axis] * k, [w] * k)
+            # S_m = S_{m/2} / 2**k plus the sum over the new nodes only
+            nested = full if nested is None else nested / 2**k + _new_nodes_sum(f, k, Z, m)
+            assert nested == pytest.approx(full, rel=1e-13)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_node_is_evaluated_twice(self, k):
@@ -173,7 +181,7 @@ class TestNestedTrapezoid:
 
         res = decay_quad(f, np.eye(k), rel_tol=1e-12)
         points = np.concatenate(seen)
-        assert len(points) == res.nodes_per_axis**k
+        assert len(points) == (_N0 * 2**res.levels + 1) ** k
         assert len(np.unique(points, axis=0)) == len(points)
 
 
