@@ -4,14 +4,21 @@ The auxiliary weights s_j^2 satisfy the nonlinear system
 
     1/p_j = s_j^2 <M(s)^{-1} a_j, a_j>,   M(s) = A diag(s^2) A^T,
 
-solved by one gauge-projected Newton iteration on the concave log of the
-Gaussian functional (see solve_s_system), a log-sum-exp over the basis
-table of polytope.is_finite's verdict.  That one solve gives both answers:
-D, the functional's value at its maximizer b = p s^2 (blflow.gaussian), and
-the certificate C = M(s)^{-1} (build_C).  The certificate's quality is
-measured by the Frobenius defect of A diag(1/(p_j sigma_j)) A^T C = I and
-by the spectrum of the projector P = (A S)^T C (A S), S = diag(s_j), which
-must be an orthogonal projection of rank k.
+solved by one Newton iteration on the concave log of the Gaussian
+functional (see solve_s_system), a log-sum-exp over the basis table of
+polytope.is_finite's verdict.  Its Hessian is singular along a null space
+that the table already names: the span of (1, ..., 1) and the indicators of
+the matroid's separators, the column sets S with r(S) + r(E \\ S) = k.  Each
+step is one positive-definite solve with the Hessian plus the projector onto
+that span (_null_projector).  The iteration starts at the fixed-point image
+of C = I, s_j^2 = (1/p_j) / |a_j|^2, which solves k = 1 data outright and
+makes the iterates equivariant under column scaling.  That one solve gives
+both answers: D, the functional's value at its maximizer b = p s^2
+(blflow.gaussian), and the certificate C = M(s)^{-1} (build_C).  The
+certificate's quality is measured by the Frobenius defect of
+A diag(1/(p_j sigma_j)) A^T C = I and by the spectrum of the projector
+P = (A S)^T C (A S), S = diag(s_j), which must be an orthogonal projection
+of rank k.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateRejection, IterationError
-from .model import Exponents, GaussCert, VectorSystem, numerical_rank
+from .model import Exponents, GaussCert, VectorSystem
 from .polytope import DEGREE_TOL, BasisIndicatorSet
 
 MAX_ITER = 100
@@ -68,36 +75,57 @@ def _newton_terms(bases: BasisIndicatorSet, x: np.ndarray, z: np.ndarray):
     return f, x - tau, (V.T * mu) @ V - np.outer(tau, tau)
 
 
+def _null_projector(bases: BasisIndicatorSet, k: int) -> np.ndarray:
+    """Orthogonal projector onto the null space of K, the same at every z.
+
+    A separator S, r(S) + r(E \\ S) = k, meets every basis B in r(S)
+    columns, so K 1_S = 0; with 1, the separators' indicators span null(K),
+    which is spanned by the indicators of the connected components of the
+    column matroid.  Columns i and j share a component iff no separator holds
+    one and not the other, and P averages over components: 11^T / n for
+    connected data.
+    """
+    sep = bases.masks[bases.ranks + bases.ranks[::-1] == k]
+    apart = sep.T @ (1.0 - sep)
+    same = (apart + apart.T) == 0.0
+    return same / same.sum(axis=1, keepdims=True)
+
+
 def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
                    res_tol: float = RES_TOL) -> SSystemResult:
-    """Gauge-projected Newton iteration for the auxiliary weights.
+    """Newton iteration for the auxiliary weights.
 
     In z = log s^2 the system is the stationarity condition of the concave
     f(z) = (<1/p, z> - log det M(e^z)) / 2, evaluated on the basis table
     ``bases`` of A (polytope.is_finite's; n and k are read from it, see
     _newton_terms): the gradient is (1/p - tau) / 2 with
-    tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian is -K / 2.  K
-    annihilates the gauge direction (1, ..., 1), so z stays on sum(z) = 0
-    and the step is a least-squares solve, which also covers
-    decomposable data with a larger null space.  Steps are capped and
-    backtracked (Armijo on f; only in the round-off endgame, where f cannot
-    show the predicted increase, a drop in the residual also accepts a
-    step).  Off the interior of the finiteness polytope the supremum is not
-    attained and the iterates run off to infinity; the solve stops
+    tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian is -K / 2.  The
+    iteration starts at z = log(x_j / |a_j|^2), centred: one fixed-point
+    step s_j^2 = x_j / <C a_j, a_j> from C = I, exact for k = 1.  K
+    annihilates the gauge direction (1, ..., 1) and, on decomposable data,
+    the indicator of every connected component.  That null space is the same
+    at every z, P = _null_projector(bases, k) projects onto it, and the step
+    d solves the positive-definite system (K + P) d = r - P r, whose solution
+    is orthogonal to the null space, so sum(z) stays fixed.  Steps are capped
+    and backtracked (Armijo on f; only in the round-off endgame, where f
+    cannot show the predicted increase, a drop in the residual also accepts
+    a step).  Off the interior of the finiteness polytope the supremum is
+    not attained and the iterates run off to infinity; the solve stops
     unconverged when their gauge spread exceeds _DIVERGENCE_SPREAD or the
-    gradient leaves the Hessian's range.  Off-degree exponents,
-    |sum(1/p_j) - k| > polytope.DEGREE_TOL, stop it unconverged after the
-    first evaluation.  Within that tolerance, exponents that miss the
-    degree by more than res_tol are solved at x = (1/p) k / sum(1/p), and
-    all others at x = 1/p.  s^2 is returned normalized to sum(s^2) = 1, with
-    f there; the residual is max_j |x_j - tau_j|.
+    gradient leaves the Hessian's range (K d misses r by more than
+    _RANGE_TOL, or K + P is singular to working precision).  Off-degree
+    exponents, |sum(1/p_j) - k| > polytope.DEGREE_TOL, stop it unconverged
+    after the first evaluation.  Within that tolerance, exponents that miss
+    the degree by more than res_tol are solved at x = (1/p) k / sum(1/p),
+    and all others at x = 1/p.  s^2 is returned normalized to
+    sum(s^2) = 1, with f there; the residual is max_j |x_j - tau_j|.
     D = exp(f - sum_j x_j log x_j / 2) is the Gaussian functional at
     b = p s^2 (no determinant of Q(b) is formed): the concave f's one
     stationary point is its maximum, so D is the sharp constant when the
     solve converges, and off the interior of the polytope the value at the
     last iterate.
     """
-    n, k = bases.vectors.shape[1], len(bases.subsets[0])
+    k = len(bases.subsets[0])
     x = e.inv_p
     degree = float(x.sum())
     off_degree = abs(degree - k) > DEGREE_TOL
@@ -114,7 +142,9 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
                              math.exp(f - 0.5 * float(x @ np.log(x))),
                              () if note is None else (note,))
 
-    z = np.zeros(n)
+    # one fixed-point step from C = I, s_j^2 = x_j / |a_j|^2: exact for k = 1
+    z = np.log(x / bases.norms**2)
+    z -= z.mean()
     f, r, K = _newton_terms(bases, x, z)
     residual = float(np.max(np.abs(r)))
     it = 1
@@ -122,19 +152,21 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
         # sum(1/p - tau) = sum(1/p) - k at every z, so the residual cannot vanish
         return result(z, f, residual, it, False, f"sum(1/p_j) = {degree!r} differs from "
                       f"k = {k}: the s-system has no solution")
+    P = _null_projector(bases, k)
     while residual > res_tol:
         if it == MAX_ITER:
             return result(z, f, residual, it, False, f"no convergence in {MAX_ITER} iterations")
         if float(np.max(np.abs(z))) > _DIVERGENCE_SPREAD:
             return result(z, f, residual, it, False, "the gauge spread of log s^2 exceeds "
                           f"{_DIVERGENCE_SPREAD:g}: the supremum is not attained")
-        r = r - r.mean()
-        d = np.linalg.lstsq(K, r, rcond=None)[0]
-        if float(np.max(np.abs(r - K @ d))) > _RANGE_TOL:
+        try:
+            d = np.linalg.solve(K + P, r - P @ r)
+        except np.linalg.LinAlgError:
+            d = None
+        if d is None or float(np.max(np.abs(r - K @ d))) > _RANGE_TOL:
             # f is linear along K's null space, which is the same at every z
             return result(z, f, residual, it, False, "the gradient leaves the range "
                           "of the Hessian: the supremum is not attained")
-        d -= d.mean()
         longest = float(np.max(np.abs(d)))
         if longest > _MAX_STEP:
             d *= _MAX_STEP / longest
@@ -215,7 +247,7 @@ def projection_check(sys: VectorSystem, cert: GaussCert,
     idem = float(np.linalg.norm(P @ P - P))
     eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
     on_01 = bool(np.all(np.minimum(np.abs(eigs), np.abs(eigs - 1.0)) <= eig_tol))
-    rank = numerical_rank(P, tol=1e-8)
+    rank = int(np.count_nonzero(np.abs(eigs) > 1e-8 * np.max(np.abs(eigs))))
     gram = sys.A.T @ cert.C @ sys.A - np.diag(1.0 / cert.s_sq)
     diag_bound_ok = bool(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1] <= eig_tol)
     ok = sym <= idem_tol and idem <= idem_tol and on_01 and rank == sys.k

@@ -50,12 +50,46 @@ def erfc(x):
     return np.fromiter(map(math.erfc, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
-def _erf_diff(a, b):
-    """erf(a) - erf(b) for a >= b, elementwise, from the tails erfc(|a|) and
-    erfc(|b|): where a and b have one sign it is the tails' difference, which
-    keeps every digit where erf(a) - erf(b) is the round-off of 1 - 1."""
+#: below this half-width h = (hi - lo) / (2 w), erf((c - lo) / w) - erf((c - hi) / w)
+#: is taken from its series in h: the tails' difference loses about
+#: log10(1 / h) digits there, and more where |c| >> hi - lo
+_SERIES_H = 1e-3
+
+
+def _erf_diff(c, lo, hi, w):
+    """erf((c - lo) / w) - erf((c - hi) / w) for lo < hi and w > 0, elementwise.
+
+    It is taken from the tails erfc(|a|) and erfc(|b|) of a = (c - lo) / w and
+    b = (c - hi) / w: where a and b have one sign it is the tails'
+    difference, which keeps every digit where erf(a) - erf(b) is the round-off
+    of 1 - 1.  Where the half-width h = (hi - lo) / (2 w) is below _SERIES_H
+    (a kernel much wider than the interval) the tails cancel, and so do a and
+    b, so there it is _erf_diff_series at the midpoint (c - (lo + hi) / 2) / w
+    and h, both formed without a difference of nearby numbers.
+    """
+    a, b = (c - lo) / w, (c - hi) / w
     ea, eb = erfc(np.abs(a)), erfc(np.abs(b))
-    return np.where((b > 0.0) | (a < 0.0), np.abs(ea - eb), 2.0 - ea - eb)
+    diff = np.where((b > 0.0) | (a < 0.0), np.abs(ea - eb), 2.0 - ea - eb)
+    h = 0.5 * (hi - lo) / w
+    if np.min(h) < _SERIES_H:
+        diff = np.where(h < _SERIES_H, _erf_diff_series((c - 0.5 * (lo + hi)) / w, h), diff)
+    return diff
+
+
+def _erf_diff_series(m, h):
+    """erf(m + h) - erf(m - h) for 0 <= h < _SERIES_H, from the Taylor series
+    of exp(-s^2) about the midpoint m:
+    (4 h / sqrt(pi)) exp(-m^2) sum_n H_2n(m) h^2n / (2n + 1)!, with the
+    Hermite polynomials H_2n, to the h^6 term.  The first omitted term is below
+    1e-15 relative while exp(-m^2) is a normal number (|m| < 27); |m| is capped
+    at 40, where the sum is 0, so that no H_2n overflows."""
+    m2 = np.minimum(np.abs(m), 40.0) ** 2
+    h2 = h * h
+    H2 = 4.0 * m2 - 2.0
+    H4 = (16.0 * m2 - 48.0) * m2 + 12.0
+    H6 = ((64.0 * m2 - 480.0) * m2 + 720.0) * m2 - 120.0
+    series = 1.0 + h2 * (H2 / 6.0 + h2 * (H4 / 120.0 + h2 * H6 / 5040.0))
+    return 4.0 / math.sqrt(math.pi) * h * np.exp(-m2) * series
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +121,7 @@ class _Boxes:
         lo, hi, height = self._edges
         y = np.asarray(y, dtype=float)[..., None]
         w = np.sqrt(4.0 * sigma * t)[..., None]
-        return (0.5 * height * _erf_diff((y - lo) / w, (y - hi) / w)).sum(axis=-1)
+        return (0.5 * height * _erf_diff(y, lo, hi, w)).sum(axis=-1)
 
     def heat_dy(self, y, sigma: float, t: float):
         if t == 0.0:
@@ -262,7 +296,7 @@ def _box_energy_at_zero(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
         return float(const @ (hi - lo))
     b, c0 = float(wv @ (a * c)), float(wv @ c**2)
     r, m = math.sqrt(q), b / q
-    return (float(const @ _erf_diff(r * (hi - m), r * (lo - m)))
+    return (float(const @ _erf_diff(m, lo, hi, 1.0 / r))
             * 0.5 * math.sqrt(math.pi / q) * math.exp(b * m - c0))
 
 
@@ -282,10 +316,11 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                      profiles, times, quad_tol: float = QUAD_TOL) -> EnergyTrace:
     """The energy trace over the given times, sorted and without repeats.
 
-    Every time must be finite and >= 0 (DomainError otherwise).  All-Gaussian
-    data stay Gaussian under the heat flow, so their energy is
-    :func:`gaussian_energy` of the evolved profiles; box data at t = 0 with
-    k = 1 is :func:`_box_energy_at_zero`.  Both closed forms are reported
+    Every time must be finite and >= 0, and so must every 4 sigma_j t
+    (DomainError otherwise).  All-Gaussian data stay Gaussian under the heat
+    flow, so their energy is :func:`gaussian_energy` of the evolved
+    profiles; box data at t = 0 with k = 1 is :func:`_box_energy_at_zero`.
+    Both closed forms are reported
     with halfwidth and levels 0.  Every other time is integrated in one
     nested-trapezoid pass of :func:`blflow.quadrature.decay_quad` over the
     stack of the times' decay forms F_t, which share the whitened cube: the
@@ -297,6 +332,8 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     for t in times:
         if not (math.isfinite(t) and t >= 0.0):
             raise DomainError(f"need finite t >= 0, got t = {t}")
+    if times and not math.isfinite(4.0 * float(np.max(cert.sigma)) * times[-1]):
+        raise DomainError(f"4 sigma_j t overflows at t = {times[-1]}")
     _check_problem(sys, B, profiles)
     values, halfwidths = np.zeros((2, len(times)))
     levels = np.zeros(len(times), dtype=int)

@@ -11,9 +11,10 @@ so one stacked determinant over the k-subsets and one product against the
 2^n - 2 proper subsets give the whole rank table; n is capped at MAX_N.
 
 enumerate_bases is the package's one test of which column subsets are
-bases.  Its table keeps log det(A_B)^2 per basis; is_finite hands it on with
-its verdict, and blflow.certificate solves the s-system, whose solution
-gives both C and D, on that same table.
+bases.  Its table keeps log det(A_B)^2 per basis and the column norms, which
+the s-system solver starts from; is_finite hands it on with its verdict, and
+blflow.certificate solves the s-system, whose solution gives both C and D, on
+that same table.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class BasisIndicatorSet:
     log_c: np.ndarray  # shape (m,), log det(A_B)^2 per basis
     masks: np.ndarray  # shape (2^n - 2, n), one row per proper subset
     ranks: np.ndarray  # shape (2^n - 2,)
+    norms: np.ndarray  # shape (n,), the column norms |a_j|
 
     @property
     def count(self) -> int:
@@ -91,7 +93,7 @@ def enumerate_bases(sys: VectorSystem, basis_tol: float = BASIS_TOL) -> BasisInd
     masks = ((bits[:, None] >> np.arange(n)) & 1).astype(float)
     ranks = (masks @ vectors.T).max(axis=1, initial=0.0)
     return BasisIndicatorSet(tuple(map(tuple, rows.tolist())), vectors,
-                             2.0 * np.log(dets[keep]), masks, ranks)
+                             2.0 * np.log(dets[keep]), masks, ranks, norms)
 
 
 def is_finite(sys: VectorSystem, e: Exponents,

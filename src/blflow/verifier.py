@@ -66,7 +66,8 @@ def core_form(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> tuple[np.nd
     """K = (A^T C A) o (w w^T - diag w), with H(y) = B(y) Y^{-1} K Y^{-1}, and its scale.
 
     The scale ||A^T C A||_2 ||w w^T - diag w||_F is what every relative
-    tolerance is measured against.
+    tolerance is measured against.  Each check_* below builds this pair
+    unless it is handed one (``core``), as verify does once for all three.
     """
     G = sys.A.T @ cert.C @ sys.A
     w = B.weights
@@ -75,20 +76,20 @@ def core_form(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> tuple[np.nd
 
 
 def check_L3(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-             tol: float = L3_TOL) -> tuple[bool, float]:
+             tol: float = L3_TOL, *, core=None) -> tuple[bool, float]:
     """Negative semidefiniteness of H(y) at every interior y, from K's top eigenvalue.
 
     Returns (ok, top eigenvalue of K over its scale).
     """
-    K, scale = core_form(sys, cert, B)
+    K, scale = core or core_form(sys, cert, B)
     top = relative_top_eig(K, scale, tol=tol)
     return top <= tol, top
 
 
 def check_pde_identity(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                       tol: float = PDE_TOL) -> tuple[bool, float]:
+                       tol: float = PDE_TOL, *, core=None) -> tuple[bool, float]:
     """A D(y) H(y) = 0 at every interior y, from the defect of A diag(1/sigma) K = 0."""
-    K, scale = core_form(sys, cert, B)
+    K, scale = core or core_form(sys, cert, B)
     inv_sigma = 1.0 / cert.sigma
     scale *= float(np.linalg.norm(sys.A, 2) * np.max(inv_sigma))
     defect = float(np.linalg.norm((sys.A * inv_sigma) @ K)) / (scale if scale > 0.0 else 1.0)
@@ -96,9 +97,9 @@ def check_pde_identity(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
 
 
 def check_rank_bound(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                     tol: float = RANK_TOL) -> tuple[bool, int]:
+                     tol: float = RANK_TOL, *, core=None) -> tuple[bool, int]:
     """rank H(y) = rank K <= n - k at every interior y; returns (ok, rank K)."""
-    rank = numerical_rank(core_form(sys, cert, B)[0], tol=tol)
+    rank = numerical_rank((core or core_form(sys, cert, B))[0], tol=tol)
     return rank <= sys.n - sys.k, rank
 
 
@@ -158,10 +159,11 @@ class VerifierReport:
 
 def verify(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
            l3_tol: float = L3_TOL, pde_tol: float = PDE_TOL) -> VerifierReport:
-    """Run the full check battery on one (A, C, B) triple."""
-    l3_ok, l3_max = check_L3(sys, cert, B, tol=l3_tol)
-    pde_ok, pde = check_pde_identity(sys, cert, B, tol=pde_tol)
-    rank_ok, rank = check_rank_bound(sys, cert, B)
+    """Run the full check battery on one (A, C, B) triple, on one core_form."""
+    core = core_form(sys, cert, B)
+    l3_ok, l3_max = check_L3(sys, cert, B, tol=l3_tol, core=core)
+    pde_ok, pde = check_pde_identity(sys, cert, B, tol=pde_tol, core=core)
+    rank_ok, rank = check_rank_bound(sys, cert, B, core=core)
     return VerifierReport(
         l3_ok=l3_ok, l3_max_eig=l3_max, pde_ok=pde_ok, pde_defect=pde,
         rank_ok=rank_ok, rank=rank, l5=check_L5(sys, B),

@@ -6,6 +6,7 @@ import pytest
 from blflow import (Exponents, VectorSystem, build_C, certificate_defect,
                     enumerate_bases, gaussian_objective, is_finite, make_cert,
                     projection_check, solve_s_system)
+from blflow.certificate import _newton_terms, _null_projector
 from blflow.cli import _solved_certificate
 from blflow.errors import CertificateRejection
 from blflow.io import parse_problem
@@ -101,11 +102,76 @@ class TestSSystem:
                 failures.append((i, res.residual, res.notes))
         assert failures == []
 
-    def test_warm_start_converges_fast(self, young3):
-        # the symmetric start is already young3's solution
-        sysm, e, _ = young3
+    def test_warm_start_converges_fast(self):
+        # the start s_j^2 = x_j / |a_j|^2 solves the system when the unit
+        # columns u_j are in isotropic position, sum_j x_j u_j u_j^T = I:
+        # here three directions 120 degrees apart, at column norms 1, 2, 1/2
+        angles = np.pi / 2 + 2 * np.pi / 3 * np.arange(3)
+        sysm = VectorSystem(np.array([np.cos(angles), np.sin(angles)]) * [1.0, 2.0, 0.5])
+        res = solve_s_system(enumerate_bases(sysm), Exponents([2 / 3, 2 / 3, 2 / 3]))
+        assert res.converged and res.iterations == 1
+        assert np.allclose(res.s_sq, np.array([1.0, 0.25, 4.0]) / 5.25, rtol=1e-12)
+
+    def test_k1_start_is_exact(self):
+        # for k = 1, tau_j = s_j^2 a_j^2 / sum_i s_i^2 a_i^2 = x_j at the start
+        sysm = VectorSystem(np.array([[2.0, -0.5, 3.0, 0.1]]))
+        e = Exponents([0.2, 0.3, 0.4, 0.1])
         res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged and res.iterations == 1
+        expected = e.inv_p / sysm.A[0] ** 2
+        assert np.allclose(res.s_sq, expected / expected.sum(), rtol=1e-14)
+
+    def test_column_scaling_is_equivariant(self):
+        # a_j -> c_j a_j sends s_j^2 to s_j^2 / c_j^2 (up to the gauge), leaves
+        # C = M(s)^{-1} the same up to a positive factor, and runs the same steps
+        rng = np.random.default_rng(7)
+        for slack in (1.0, 1e-3):
+            for _ in range(10):
+                sysm, e = polytope_point(rng, slack)
+                c = np.exp(rng.uniform(-2.0, 2.0, size=sysm.n))
+                scaled = VectorSystem(sysm.A * c)
+                res = solve_s_system(enumerate_bases(sysm), e)
+                res_c = solve_s_system(enumerate_bases(scaled), e)
+                assert res.converged and res_c.converged
+                assert res_c.iterations == res.iterations
+                expected = res.s_sq / c**2
+                assert np.allclose(res_c.s_sq, expected / expected.sum(), rtol=1e-8)
+                C = build_C(sysm, e, res.s_sq).C
+                C_c = build_C(scaled, e, res_c.s_sq).C
+                assert np.allclose(C_c / np.trace(C_c), C / np.trace(C), rtol=1e-8, atol=0)
+
+    def test_decomposable_datum_matches_lstsq_oracle(self):
+        # block-diagonal A: two components (columns 0-2 in R^2, 3-4 in R^1),
+        # so K's null space is spanned by both components' indicators
+        A = np.zeros((3, 5))
+        A[:2, :3] = [[1.0, 0.3, -0.8], [0.2, 1.5, 0.9]]
+        A[2, 3:] = [0.7, -2.0]
+        sysm = VectorSystem(A)
+        e = Exponents([0.5, 0.7, 0.8, 0.35, 0.65])
+        bases = enumerate_bases(sysm)
+        assert is_finite(sysm, e).verdict == "inside"
+        res = solve_s_system(bases, e)
+        assert res.converged and res.residual <= 1e-10
+        # plain Newton from the same start, each step a least-squares solve
+        z = np.log(e.inv_p / np.linalg.norm(A, axis=0) ** 2)
+        z -= z.mean()
+        for _ in range(50):
+            _, r, K = _newton_terms(bases, e.inv_p, z)
+            if np.max(np.abs(r)) <= 1e-15:
+                break
+            z = z + np.linalg.lstsq(K, r, rcond=None)[0]
+        oracle = np.exp(z) / np.exp(z).sum()
+        assert np.allclose(res.s_sq, oracle, rtol=1e-12, atol=0)
+
+    def test_null_projector(self, young3):
+        # connected data: 11^T / n; the block-diagonal datum: one block per component
+        assert np.allclose(_null_projector(enumerate_bases(young3[0]), 2), np.full((3, 3), 1 / 3))
+        A = np.zeros((3, 5))
+        A[:2, :3] = [[1.0, 0.3, -0.8], [0.2, 1.5, 0.9]]
+        A[2, 3:] = [0.7, -2.0]
+        P = _null_projector(enumerate_bases(VectorSystem(A)), 3)
+        assert np.allclose(P[:3, :3], 1 / 3) and np.allclose(P[3:, 3:], 1 / 2)
+        assert not P[:3, 3:].any() and not P[3:, :3].any()
 
 
     def test_off_degree_fails_fast(self, young3):

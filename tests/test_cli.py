@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import blflow
-from blflow import certificate, polytope
+from blflow import certificate, heatflow, polytope
 from blflow.cli import main
 
 HOLDER = {
@@ -45,11 +45,11 @@ NEAR_SINGULAR = {
 }
 
 # inside the polytope, but no solve meets a residual tolerance below round-off:
-# the residual's floor on this datum is near 3e-17
+# these exponents sum to 2 - 2.2e-16 in floating point, and to 2 + 4.4e-16 once
+# rescaled to degree k = 2, so sum(x - tau) = sum(x) - k keeps the residual near 1e-16
 UNREACHABLE_TOL = {
-    "k": 2, "n": 4,
-    "A": [[0.80395, 0.77417, 0.53890, 0.73327], [0.59469, -0.63298, 0.84237, 0.67994]],
-    "inv_p": [0.16589, 0.34105, 0.72269, 0.77037], "tolerances": {"res_tol": 1e-30},
+    "k": 2, "n": 3, "A": [[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]],
+    "inv_p": [0.7, 0.6, 0.7], "tolerances": {"res_tol": 1e-30},
 }
 
 # k = 1 exponents 1e-5 from the boundary: inside at the default boundary_tol,
@@ -127,7 +127,9 @@ class TestConstant:
         code, doc = run_json(capsys, ["constant", write(tmp_path, YOUNG3)])
         assert code == 0
         assert doc["D"] == pytest.approx(0.8660254037844388, rel=1e-9)
-        assert doc["iterations"] == 1 and doc["residual"] <= 1e-10
+        # the start s^2 ∝ x / |a|^2 = (2, 1, 2) is four Newton steps from the
+        # symmetric solution
+        assert doc["iterations"] == 5 and doc["residual"] <= 1e-10
 
     def test_outside_reports_divergence(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["constant", write(tmp_path, OUTSIDE)])
@@ -164,8 +166,10 @@ class TestConstant:
         path = write(tmp_path, UNREACHABLE_TOL)
         code, doc = run_json(capsys, ["constant", path])
         assert code == 3 and doc["status"] == "non-convergence"
+        assert doc["residual"] > 1e-30
         code, doc = run_json(capsys, ["solve-c", path])
         assert code == 3 and not doc["converged"]
+        assert doc["system_residual"] > 1e-30
 
     def test_honours_boundary_tol(self, tmp_path, capsys):
         path = write(tmp_path, WIDE_BOUNDARY_TOL)
@@ -396,6 +400,25 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr == f"error: need finite t >= 0, got t = {tmax}\n"
+
+    @pytest.mark.parametrize("problem", ["holder_boxes", "lifted_section_triple"])
+    def test_overflowing_tmax_is_input_error(self, problem):
+        # 4 sigma t overflows: the time is at fault, not the data
+        proc = subprocess.run([sys.executable, "-m", "blflow.cli", "flow",
+                               str(PROBLEMS / f"{problem}.json"), "--tmax", "1e308"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: 4 sigma_j t overflows at t = 1e+308\n"
+
+    @pytest.mark.parametrize("tmax", ["1e20", "1e100"])
+    def test_box_energy_reaches_its_limit_at_huge_t(self, tmax, capsys):
+        # the heat kernel is 1e10 to 1e50 box widths wide; the energy at tmax
+        # is the t -> infinity limit sqrt(2)
+        code = main(["flow", str(PROBLEMS / "holder_boxes.json"), "--tmax", tmax,
+                     "--format", "csv"])
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert code == 0 and float(last[0]) == float(tmax)
+        assert abs(float(last[1]) - math.sqrt(2.0)) <= heatflow.QUAD_TOL
 
     @pytest.mark.parametrize("field", [
         {"k": "x"}, {"seed": "x"}, {"inv_p": "abc"}, {"profiles": 5},

@@ -13,7 +13,7 @@ from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
                     gaussian_energy, gaussian_extremizer, make_cert, monotonicity_scan,
                     quadrature, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
-from blflow.heatflow import (DEFAULT_TIMES, QUAD_TOL, erfc as heatflow_erfc,
+from blflow.heatflow import (DEFAULT_TIMES, QUAD_TOL, _erf_diff, erfc as heatflow_erfc,
                              evolved_domination, time_grid)
 from blflow.quadrature import decay_quad
 
@@ -46,6 +46,26 @@ class TestKernels:
         u = float(b.heat(y, sigma, t))
         assert u > 0.0
         assert u == pytest.approx(0.5 * b.height * erfc(10.0), rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1e-12, 1e-8, 1e-5, 9e-4, 2e-3, 0.3])
+    @pytest.mark.parametrize("c", [0.0, 0.4, -1.1, 3e4, -2.5e9])
+    def test_erf_diff_against_50_digits(self, c, h):
+        # the kernel 1/(2h) interval widths wide, its centre from 0 to 2.5e9
+        # widths off the interval: at small h the erfc tails and a - b cancel
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        lo, hi = c - 1.0, c - 0.5
+        w = 0.25 / h
+        ms = np.linspace(-8.0, 8.0, 33)
+        y = c - 0.75 + ms * w
+        got = _erf_diff(y, lo, hi, w)
+        for yi, g in zip(y, got):
+            a = (mpmath.mpf(yi) - mpmath.mpf(lo)) / mpmath.mpf(w)
+            b = (mpmath.mpf(yi) - mpmath.mpf(hi)) / mpmath.mpf(w)
+            if a + b < 0:
+                a, b = -b, -a  # erf is odd; erfc then has no 2 - 2 to cancel
+            ref = mpmath.erfc(b) - mpmath.erfc(a)
+            assert abs(g - ref) <= 1e-12 * ref
 
     def test_erfc_is_libm(self):
         # Box.heat's erfc is libm's; SciPy's differs from it by at most 5.7e-14
