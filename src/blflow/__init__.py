@@ -18,17 +18,14 @@ from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energies,
 from .model import (BellmanSpec, Exponents, GaussCert, VectorSystem,
                     euler_check, make_cert, numerical_rank, psd_leq_zero)
 from .polytope import enumerate_bases, is_finite
-from .verifier import (check_kn_structure, check_L3, check_L5,
-                       check_pde_identity, check_rank_bound, hadamard_form,
-                       verify)
+from .verifier import certificate_spectrum, check_L3, check_L5, verify
 
 __all__ = [
     "BellmanSpec", "Box", "Exponents", "GaussCert", "GaussianProfile",
     "SumOfBoxes", "VectorSystem", "bellman_energies",
-    "bellman_identity_probe", "build_C", "certificate_defect", "check_L3", "check_L5",
-    "check_kn_structure", "check_pde_identity", "check_rank_bound",
-    "enumerate_bases", "euler_check", "gaussian_energy", "gaussian_extremizer",
-    "gaussian_objective", "hadamard_form", "is_finite",
+    "bellman_identity_probe", "build_C", "certificate_defect", "certificate_spectrum",
+    "check_L3", "check_L5", "enumerate_bases", "euler_check", "gaussian_energy",
+    "gaussian_extremizer", "gaussian_objective", "is_finite",
     "make_cert", "monotonicity_scan",
     "numerical_rank", "projection_check", "psd_leq_zero",
     "quadrature_objective", "rhs_limit", "solve_s_system", "verify",

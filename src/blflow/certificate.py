@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateRejection, IterationError
-from .model import Exponents, GaussCert, VectorSystem
+from .model import Exponents, GaussCert, VectorSystem, gram_spectrum
 from .polytope import DEGREE_TOL, BasisIndicatorSet
 
 MAX_ITER = 100
 RES_TOL = 1e-10
-_DIVERGENCE_SPREAD = 60.0  # gauge-fixed |log s^2| beyond this means s^2 ratios > e^120
+_DIVERGENCE_SPREAD = 60.0  # |log s^2 - log s0^2| beyond this moves s^2 ratios by > e^120
 _MAX_STEP = 8.0  # cap on max|dz| per step, so that exp(z) cannot overflow
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
@@ -111,7 +111,9 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     cannot show the predicted increase, a drop in the residual also accepts
     a step).  Off the interior of the finiteness polytope the supremum is
     not attained and the iterates run off to infinity; the solve stops
-    unconverged when their gauge spread exceeds _DIVERGENCE_SPREAD or the
+    unconverged when they move farther than _DIVERGENCE_SPREAD from the
+    start in some coordinate (measured from the start, not from the gauge
+    origin, so that rescaling a column does not change the verdict) or the
     gradient leaves the Hessian's range (K d misses r by more than
     _RANGE_TOL, or K + P is singular to working precision).  Off-degree
     exponents, |sum(1/p_j) - k| > polytope.DEGREE_TOL, stop it unconverged
@@ -145,6 +147,7 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     # one fixed-point step from C = I, s_j^2 = x_j / |a_j|^2: exact for k = 1
     z = np.log(x / bases.norms**2)
     z -= z.mean()
+    z0 = z
     f, r, K = _newton_terms(bases, x, z)
     residual = float(np.max(np.abs(r)))
     it = 1
@@ -156,9 +159,9 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     while residual > res_tol:
         if it == MAX_ITER:
             return result(z, f, residual, it, False, f"no convergence in {MAX_ITER} iterations")
-        if float(np.max(np.abs(z))) > _DIVERGENCE_SPREAD:
-            return result(z, f, residual, it, False, "the gauge spread of log s^2 exceeds "
-                          f"{_DIVERGENCE_SPREAD:g}: the supremum is not attained")
+        if float(np.max(np.abs(z - z0))) > _DIVERGENCE_SPREAD:
+            return result(z, f, residual, it, False, "log s^2 moved more than "
+                          f"{_DIVERGENCE_SPREAD:g} from its start: the supremum is not attained")
         try:
             d = np.linalg.solve(K + P, r - P @ r)
         except np.linalg.LinAlgError:
@@ -194,8 +197,10 @@ def build_C(sys: VectorSystem, e: Exponents, s_sq,
     """Certificate C = (A diag(s^2) A^T)^{-1} with its consistency residual.
 
     The residual is max_j |1/p_j - s_j^2 sigma_j| * p_j, i.e. how well the
-    weights satisfy their defining relation s_j^2 = 1/(p_j sigma_j).  Any
-    sigma_j <= 0 rejects the certificate.
+    weights satisfy their defining relation s_j^2 = 1/(p_j sigma_j).
+    sigma_j = <M(s)^{-1} a_j, a_j> = |L^{-1} a_j|^2 for the Cholesky factor
+    L L^T = M(s): a sum of squares, where the quadratic form a_j^T C a_j
+    cancels up to eps cond M(s) of it on nearly parallel columns.
     """
     s_sq = np.asarray(s_sq, dtype=float).ravel()
     if np.any(s_sq <= 0.0):
@@ -205,12 +210,10 @@ def build_C(sys: VectorSystem, e: Exponents, s_sq,
         if not np.all(np.isfinite(M)):
             raise np.linalg.LinAlgError
         C = np.linalg.inv(M)
+        sigma = np.sum(np.linalg.solve(np.linalg.cholesky(M), sys.A) ** 2, axis=0)
     except np.linalg.LinAlgError as exc:
         raise IterationError("M(s) is numerically singular or non-finite") from exc
     C = 0.5 * (C + C.T)
-    sigma = np.einsum("ij,ik,kj->j", sys.A, C, sys.A)
-    if np.any(sigma <= 0.0):
-        raise CertificateRejection("<C a_j, a_j> <= 0 for some column")
     residual = float(np.max(np.abs(e.inv_p - s_sq * sigma) / e.inv_p))
     return GaussCert(C=C, s_sq=s_sq, sigma=sigma, residual=residual, notes=notes)
 
@@ -228,7 +231,6 @@ class ProjectionReport:
     eigenvalues: np.ndarray
     rank: int
     idempotency_defect: float
-    symmetry_defect: float
     trace: float
     diag_bound_ok: bool
 
@@ -237,21 +239,17 @@ def projection_check(sys: VectorSystem, cert: GaussCert,
                      idem_tol: float = 1e-9, eig_tol: float = 1e-8) -> ProjectionReport:
     """Check that P = (A S)^T C (A S) is an orthogonal projection of rank k.
 
-    Equivalently A^T C A <= diag(1/s_j^2): the scaled Gram form never exceeds
-    the identity.
+    P's spectrum is that of T = L^T C L, L L^T = A diag(s^2) A^T
+    (model.gram_spectrum), and n - k zeros, so every figure is read off T's
+    k eigenvalues: ||P^2 - P||_F = ||lambda^2 - lambda||, the trace, the
+    rank, and the bound A^T C A <= diag(1/s_j^2), that is P <= I, that is
+    lambda_max <= 1 (up to eig_tol).
     """
-    S = np.sqrt(cert.s_sq)
-    AS = sys.A * S
-    P = AS.T @ cert.C @ AS
-    sym = float(np.max(np.abs(P - P.T)))
-    idem = float(np.linalg.norm(P @ P - P))
-    eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
-    on_01 = bool(np.all(np.minimum(np.abs(eigs), np.abs(eigs - 1.0)) <= eig_tol))
-    rank = int(np.count_nonzero(np.abs(eigs) > 1e-8 * np.max(np.abs(eigs))))
-    gram = sys.A.T @ cert.C @ sys.A - np.diag(1.0 / cert.s_sq)
-    diag_bound_ok = bool(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1] <= eig_tol)
-    ok = sym <= idem_tol and idem <= idem_tol and on_01 and rank == sys.k
-    return ProjectionReport(ok=ok, eigenvalues=eigs, rank=rank,
-                            idempotency_defect=idem, symmetry_defect=sym,
-                            trace=float(np.trace(P)), diag_bound_ok=diag_bound_ok)
-
+    lam = gram_spectrum(sys.A, cert.C, cert.s_sq)
+    idem = float(np.linalg.norm(lam * lam - lam))
+    on_01 = bool(np.all(np.minimum(np.abs(lam), np.abs(lam - 1.0)) <= eig_tol))
+    rank = int(np.count_nonzero(np.abs(lam) > 1e-8 * np.max(np.abs(lam))))
+    return ProjectionReport(ok=idem <= idem_tol and on_01 and rank == sys.k,
+                            eigenvalues=np.sort(np.append(np.zeros(sys.n - sys.k), lam)),
+                            rank=rank, idempotency_defect=idem, trace=float(lam.sum()),
+                            diag_bound_ok=float(lam[-1]) - 1.0 <= eig_tol)

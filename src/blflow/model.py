@@ -42,26 +42,37 @@ def numerical_rank(M, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def relative_top_eig(M, scale: float | None = None, tol: float = 1e-9) -> float:
-    """Largest eigenvalue of the symmetric matrix M divided by ``scale``.
+def psd_leq_zero(M, tol: float = 1e-9) -> bool:
+    """True iff the symmetric matrix M is negative semidefinite up to tol * ||M||_F.
 
-    ``scale`` defaults to M's Frobenius norm, and a zero scale counts as 1.
-    Raises StructuralError where max |M - M^T| exceeds tol * scale, so that
-    the guard, like the eigenvalue, does not see a positive scaling of M.
+    A zero M has scale 1.  Raises StructuralError where max |M - M^T| exceeds
+    tol * ||M||_F, so that the guard, like the eigenvalue, does not see a
+    positive scaling of M.
     """
     M = np.asarray(M, dtype=float)
-    if scale is None:
-        scale = float(np.linalg.norm(M))
-    scale = scale if scale > 0.0 else 1.0
+    scale = float(np.linalg.norm(M)) or 1.0
     asym = float(np.max(np.abs(M - M.T))) / scale
     if asym > tol:
         raise StructuralError(f"relative matrix asymmetry {asym:g} exceeds tol {tol:g}")
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1]) / scale
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1]) / scale <= tol
 
 
-def psd_leq_zero(M, tol: float = 1e-9) -> bool:
-    """True iff the symmetric matrix M is negative semidefinite up to tol * ||M||_F."""
-    return relative_top_eig(M, tol=tol) <= tol
+def gram_spectrum(A, C, d) -> np.ndarray:
+    """Ascending eigenvalues of T = L^T C L, where L L^T = A diag(d) A^T.
+
+    For d > 0 and rank A = k, F = A diag(d) A^T is positive definite and T
+    is similar to F^{1/2} C F^{1/2}.  T's k eigenvalues are the nonzero
+    spectrum of the n x n form (A D)^T C (A D), D = diag(sqrt(d)): the
+    verifier decides on them at d = w / sigma, the projection check at
+    d = s^2.  T does not see a rescaling a_j -> c_j a_j that rescales d_j
+    by 1 / c_j^2, a positive scaling of C against d, or a rotation of R^k.
+    """
+    try:
+        L = np.linalg.cholesky((A * d) @ A.T)
+    except np.linalg.LinAlgError as exc:
+        raise StructuralError("A diag(d) A^T is not positive definite to working "
+                              "precision; is rank(A) = k?") from exc
+    return np.linalg.eigvalsh(L.T @ C @ L)
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,8 @@ class VectorSystem:
         norms = np.linalg.norm(A, axis=0)
         if np.any(norms == 0.0):
             raise StructuralError("every column of A must be nonzero")
-        if numerical_rank(A) < k:
+        # on unit columns, so that rescaling one column cannot change the answer
+        if numerical_rank(A / norms) < k:
             raise StructuralError("rank(A) < k")
 
     @property

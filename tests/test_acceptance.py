@@ -12,12 +12,12 @@ import pytest
 
 from blflow import (BellmanSpec, Box, Exponents, VectorSystem,
                     bellman_identity_probe, build_C, certificate_defect,
-                    check_L3, check_pde_identity, check_rank_bound,
-                    enumerate_bases, euler_check, gaussian_extremizer,
-                    gaussian_objective, hadamard_form, is_finite, make_cert,
+                    check_L3, enumerate_bases, euler_check, gaussian_extremizer,
+                    gaussian_objective, is_finite, make_cert,
                     monotonicity_scan, numerical_rank, projection_check,
-                    quadrature_objective, solve_s_system)
+                    quadrature_objective, solve_s_system, verify)
 from blflow.errors import EvaluationError
+from oracles import hadamard_form
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -71,14 +71,12 @@ def test_criterion_3_young_certificate_chain():
     proj = projection_check(sysm, cert)
     eig_on_01 = np.all(np.minimum(np.abs(proj.eigenvalues),
                                   np.abs(proj.eigenvalues - 1.0)) <= 1e-8)
-    l3_ok, _ = check_L3(sysm, cert, B)
-    pde_ok, pde_worst = check_pde_identity(sysm, cert, B)
-    rank_ok, rank = check_rank_bound(sysm, cert, B)
+    rep = verify(sysm, cert, B)
     ok = (result.converged and result.residual <= 1e-10
           and certificate_defect(sysm, e, cert) <= 1e-9
           and bool(eig_on_01) and proj.rank == 2
-          and l3_ok and pde_ok and pde_worst <= 1e-8
-          and rank_ok and rank <= 1)
+          and rep.l3_ok and rep.pde_ok and rep.pde_defect <= 1e-8
+          and rep.rank_ok and rep.rank <= 1)
     _report(3, "convolution-triple certificate chain", ok,
             time.perf_counter() - t0, 10.0)
 
@@ -95,7 +93,8 @@ def test_criterion_4_kn_structure():
         H = hadamard_form(sysm, cert, B, y)
         ok &= bool(np.all(H == 0.0))
         ok &= np.linalg.matrix_rank(H) == 0
-    ok &= check_pde_identity(sysm, cert, B) == (True, 0.0)
+    rep = verify(sysm, cert, B)
+    ok &= rep.pde_ok and rep.pde_defect == 0.0
     bad = make_cert(sysm, np.array([[1.0, 1.0], [1.0, 1.0]]) + 1e-9 * np.eye(2))
     ok &= not check_L3(sysm, bad, B)[0]
     _report(4, "k = n product structure + negative control", ok,
@@ -108,10 +107,8 @@ def test_criterion_5_section_triple():
     sysm = VectorSystem(A)
     B = BellmanSpec.lifted("sqrt_uv", alpha=[1.0], section_vars=(0, 1))
     cert = make_cert(sysm, np.diag([2.0, 1.0]))
-    l3_ok, _ = check_L3(sysm, cert, B)
-    pde_ok, pde_worst = check_pde_identity(sysm, cert, B, tol=1e-10)
-    rank_ok, rank = check_rank_bound(sysm, cert, B)
-    ok = l3_ok and pde_ok and pde_worst <= 1e-10 and rank_ok and rank == 1
+    rep = verify(sysm, cert, B, pde_tol=1e-10)
+    ok = rep.l3_ok and rep.pde_ok and rep.pde_defect <= 1e-10 and rep.rank_ok and rep.rank == 1
     _report(5, "lifted-section triple (non-product certificate)", ok,
             time.perf_counter() - t0, 5.0)
 

@@ -140,6 +140,25 @@ class TestSSystem:
                 C_c = build_C(scaled, e, res_c.s_sq).C
                 assert np.allclose(C_c / np.trace(C_c), C / np.trace(C), rtol=1e-8, atol=0)
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e8, 1e20])
+    def test_divergence_test_does_not_see_column_scaling(self, scale):
+        # z0 holds -2 log c; the iterates' distance from z0 does not
+        A = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
+        e = Exponents([0.8, 0.5, 0.7])
+        c = np.array([1.0, scale, 1.0])
+        res = solve_s_system(enumerate_bases(VectorSystem(A)), e)
+        res_c = solve_s_system(enumerate_bases(VectorSystem(A * c)), e)
+        assert res_c.converged and res_c.iterations == res.iterations
+        assert res_c.D * scale ** e.inv_p[1] == pytest.approx(res.D, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_outside_data_still_stop(self, scale):
+        # columns 0 and 1 are parallel and their exponents sum to 1.3 > r = 1
+        A = np.array([[1.0, 2.0, 0.0, 0.6], [0.0, 0.0, scale, 0.8]])
+        sysm, e = VectorSystem(A), Exponents([0.7, 0.6, 0.4, 0.3])
+        assert is_finite(sysm, e).verdict == "outside"
+        assert not solve_s_system(enumerate_bases(sysm), e).converged
+
     def test_decomposable_datum_matches_lstsq_oracle(self):
         # block-diagonal A: two components (columns 0-2 in R^2, 3-4 in R^1),
         # so K's null space is spanned by both components' indicators

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import blflow
-from blflow import certificate, heatflow, polytope
+from blflow import certificate, heatflow, polytope, verifier
 from blflow.cli import main
 
 HOLDER = {
@@ -60,6 +60,21 @@ WIDE_BOUNDARY_TOL = {
 }
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+# inside (slack 0.063), but a_1 and a_3 are 5e-5 from parallel: s^2 spans nine
+# decades and cond M(s) = 1.2e9, so the solved C meets T = I only to
+# eps cond M(s), a few times PDE_TOL
+NEAR_PARALLEL = {
+    "k": 2, "n": 3,
+    "A": [[-1.23039551, -1.02126268, 1.13451221], [0.65083906, -0.94682061, -0.60019183]],
+    "inv_p": [0.93721374, 0.79375315, 0.26903311],
+    "B": {"variant": "young", "alpha": [0.93721374, 0.79375315, 0.26903311]},
+}
+
+
+def scaled_columns(doc, c):
+    """The file with a_j -> c_j a_j: the same datum, up to an exact symmetry."""
+    return dict(doc, A=(np.asarray(doc["A"]) * c).tolist())
 
 OFF_INTERIOR = pytest.mark.parametrize("doc", [BOUNDARY, NEAR_SINGULAR],
                                        ids=["boundary", "near_singular"])
@@ -290,6 +305,38 @@ class TestVerify:
         doc_in = dict(YOUNG3, inv_p=[0.6, 0.7, 0.7],
                       B={"variant": "young", "alpha": [0.6, 0.7, 0.7]})
         assert main(["verify", write(tmp_path, doc_in)]) == 3
+
+    def test_near_parallel_agrees_with_solve_c(self, tmp_path, capsys):
+        """verify and solve-c decide on the same k x k spectrum: on a solved
+        certificate with w = 1/p, verify's T at d = w / sigma is solve-c's at
+        d = s^2, so both see the same max |lambda - 1| and both fail it."""
+        path = write(tmp_path, NEAR_PARALLEL)
+        code, ver = run_json(capsys, ["verify", path])
+        assert code == 1 and not ver["ok"] and not ver["pde"]["ok"]
+        code, sol = run_json(capsys, ["solve-c", path])
+        assert code == 0 and sol["converged"] and not sol["projection"]["ok"]
+        top = np.sort(sol["projection"]["eigenvalues"])[-NEAR_PARALLEL["k"]:]
+        proj_defect = float(np.max(np.abs(top - 1.0)))
+        assert ver["pde"]["defect"] > verifier.PDE_TOL and proj_defect > verifier.PDE_TOL
+        assert ver["pde"]["defect"] == pytest.approx(proj_defect, rel=0.25)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-10, 1e10])
+    def test_column_scaling_keeps_the_verdicts(self, tmp_path, capsys, scale):
+        """A = [[1, 0, .6], [0, c, .8]]: the solve and the T verdicts do not see c."""
+        base = {"k": 2, "n": 3, "A": [[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]],
+                "inv_p": [0.8, 0.5, 0.7]}
+        docs = []
+        for doc_in in (base, scaled_columns(base, [1.0, scale, 1.0])):
+            path = write(tmp_path, doc_in)
+            for command in ("finiteness", "constant", "solve-c"):
+                code, doc = run_json(capsys, [command, path])
+                assert code == 0, command
+            assert doc["projection"]["ok"]
+            code, doc = run_json(capsys, ["verify", path])
+            docs.append(doc)
+        for key in ("l3", "pde", "rank"):
+            assert docs[1][key]["ok"] == docs[0][key]["ok"] is True
+        assert docs[1]["rank"]["worst"] == docs[0]["rank"]["worst"]
 
     def test_bad_certificate_exits_one(self, tmp_path, capsys):
         doc_in = dict(YOUNG3)

@@ -163,6 +163,13 @@ class TestDomainTypes:
         with pytest.raises(StructuralError):
             VectorSystem(np.array([[1.0, 0.0], [1.0, 0.0]]))  # zero column
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e10, 1e100])
+    def test_rank_does_not_see_column_scaling(self, scale):
+        # rank(A) = k is decided on unit columns, whatever a column's length
+        VectorSystem(np.array([[1.0, 0.0, 0.6], [0.0, scale, 0.8]]))
+        with pytest.raises(StructuralError):
+            VectorSystem(np.array([[1.0, 2.0 * scale], [0.5, scale]]))  # rank 1
+
     def test_exponents_range(self):
         with pytest.raises(StructuralError):
             Exponents([0.5, 1.5])

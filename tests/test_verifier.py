@@ -1,17 +1,20 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, check_kn_structure,
-                    check_L3, check_L5, check_pde_identity, check_rank_bound,
-                    enumerate_bases, hadamard_form, make_cert, solve_s_system,
-                    verify)
+from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, certificate_spectrum,
+                    check_L3, check_L5, enumerate_bases, make_cert, solve_s_system, verify)
+from blflow.cli import _bellman_of, _certificate_of
+from blflow.io import parse_problem
 from blflow.model import HOMOG_TOL
 from blflow.quadrature import decay_quad
-from blflow.verifier import L3_TOL, PDE_TOL, RANK_TOL, core_form
+from blflow.verifier import L3_TOL, PDE_TOL, RANK_TOL
+from oracles import check_kn_structure, core_form, dense_verdicts, hadamard_form
 
 
 def interior_datum(rng, k, n):
@@ -73,6 +76,18 @@ class TestL3:
         assert ok
         # the Hadamard form vanishes identically for diagonal Gram + product B
         assert abs(top) <= 1e-12
+
+
+def check_pde_identity(sysm, cert, B):
+    """verify's PDE verdict and defect."""
+    rep = verify(sysm, cert, B)
+    return rep.pde_ok, rep.pde_defect
+
+
+def check_rank_bound(sysm, cert, B):
+    """verify's rank verdict and rank K."""
+    rep = verify(sysm, cert, B)
+    return rep.rank_ok, rep.rank
 
 
 class TestPDE:
@@ -249,11 +264,11 @@ def dense_reference(sysm, cert, B, samples):
     return np.array(eig), np.array(pde), np.array(ranks), np.array(euler)
 
 
-def broken_cert(sysm, e, cert, rng):
-    """The certificate with one eigenvalue of C doubled, which no longer certifies."""
+def broken_cert(sysm, e, cert, rng, factor=2.0):
+    """The certificate with one eigenvalue of C times factor, which no longer certifies."""
     w, U = np.linalg.eigh(cert.C)
     i = int(rng.integers(sysm.k))
-    return scaled_cert(sysm, e, cert.C + w[i] * np.outer(U[:, i], U[:, i]))
+    return scaled_cert(sysm, e, cert.C + (factor - 1.0) * w[i] * np.outer(U[:, i], U[:, i]))
 
 
 class TestBatchedAgainstPerSample:
@@ -370,3 +385,123 @@ class TestScaledCertificates:
         sysm, e, B = young3
         ok, worst = check_pde_identity(sysm, scaled_cert(sysm, e, 1e-9 * np.diag([1.0, 3.0])), B)
         assert not ok and worst > 1e-3
+
+
+class TestDenseOracle:
+    """The k x k verdicts against the n x n core K they stand for.
+
+    With E = diag(1/sqrt(w_j sigma_j)), E K E = A_w^T C A_w - I has the
+    eigenvalues lambda_i(T) - 1 and n - k times -1; the verdicts must match
+    K's relative top eigenvalue, PDE defect and numerical rank."""
+
+    def test_random(self):
+        rng = np.random.default_rng(71)
+        checked = controls = 0
+        while checked < 200:
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(k + 1, 9))
+            sysm, e, cert, B = interior_datum(rng, k, n)
+            certs = [cert]
+            if k > 1:
+                certs += [broken_cert(sysm, e, cert, rng, f) for f in (2.0, 0.5)]
+            for c in certs:
+                lam = certificate_spectrum(sysm, c, B)
+                K, _ = core_form(sysm, c, B)
+                E = 1.0 / np.sqrt(B.weights * c.sigma)
+                expect = np.sort(np.append(lam - 1.0, -np.ones(n - k)))
+                assert np.allclose(np.linalg.eigvalsh(E[:, None] * K * E), expect, atol=1e-9)
+                top, pde, rank = dense_verdicts(sysm, c, B, RANK_TOL)
+                rep = verify(sysm, c, B)
+                assert rep.l3_ok == (top <= L3_TOL)
+                assert rep.pde_ok == (pde <= PDE_TOL)
+                assert rep.rank == rank
+                assert rep.ok == (c is cert)
+            checked += 1
+            controls += len(certs) - 1
+        assert controls >= 200
+
+
+PROBLEMS = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json"))
+
+
+def t_verdicts(rep):
+    """The verdicts read off T: everything in ``ok`` but L5, whose rank test in
+    gaussian_integral still sees graded columns (ROADMAP item 15)."""
+    return rep.l3_ok, rep.pde_ok, rep.rank_ok, rep.rank
+
+
+def rescaled(sysm, e, C, B, c, lam, mu):
+    """The datum with a_j -> c_j a_j, C -> lam C and B -> mu B; C certifies
+    the rescaled columns exactly when it certified the old ones."""
+    moved = VectorSystem(sysm.A * c)
+    return (moved, make_cert(moved, lam * C, e=e),
+            BellmanSpec(B.variant, mu * B.coeff, B.weights))
+
+
+def datum_of(text):
+    """System, exponents, certificate (the file's or the solved one) and B, as verify reads them."""
+    problem = parse_problem(text)
+    return problem.system, problem.exponents, _certificate_of(problem)[0], _bellman_of(problem)
+
+
+class TestColumnScaling:
+    """a_j -> c_j a_j with c_j in 10^[-8, 8] is an exact symmetry of the verdicts."""
+
+    @PROPERTY
+    @given(verify_data(), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+    def test_random(self, datum, log_lam, log_mu):
+        sysm, e, C, B, good, rng = datum
+        c = 10.0 ** rng.uniform(-8.0, 8.0, size=sysm.n)
+        base = verify(sysm, scaled_cert(sysm, e, C), B)
+        rep = verify(*rescaled(sysm, e, C, B, c, 10.0**log_lam, 10.0**log_mu))
+        assert t_verdicts(rep) == t_verdicts(base)
+        assert base.ok == good and (rep.l3_ok and rep.pde_ok and rep.rank_ok) == good
+
+    @pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
+    def test_problem_files(self, path):
+        """The file's own certificate (solved afresh on the rescaled columns when
+        the file has none) passes at every scale, and C stretched by 2 or 1/2
+        along one direction fails at every scale."""
+        rng = np.random.default_rng(73)
+        doc = json.loads(path.read_text())
+        sysm, e, cert, B = datum_of(json.dumps(doc))
+        assert verify(sysm, cert, B).ok
+        for _ in range(10):
+            c = 10.0 ** rng.uniform(-8.0, 8.0, size=sysm.n)
+            lam, mu = 10.0 ** rng.uniform(-8.0, 8.0, size=2)
+            moved = dict(doc, A=(np.asarray(doc["A"]) * c).tolist())
+            if "C" in moved:
+                moved["C"] = (lam * np.asarray(doc["C"])).tolist()
+            m_sys, _, m_cert, m_B = datum_of(json.dumps(moved))
+            m_B = BellmanSpec(m_B.variant, mu * m_B.coeff, m_B.weights)
+            rep = verify(m_sys, m_cert, m_B)
+            assert rep.l3_ok and rep.pde_ok and rep.rank_ok and rep.rank == sysm.n - sysm.k
+            if sysm.k == 1:
+                continue  # a 1 x 1 C has no second eigenvalue to move against
+            # C stretched along a random direction u: on the decomposable section
+            # triple, stretching C along one of its eigenvectors is a symmetry
+            u = rng.normal(size=sysm.k)
+            S = np.eye(sysm.k) - np.outer(u, u) / (u @ u)
+            for f in (2.0, 0.5):
+                S_f = S + math.sqrt(f) * (np.eye(sysm.k) - S)
+                rep = verify(*rescaled(sysm, e, S_f @ cert.C @ S_f, B, c, lam, mu))
+                assert not (rep.l3_ok and rep.pde_ok and rep.rank_ok)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4, 1e8])
+    def test_doubled_eigenvalue_fails_at_every_scale(self, scale):
+        """A = [[1, 0, .6], [0, c, .8]], 1/p = (.8, .5, .7), Young B: with either
+        eigenvalue of the solved C doubled or halved, verify fails at every c
+        (the n x n checks, scaled by ||A^T C A||_2, passed this at c = 1e8)."""
+        e = Exponents([0.8, 0.5, 0.7])
+        sysm = VectorSystem(np.array([[1.0, 0.0, 0.6], [0.0, scale, 0.8]]))
+        result = solve_s_system(enumerate_bases(sysm), e)
+        cert = build_C(sysm, e, result.s_sq)
+        B = BellmanSpec.young(e.inv_p)
+        assert verify(sysm, cert, B).ok
+        w, U = np.linalg.eigh(cert.C)
+        for i in range(2):
+            for f in (2.0, 0.5):
+                bad = scaled_cert(sysm, e, cert.C + (f - 1.0) * w[i] * np.outer(U[:, i], U[:, i]))
+                rep = verify(sysm, bad, B)
+                assert not rep.ok and not rep.pde_ok and not rep.rank_ok
+                assert rep.pde_defect > 1e-2
