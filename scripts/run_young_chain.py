@@ -39,7 +39,7 @@ def main() -> None:
           f"PDE defect {report.pde_defect:.3e}  rank {report.rank}")
 
     log_b = np.log(e.p * result.s_sq)
-    v_closed, _ = gaussian_objective(sysm, e, log_b)
+    v_closed = gaussian_objective(sysm, e, log_b)
     v_quad = quadrature_objective(sysm, e, log_b)
     print(f"D = {result.D:.15f}  (from the same solve)")
     print(f"quadrature cross-check at argmax: {v_quad:.15f} "

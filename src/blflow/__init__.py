@@ -12,22 +12,19 @@ if _os.environ.get("BLFLOW_THREADS"):
 
 from .certificate import build_C, certificate_defect, projection_check, solve_s_system
 from .gaussian import gaussian_objective, quadrature_objective
-from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energies,
-                       bellman_identity_probe, gaussian_energy, gaussian_extremizer,
-                       monotonicity_scan, rhs_limit)
-from .model import (BellmanSpec, Exponents, GaussCert, VectorSystem,
-                    euler_check, make_cert, numerical_rank, psd_leq_zero)
+from .heatflow import (Box, GaussianProfile, SumOfBoxes, bellman_energies, gaussian_energy,
+                       gaussian_extremizer, monotonicity_scan, rhs_limit)
+from .model import (BellmanSpec, Exponents, GaussCert, VectorSystem, make_cert,
+                    numerical_rank, psd_leq_zero)
 from .polytope import enumerate_bases, is_finite
 from .verifier import certificate_spectrum, check_L3, check_L5, verify
 
 __all__ = [
-    "BellmanSpec", "Box", "Exponents", "GaussCert", "GaussianProfile",
-    "SumOfBoxes", "VectorSystem", "bellman_energies",
-    "bellman_identity_probe", "build_C", "certificate_defect", "certificate_spectrum",
-    "check_L3", "check_L5", "enumerate_bases", "euler_check", "gaussian_energy",
-    "gaussian_extremizer", "gaussian_objective", "is_finite",
-    "make_cert", "monotonicity_scan",
-    "numerical_rank", "projection_check", "psd_leq_zero",
+    "BellmanSpec", "Box", "Exponents", "GaussCert", "GaussianProfile", "SumOfBoxes",
+    "VectorSystem", "bellman_energies", "build_C", "certificate_defect",
+    "certificate_spectrum", "check_L3", "check_L5", "enumerate_bases", "gaussian_energy",
+    "gaussian_extremizer", "gaussian_objective", "is_finite", "make_cert",
+    "monotonicity_scan", "numerical_rank", "projection_check", "psd_leq_zero",
     "quadrature_objective", "rhs_limit", "solve_s_system", "verify",
 ]
 

@@ -42,6 +42,9 @@ _MIN_STEP = 2.0**-30
 _ROUNDOFF = 1e-12
 # a larger part of the gradient outside the Hessian's range is not round-off
 _RANGE_TOL = 1e-8
+# projection_check's bounds on ||P^2 - P||_F and on each eigenvalue's distance to 0 or 1
+IDEM_TOL = 1e-9
+EIG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -235,21 +238,20 @@ class ProjectionReport:
     diag_bound_ok: bool
 
 
-def projection_check(sys: VectorSystem, cert: GaussCert,
-                     idem_tol: float = 1e-9, eig_tol: float = 1e-8) -> ProjectionReport:
+def projection_check(sys: VectorSystem, cert: GaussCert) -> ProjectionReport:
     """Check that P = (A S)^T C (A S) is an orthogonal projection of rank k.
 
     P's spectrum is that of T = L^T C L, L L^T = A diag(s^2) A^T
     (model.gram_spectrum), and n - k zeros, so every figure is read off T's
     k eigenvalues: ||P^2 - P||_F = ||lambda^2 - lambda||, the trace, the
     rank, and the bound A^T C A <= diag(1/s_j^2), that is P <= I, that is
-    lambda_max <= 1 (up to eig_tol).
+    lambda_max <= 1 (up to EIG_TOL).
     """
     lam = gram_spectrum(sys.A, cert.C, cert.s_sq)
     idem = float(np.linalg.norm(lam * lam - lam))
-    on_01 = bool(np.all(np.minimum(np.abs(lam), np.abs(lam - 1.0)) <= eig_tol))
+    on_01 = bool(np.all(np.minimum(np.abs(lam), np.abs(lam - 1.0)) <= EIG_TOL))
     rank = int(np.count_nonzero(np.abs(lam) > 1e-8 * np.max(np.abs(lam))))
-    return ProjectionReport(ok=idem <= idem_tol and on_01 and rank == sys.k,
+    return ProjectionReport(ok=idem <= IDEM_TOL and on_01 and rank == sys.k,
                             eigenvalues=np.sort(np.append(np.zeros(sys.n - sys.k), lam)),
                             rank=rank, idempotency_defect=idem, trace=float(lam.sum()),
-                            diag_bound_ok=float(lam[-1]) - 1.0 <= eig_tol)
+                            diag_bound_ok=float(lam[-1]) - 1.0 <= EIG_TOL)

@@ -1,9 +1,11 @@
 """Batch front end: parse a problem file, dispatch, emit a JSON/CSV report.
 
-Exit codes are a stable contract: 0 pass, 1 verdict-fail (e.g. the
-concavity check fails), 2 input error (unsupported sizes, a malformed field,
-a --tmax not finite and >= 0 and a --tol not finite and > 0 included),
-3 non-convergence, 4 certificate rejection.
+Every command takes --out; verify and flow take --tol, and flow alone takes
+--tmax and --format.  Exit codes are a stable contract: 0 pass, 1
+verdict-fail (e.g. the concavity check fails), 2 input error (unsupported
+sizes, a malformed field, an option the command does not take, a --tmax not
+finite and >= 0 and a --tol not finite and > 0 included), 3 non-convergence,
+4 certificate rejection.
 """
 
 from __future__ import annotations
@@ -237,10 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("file")
-        p.add_argument("--tol", type=positive_float, default=None)
-        p.add_argument("--tmax", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        # each command registers only the options it reads, so any other is an input error
+        if name in ("verify", "flow"):
+            p.add_argument("--tol", type=positive_float, default=None)
+        if name == "flow":
+            p.add_argument("--tmax", type=float, default=None)
+            p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

@@ -29,7 +29,7 @@ from .errors import EvaluationError
 from .model import RANK_TOL, Exponents, VectorSystem
 
 
-def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0) -> tuple[float, np.ndarray]:
+def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0) -> float:
     """Integral over R^k of coeff prod_j (amp_j exp(-(<a_j, x> - c_j)^2 / v_j))^{w_j}.
 
     The integrand is coeff prod amp_j^{w_j} exp(-x^T Q x + 2 b^T x - c0), where
@@ -41,34 +41,31 @@ def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0) -> tuple[
     row space of M.  The SVD keeps the digits of det(Q) that a Cholesky of
     the formed Q loses when Q is ill-conditioned, and decides rank M = k to
     round-off: where S_min <= RANK_TOL S_max the integral is math.inf.
-    Returns the integral and V^T, whose columns' squared norms are M's
-    leverage scores diag(V V^T).
     """
     root = np.sqrt(w / variance)
     _, s, Vt = np.linalg.svd(A * root, full_matrices=False)
     if not s[-1] > RANK_TOL * s[0]:
-        return math.inf, Vt
+        return math.inf
     g = root * center
     miss = g - Vt.T @ (Vt @ g)
     return (coeff * float((amp**w).prod()) * math.pi ** (A.shape[0] / 2.0)
-            / float(s.prod()) * math.exp(-float(miss @ miss))), Vt
+            / float(s.prod()) * math.exp(-float(miss @ miss)))
 
 
-def gaussian_objective(sys: VectorSystem, e: Exponents, log_b) -> tuple[float, np.ndarray]:
-    """Value of the Gaussian functional and its gradient w.r.t. log b.
+def gaussian_objective(sys: VectorSystem, e: Exponents, log_b) -> float:
+    """Value of the Gaussian functional at b = exp(log_b).
 
-    The value is :func:`gaussian_integral` on the columns b_j^{1/2} a_j,
+    It is :func:`gaussian_integral` on the columns b_j^{1/2} a_j,
     prod_j b_j^{1/(2 p_j)} / prod S for the singular values S of
-    A diag(sqrt(b/p)); the gradient is value * (1/p - leverage) / 2 with the
-    same SVD's leverage scores (b_j / p_j) <Q(b)^{-1} a_j, a_j>.  Raises
-    EvaluationError when Q(b) is singular to round-off (this happens when b
-    degenerates toward directions outside the finiteness polytope).
+    A diag(sqrt(b/p)).  Raises EvaluationError when Q(b) is singular to
+    round-off (this happens when b degenerates toward directions outside
+    the finiteness polytope).
     """
     root_b = np.exp(0.5 * np.asarray(log_b, dtype=float).ravel())
-    value, Vt = gaussian_integral(sys.A * root_b, e.inv_p, root_b, 0.0, 1.0 / math.pi)
+    value = gaussian_integral(sys.A * root_b, e.inv_p, root_b, 0.0, 1.0 / math.pi)
     if value == math.inf:
         raise EvaluationError("Q(b) is singular or indefinite")
-    return value, 0.5 * value * (e.inv_p - np.sum(Vt**2, axis=0))
+    return value
 
 
 def quadrature_objective(sys: VectorSystem, e: Exponents, log_b,
@@ -101,8 +98,8 @@ def _closed_form_selftest() -> bool:
         quad = quadrature_objective(sysm, e, log_b)
         root_b = np.exp(0.5 * np.asarray(log_b))
         Ab = sysm.A * root_b
-        shifted, _ = gaussian_integral(Ab, e.inv_p, root_b, 0.7 * Ab.sum(axis=0), 1.0 / math.pi)
-        for closed in (gaussian_objective(sysm, e, log_b)[0], shifted):
+        shifted = gaussian_integral(Ab, e.inv_p, root_b, 0.7 * Ab.sum(axis=0), 1.0 / math.pi)
+        for closed in (gaussian_objective(sysm, e, log_b), shifted):
             if not abs(closed - quad) <= 1e-7 * abs(quad):
                 raise EvaluationError(
                     f"closed-form self-test failed: {closed!r} vs quadrature {quad!r}")

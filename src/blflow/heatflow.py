@@ -1,9 +1,11 @@
 """Heat-flow energies: exact kernels, the energy trace, and its limits.
 
 Initial data comes from a small catalog (boxes, Gaussians, sums of boxes),
-all dominated by b * exp(-delta y^2), so heat extensions have closed forms
-(error functions / Gaussians) and no PDE time stepping is needed: a
-monotonicity violation in the trace indicates a real bug, not solver drift.
+each dominated by some b * exp(-delta y^2), whose heat extensions have
+closed forms (error functions / Gaussians), so no PDE time stepping is
+needed: a monotonicity violation in the trace indicates a real bug, not
+solver drift.  A profile's domination() is its decay rate delta, the only
+part of the bound the quadrature reads.
 
 The energy is the integral of B composed with the per-coordinate heat
 extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.  Every B in
@@ -123,18 +125,8 @@ class _Boxes:
         w = np.sqrt(4.0 * sigma * t)[..., None]
         return (0.5 * height * _erf_diff(y, lo, hi, w)).sum(axis=-1)
 
-    def heat_dy(self, y, sigma: float, t: float):
-        if t == 0.0:
-            raise DomainError("box data is not differentiable at t = 0")
-        lo, hi, height = self._edges
-        y = np.asarray(y, dtype=float)[..., None]
-        w = math.sqrt(4.0 * sigma * t)
-        gauss = np.exp(-((y - lo) / w) ** 2) - np.exp(-((y - hi) / w) ** 2)
-        return (height / (w * math.sqrt(math.pi)) * gauss).sum(axis=-1)
-
-    def domination(self) -> tuple[float, float]:
-        lo, hi, height = self._edges
-        return float(np.sum(height * np.exp(np.maximum(lo * lo, hi * hi)))), 1.0
+    def domination(self) -> float:
+        return 1.0
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(np.ravel(self._edges[:2], order="F").tolist())  # lo, hi of each box
@@ -184,16 +176,8 @@ class GaussianProfile:
         return (self.amplitude * np.sqrt(self.variance / vt)
                 * np.exp(-((y - self.center) ** 2) / vt))
 
-    def heat_dy(self, y, sigma: float, t: float):
-        g = self.evolved(sigma, t)
-        y = np.asarray(y, dtype=float)
-        return -2.0 * (y - g.center) / g.variance * g.value(y)
-
-    def domination(self) -> tuple[float, float]:
-        if self.center == 0.0:
-            return self.amplitude, 1.0 / self.variance
-        b = self.amplitude * math.exp(self.center**2 / self.variance)
-        return b, 0.5 / self.variance
+    def domination(self) -> float:
+        return (1.0 if self.center == 0.0 else 0.5) / self.variance
 
     def breakpoints(self) -> tuple[float, ...]:
         return ()
@@ -215,12 +199,11 @@ class SumOfBoxes(_Boxes):
 Profile = Box | GaussianProfile | SumOfBoxes
 
 
-def evolved_domination(profile: Profile, sigma: float, t: float) -> tuple[float, float]:
-    """Dominating pair (b_t, delta_t) for u(., t): the Gaussian bound
-    u(y, t) <= b (1 + 4 t delta sigma)^{-1/2} exp(-delta y^2 / (1 + 4 t delta sigma))."""
-    b, d = profile.domination()
-    g = 1.0 + 4.0 * t * d * sigma
-    return b / math.sqrt(g), d / g
+def evolved_domination(profile: Profile, sigma: float, t: float) -> float:
+    """Decay rate delta_t of u(., t): u(y, t) <= b_t exp(-delta_t y^2) with
+    delta_t = delta / (1 + 4 t delta sigma), for delta = profile.domination()."""
+    d = profile.domination()
+    return d / (1.0 + 4.0 * t * d * sigma)
 
 
 def gaussian_extremizer(mass: float, sigma: float) -> GaussianProfile:
@@ -260,7 +243,7 @@ def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
     """
     gaussian._closed_form_selftest()
     amp, center, variance = np.array([(p.amplitude, p.center, p.variance) for p in profiles]).T
-    value, _ = gaussian.gaussian_integral(sys.A, B.weights, amp, center, variance, B.coeff)
+    value = gaussian.gaussian_integral(sys.A, B.weights, amp, center, variance, B.coeff)
     if value == math.inf:
         raise StructuralError("degenerate Gaussian form; is rank(A) = k?")
     return value
@@ -361,7 +344,7 @@ def _energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol) -> list:
     Gaussian bounds F_t = sum_j w_j delta_j(t) a_j a_j^T on the integrand."""
     if not ts.size:
         return []
-    deltas = np.array([[evolved_domination(p, s, t)[1] for p, s in zip(profiles, cert.sigma)]
+    deltas = np.array([[evolved_domination(p, s, t) for p, s in zip(profiles, cert.sigma)]
                        for t in ts])
     F = (sys.A * (B.weights * deltas)[:, None, :]) @ sys.A.T
     if np.any(np.linalg.eigvalsh(F)[:, 0] <= 0.0):
@@ -388,7 +371,7 @@ def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses) -> flo
 @dataclass(frozen=True)
 class FlowVerdict:
     monotone: bool
-    certified: bool | None  # None when the concavity check was skipped
+    certified: bool
     mono_tol: float
     initial_value: float
     limit_value: float
@@ -397,72 +380,22 @@ class FlowVerdict:
 
 
 def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                      profiles, times=DEFAULT_TIMES, quad_tol: float = QUAD_TOL,
-                      check_certificate: bool = True) -> tuple[EnergyTrace, FlowVerdict]:
+                      profiles, times=DEFAULT_TIMES,
+                      quad_tol: float = QUAD_TOL) -> tuple[EnergyTrace, FlowVerdict]:
     """The energy trace of :func:`bellman_energies` over a time grid, and
     whether it never decreases.
 
-    When the certificate fails (or is not checked) the verdict is labeled
-    accordingly: monotonicity is only guaranteed under the concavity
-    condition.
+    When the certificate fails the verdict is labeled accordingly:
+    monotonicity is only guaranteed under the concavity condition.
     """
     trace = bellman_energies(sys, cert, B, profiles, times, quad_tol)
     values = trace.values
     mono_tol = max(1e-8, 10.0 * quad_tol * float(np.max(np.abs(values))))
     monotone = bool(np.all(np.diff(values) >= -mono_tol))
-    certified = check_L3(sys, cert, B)[0] if check_certificate else None
+    certified = check_L3(sys, cert, B)[0]
     limit = rhs_limit(sys, cert, B, [p.mass() for p in profiles])
-    label = ("certified" if certified else
-             "no certificate" if certified is False else "unchecked")
+    label = "certified" if certified else "no certificate"
     verdict = FlowVerdict(monotone=monotone, certified=certified, mono_tol=mono_tol,
                           initial_value=float(values[0]), limit_value=limit,
                           final_gap=abs(float(values[-1]) - limit), label=label)
     return trace, verdict
-
-
-# ---------------------------------------------------------------------------
-# pointwise identity probe
-
-
-def bellman_identity_probe(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-                           profiles, t: float, x, h_x: float = 1e-4,
-                           h_t: float | None = None) -> tuple[float, float, float]:
-    """Finite-difference check of the pointwise evolution identity.
-
-    Left side: (d/dt - sum c_ij d^2/dx_i dx_j) B(u(x, t)) by central
-    differences on the analytic heat extensions.  Right side (analytic):
-    -<(A^T C A) o Hess B(u) u', u'>.  Returns (defect, lhs, rhs).
-    """
-    _check_problem(sys, B, profiles)
-    x = np.asarray(x, dtype=float).ravel()
-    if h_t is None:
-        h_t = 1e-5 * max(t, 1.0)
-    if t < 10.0 * h_t:
-        raise DomainError("probe requires t >= 10 * h_t")
-
-    def F(pt, tt):
-        u = _profile_vector(sys, cert, profiles, pt.reshape(1, -1), tt)
-        return float(B.evaluate(u[0]))
-
-    lhs = (F(x, t + h_t) - F(x, t - h_t)) / (2.0 * h_t)
-    C = cert.C
-    f0 = F(x, t)
-    for i in range(sys.k):
-        ei = np.zeros(sys.k)
-        ei[i] = h_x
-        lhs -= C[i, i] * (F(x + ei, t) - 2.0 * f0 + F(x - ei, t)) / h_x**2
-        for j in range(i + 1, sys.k):
-            ej = np.zeros(sys.k)
-            ej[j] = h_x
-            mixed = (F(x + ei + ej, t) - F(x + ei - ej, t)
-                     - F(x - ei + ej, t) + F(x - ei - ej, t)) / (4.0 * h_x**2)
-            lhs -= 2.0 * C[i, j] * mixed
-
-    y = np.array([profiles[j].heat(float(sys.A[:, j] @ x), cert.sigma[j], t)
-                  for j in range(sys.n)])
-    du = np.array([profiles[j].heat_dy(float(sys.A[:, j] @ x), cert.sigma[j], t)
-                   for j in range(sys.n)])
-    G = sys.A.T @ C @ sys.A
-    H = G * B.hessian(y)
-    rhs = -float(du @ H @ du)
-    return abs(lhs - rhs), lhs, rhs

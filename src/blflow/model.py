@@ -242,23 +242,6 @@ class BellmanSpec:
         return H
 
 
-def euler_check(B: BellmanSpec, y, k: float | None = None,
-                homog_tol: float = HOMOG_TOL) -> tuple[bool, float]:
-    """Degree-k homogeneity test <grad B(y), y> = k * B(y) at an interior point.
-
-    Returns (ok, defect) where defect = |<grad B, y> - k B| and ok means the
-    defect is below homog_tol * (1 + |B(y)|).
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    if np.any(y <= 0.0):
-        raise DomainError("homogeneity check requires all y_j > 0")
-    if k is None:
-        k = B.degree
-    b = B.evaluate(y)
-    defect = abs(float(B.gradient(y) @ y) - k * b)
-    return defect <= homog_tol * (1.0 + abs(b)), defect
-
-
 @dataclass(frozen=True)
 class GaussCert:
     """A candidate certificate: symmetric matrix C plus auxiliary weights.

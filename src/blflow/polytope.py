@@ -69,11 +69,11 @@ class MembershipVerdict:
     bases: BasisIndicatorSet = field(compare=False, repr=False)  # the table it was read from
 
 
-def enumerate_bases(sys: VectorSystem, basis_tol: float = BASIS_TOL) -> BasisIndicatorSet:
+def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
     """All k-subsets of columns with a nonsingular k x k submatrix, and the rank table.
 
     Subsets are returned in lexicographic order of their index sets.  The
-    determinant test is scale invariant: |det| must exceed basis_tol times
+    determinant test is scale invariant: |det| must exceed BASIS_TOL times
     the product of the column norms.
     """
     k, n = sys.k, sys.n
@@ -82,7 +82,7 @@ def enumerate_bases(sys: VectorSystem, basis_tol: float = BASIS_TOL) -> BasisInd
     combos = np.array(list(combinations(range(n), k)))
     norms = np.linalg.norm(sys.A, axis=0)
     dets = np.abs(np.linalg.det(np.moveaxis(sys.A[:, combos], 1, 0)))
-    keep = dets > basis_tol * np.prod(norms[combos], axis=1)
+    keep = dets > BASIS_TOL * np.prod(norms[combos], axis=1)
     rows = combos[keep]
     if not len(rows):
         # cannot happen for a valid VectorSystem (rank(A) = k)

@@ -66,14 +66,13 @@ def certificate_spectrum(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> 
     return gram_spectrum(sys.A, cert.C, B.weights / cert.sigma)
 
 
-def check_L3(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-             tol: float = L3_TOL) -> tuple[bool, float]:
+def check_L3(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> tuple[bool, float]:
     """Negative semidefiniteness of H(y) at every interior y: lambda_max(T) <= 1.
 
-    Returns (ok, lambda_max(T) - 1).
+    Returns (ok, lambda_max(T) - 1), ok up to L3_TOL.
     """
     top = float(certificate_spectrum(sys, cert, B)[-1]) - 1.0
-    return top <= tol, top
+    return top <= L3_TOL, top
 
 
 def euler_defect_at(B: BellmanSpec, y) -> tuple[bool, float]:
@@ -97,7 +96,7 @@ def check_L5(sys: VectorSystem, B: BellmanSpec) -> L5Report:
     integral coeff * pi^{k/2} det(Q)^{-1/2} converges iff Q > 0, and is
     unconverged (inf) where gaussian_integral finds Q singular to round-off.
     """
-    value, _ = gaussian_integral(sys.A, B.weights, 1.0, 0.0, 1.0, B.coeff)
+    value = gaussian_integral(sys.A, B.weights, 1.0, 0.0, 1.0, B.coeff)
     return L5Report(converged=value < math.inf, value=value)
 
 
@@ -120,14 +119,14 @@ class VerifierReport:
 
 
 def verify(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
-           l3_tol: float = L3_TOL, pde_tol: float = PDE_TOL) -> VerifierReport:
+           pde_tol: float = PDE_TOL) -> VerifierReport:
     """Run the full check battery on one (A, C, B) triple, from one spectrum of T."""
     lam = certificate_spectrum(sys, cert, B)
     dev = np.abs(lam - 1.0)
     l3, pde = float(lam[-1]) - 1.0, float(dev.max())
     rank = sys.n - int(np.count_nonzero(dev <= RANK_TOL))
     return VerifierReport(
-        l3_ok=l3 <= l3_tol, l3_max_eig=l3, pde_ok=pde <= pde_tol, pde_defect=pde,
+        l3_ok=l3 <= L3_TOL, l3_max_eig=l3, pde_ok=pde <= pde_tol, pde_defect=pde,
         rank_ok=rank <= sys.n - sys.k, rank=rank, l5=check_L5(sys, B),
-        tolerances={"l3_tol": l3_tol, "pde_tol": pde_tol, "rank_tol": RANK_TOL},
+        tolerances={"l3_tol": L3_TOL, "pde_tol": pde_tol, "rank_tol": RANK_TOL},
     )

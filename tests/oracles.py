@@ -1,4 +1,5 @@
-"""Dense n x n references for the verifier, used by the tests only.
+"""Test-only references: dense n x n forms for the verifier, and the heat flow's
+closed-form y-derivatives, domination constants and pointwise identity probe.
 
 The package decides L3, the PDE identity and the rank bound on the k x k
 spectrum of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T
@@ -11,8 +12,12 @@ against K's eigenvalues, rank and PDE defect.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from blflow.errors import DomainError
+from blflow.heatflow import GaussianProfile
 from blflow.model import numerical_rank
 
 KN_TOL = 1e-10
@@ -51,3 +56,56 @@ def check_kn_structure(B, tol: float = KN_TOL) -> tuple[bool, float]:
     """
     worst = float(np.max(np.abs(B.weights * (B.weights - 1.0))))
     return worst <= tol, worst
+
+
+def heat_dy(profile, y, sigma: float, t: float):
+    """d/dy of profile.heat(y, sigma, t) at one time t > 0, in closed form."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(profile, GaussianProfile):
+        g = profile.evolved(sigma, t)
+        return -2.0 * (y - g.center) / g.variance * g.value(y)
+    lo, hi, height = profile._edges
+    w = math.sqrt(4.0 * sigma * t)
+    gauss = np.exp(-((y[..., None] - lo) / w) ** 2) - np.exp(-((y[..., None] - hi) / w) ** 2)
+    return (height / (w * math.sqrt(math.pi)) * gauss).sum(axis=-1)
+
+
+def evolved_bound(profile, sigma: float, t: float) -> float:
+    """b_t = b (1 + 4 t delta sigma)^{-1/2} with u(y, t) <= b_t exp(-delta_t y^2):
+    b = amplitude exp(c^2 / v) for a Gaussian, sum height exp(max(lo^2, hi^2)) for boxes."""
+    if isinstance(profile, GaussianProfile):
+        b = profile.amplitude * math.exp(profile.center**2 / profile.variance)
+    else:
+        lo, hi, height = profile._edges
+        b = float(np.sum(height * np.exp(np.maximum(lo * lo, hi * hi))))
+    return b / math.sqrt(1.0 + 4.0 * t * profile.domination() * sigma)
+
+
+def bellman_identity_probe(sys, cert, B, profiles, t: float, x) -> tuple[float, float, float]:
+    """Finite-difference check of the pointwise evolution identity.
+
+    Left side: (d/dt - sum c_ij d^2/dx_i dx_j) B(u(x, t)) by central
+    differences (steps 1e-4 in x, 1e-5 max(t, 1) in t) on the analytic heat
+    extensions.  Right side (analytic): -<(A^T C A) o Hess B(u) u', u'>.
+    Returns (defect, lhs, rhs).
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    h_t, h_x = 1e-5 * max(t, 1.0), 1e-4
+    if t < 10.0 * h_t:
+        raise DomainError("probe requires t >= 10 * h_t")
+    cols = list(zip(profiles, sys.A.T, cert.sigma))
+
+    def F(pt, tt):
+        return float(B.evaluate([p.heat(float(a @ pt), s, tt) for p, a, s in cols]))
+
+    lhs = (F(x, t + h_t) - F(x, t - h_t)) / (2.0 * h_t)
+    E = h_x * np.eye(sys.k)
+    for i, ei in enumerate(E):
+        for j, ej in enumerate(E[i:], i):
+            second = (F(x + ei + ej, t) - F(x + ei - ej, t)
+                      - F(x - ei + ej, t) + F(x - ei - ej, t)) / (4.0 * h_x**2)
+            lhs -= (1.0 if i == j else 2.0) * cert.C[i, j] * second
+    y = np.array([float(p.heat(float(a @ x), s, t)) for p, a, s in cols])
+    du = np.array([float(heat_dy(p, float(a @ x), s, t)) for p, a, s in cols])
+    rhs = -float(du @ ((sys.A.T @ cert.C @ sys.A) * B.hessian(y)) @ du)
+    return abs(lhs - rhs), lhs, rhs

@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from blflow import (BellmanSpec, Box, Exponents, VectorSystem,
-                    bellman_identity_probe, build_C, certificate_defect,
-                    check_L3, enumerate_bases, euler_check, gaussian_extremizer,
-                    gaussian_objective, is_finite, make_cert,
-                    monotonicity_scan, numerical_rank, projection_check,
-                    quadrature_objective, solve_s_system, verify)
+from blflow import (BellmanSpec, Box, Exponents, VectorSystem, build_C, certificate_defect,
+                    check_L3, enumerate_bases, gaussian_extremizer, gaussian_objective,
+                    is_finite, make_cert, monotonicity_scan, numerical_rank,
+                    projection_check, quadrature_objective, solve_s_system, verify)
 from blflow.errors import EvaluationError
-from oracles import hadamard_form
+from blflow.verifier import euler_defect_at
+from oracles import bellman_identity_probe, hadamard_form
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -53,7 +52,7 @@ def test_criterion_2_closed_form_vs_quadrature():
             continue
         sysm, e = VectorSystem(A), Exponents(inv_p)
         z = rng.normal(scale=0.5, size=n)
-        closed, _ = gaussian_objective(sysm, e, z)
+        closed = gaussian_objective(sysm, e, z)
         quad = quadrature_objective(sysm, e, z)
         ok &= abs(closed - quad) <= 1e-6 * abs(quad)
         checked += 1
@@ -201,7 +200,7 @@ def test_criterion_9_property_suites():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         B = BellmanSpec.young(rng.uniform(0.05, 0.95, size=n))
-        passed, _ = euler_check(B, np.exp(rng.uniform(-2, 2, size=n)))
+        passed, _ = euler_defect_at(B, np.exp(rng.uniform(-2, 2, size=n)))
         ok &= passed
 
     # 2) gradient/Hessian finite-difference consistency
@@ -233,8 +232,8 @@ def test_criterion_9_property_suites():
         sysm, e = VectorSystem(A), Exponents(inv_p)
         z = rng.normal(size=n)
         try:
-            v1, _ = gaussian_objective(sysm, e, z)
-            v2, _ = gaussian_objective(sysm, e, z + rng.uniform(-2, 2))
+            v1 = gaussian_objective(sysm, e, z)
+            v2 = gaussian_objective(sysm, e, z + rng.uniform(-2, 2))
         except EvaluationError:
             continue
         ok &= abs(v2 - v1) <= 1e-12 * abs(v1)

@@ -59,7 +59,7 @@ class TestSSystem:
             res = solve_s_system(enumerate_bases(sysm), e)
             assert res.converged and res.residual <= 1e-10
             assert projection_check(sysm, build_C(sysm, e, res.s_sq)).ok
-            closed, _ = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
+            closed = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
             assert res.D == pytest.approx(closed, rel=1e-12)
 
     def test_far_steps_need_armijo(self):

@@ -72,6 +72,11 @@ NEAR_PARALLEL = {
 }
 
 
+def tmax_for(command):
+    """A short time grid for flow, the one command that reads --tmax."""
+    return ["--tmax", "1"] if command == "flow" else []
+
+
 def scaled_columns(doc, c):
     """The file with a_j -> c_j a_j: the same datum, up to an exact symmetry."""
     return dict(doc, A=(np.asarray(doc["A"]) * c).tolist())
@@ -249,12 +254,12 @@ class TestOneBasisTable:
 
     @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c", "verify", "flow"])
     def test_solved_data_build_it_once(self, tmp_path, capsys, builds, command):
-        assert main([command, write(tmp_path, HOLDER), "--tmax", "1"]) == 0
+        assert main([command, write(tmp_path, HOLDER), *tmax_for(command)]) == 0
         assert len(builds) == 1
 
     @pytest.mark.parametrize("command", ["verify", "flow"])
     def test_explicit_C_builds_none(self, tmp_path, capsys, builds, command):
-        assert main([command, write(tmp_path, dict(HOLDER, C=[[1.0]])), "--tmax", "1"]) == 0
+        assert main([command, write(tmp_path, dict(HOLDER, C=[[1.0]])), *tmax_for(command)]) == 0
         assert builds == []
 
 
@@ -383,6 +388,17 @@ class TestFlow:
         # all-Gaussian data take the closed form at every time: 0 doublings
         assert (set(doc["levels"]) == {0}) == (problem == "lifted_section_triple")
 
+    @pytest.mark.parametrize("problem", sorted(p.name for p in PROBLEMS.glob("*.json")))
+    def test_flow_on_every_problem(self, capsys, problem):
+        path = PROBLEMS / problem
+        code = main(["flow", str(path), "--format", "csv"])
+        err = capsys.readouterr().err
+        if json.loads(path.read_text()).get("profiles"):
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert "needs profiles" in err and "Traceback" not in err
+
 
 THREAD_VARS = ("BLFLOW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
@@ -399,8 +415,20 @@ class TestParser:
         # the parser is built once per process and must keep no state between calls
         path = write(tmp_path, YOUNG3)
         first = run_json(capsys, ["verify", path])
-        assert run_json(capsys, ["solve-c", path, "--tol", "1e-3"])[0] == 0
+        code, doc = run_json(capsys, ["verify", path, "--tol", "1e-3"])
+        assert code == 0 and doc["tolerances"]["pde_tol"] == 1e-3
         assert run_json(capsys, ["verify", path]) == first
+
+    @pytest.mark.parametrize("argv", [["solve-c", "--tol", "1e-3"], ["finiteness", "--tmax", "1"],
+                                      ["constant", "--format", "csv"], ["verify", "--tmax", "1"]],
+                             ids=lambda argv: "_".join(argv[:2]))
+    def test_option_the_command_does_not_read_is_input_error(self, capsys, argv):
+        # each command registers only its own options, so none is silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(PROBLEMS / "young_convolution.json"), *argv[1:]])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert err.endswith(f"blflow: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
 class TestExitCodes:
@@ -457,6 +485,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "error: 4 sigma_j t overflows at t = 1e+308\n"
 
+    def test_far_off_centre_gaussian_is_non_convergence(self, tmp_path, capsys):
+        # its domination constant exp(center^2 / variance) = exp(900) overflows a
+        # float; the quadrature reads only the decay rate, and does not converge
+        doc = json.loads((PROBLEMS / "holder_boxes.json").read_text())
+        doc["profiles"][1] = {"type": "gaussian", "amplitude": 1, "center": 30, "variance": 1}
+        assert main(["flow", write(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith("non-convergence: ")
+
     @pytest.mark.parametrize("tmax", ["1e20", "1e100"])
     def test_box_energy_reaches_its_limit_at_huge_t(self, tmax, capsys):
         # the heat kernel is 1e10 to 1e50 box widths wide; the energy at tmax
@@ -489,7 +525,7 @@ class TestExitCodes:
         # rejected when parsed: 0 is not read as "use the default", and a
         # negative or NaN quadrature tolerance never reaches the rule
         with pytest.raises(SystemExit) as exc:
-            main([command, str(PROBLEMS / "holder_boxes.json"), "--tol", tol, "--tmax", "1"])
+            main([command, str(PROBLEMS / "holder_boxes.json"), "--tol", tol, *tmax_for(command)])
         assert exc.value.code == 2
         assert "finite number > 0" in capsys.readouterr().err
 

@@ -9,13 +9,13 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import erfc
 
 from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
-                    bellman_energies, bellman_identity_probe, cli, gaussian,
-                    gaussian_energy, gaussian_extremizer, make_cert, monotonicity_scan,
-                    quadrature, rhs_limit)
+                    bellman_energies, cli, gaussian, gaussian_energy, gaussian_extremizer,
+                    make_cert, monotonicity_scan, quadrature, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
 from blflow.heatflow import (DEFAULT_TIMES, QUAD_TOL, _erf_diff, erfc as heatflow_erfc,
                              evolved_domination, time_grid)
 from blflow.quadrature import decay_quad
+from oracles import bellman_identity_probe, evolved_bound, heat_dy
 
 PROFILES = [
     Box(0.0, 1.0, 1.0),
@@ -104,7 +104,7 @@ class TestKernels:
         times = np.array([1e-2, 1.0, 50.0])
         column = np.stack([y + t for t in times])
         pairs = [(p.value(y), p.heat(y, 1.3, 0.4), p.heat(column, 1.3, times[:, None]),
-                  p.heat_dy(y, 1.3, 0.4)) for p in (box, one)]
+                  heat_dy(p, y, 1.3, 0.4)) for p in (box, one)]
         for got, want in zip(*pairs):
             assert got.shape == want.shape and np.array_equal(got, want)
         assert box.mass() == one.mass() == h * (hi - lo)
@@ -154,7 +154,7 @@ class TestKernels:
         for _ in range(100):
             y = rng.uniform(-6.0, 6.0)
             t = rng.uniform(0.0, 50.0)
-            b, d = evolved_domination(profile, sigma, t)
+            b, d = evolved_bound(profile, sigma, t), evolved_domination(profile, sigma, t)
             u = float(profile.heat(y, sigma, t))
             assert u <= b * math.exp(-d * y * y) * (1.0 + 1e-12) + 1e-300
 
@@ -237,7 +237,7 @@ class TestGaussianEnergy:
         sysm, cert, B, profiles = gaussian_datum(k, 70 + k)
         A, sigma = sysm.A, cert.sigma
         for t in DEFAULT_TIMES:
-            d = np.array([evolved_domination(p, s, t)[1] for p, s in zip(profiles, sigma)])
+            d = np.array([evolved_domination(p, s, t) for p, s in zip(profiles, sigma)])
 
             def f(X):
                 return B.evaluate(np.stack([p.heat(X @ A[:, j], sigma[j], t)
@@ -459,17 +459,19 @@ class TestMonotonicity:
         assert verdict.final_gap <= 1e-7
         assert abs(verdict.initial_value - verdict.limit_value) <= 1e-7
 
-    def test_uncertified_scan_is_labeled(self, holder, box_profiles):
-        sysm, _, B, cert = holder
-        _, verdict = monotonicity_scan(sysm, cert, B, box_profiles,
-                                       check_certificate=False)
-        assert verdict.certified is None and verdict.label == "unchecked"
+    def test_uncertified_scan_is_labeled(self, product2):
+        # A = I and B = y1 y2, so T = C, whose eigenvalues are 0.5 and 1.5
+        sysm, B, _ = product2
+        bad = make_cert(sysm, [[1.0, 0.5], [0.5, 1.0]])
+        profiles = (GaussianProfile(1.0, 0.2, 1.0), GaussianProfile(0.8, -0.3, 2.0))
+        _, verdict = monotonicity_scan(sysm, bad, B, profiles)
+        assert verdict.certified is False and verdict.label == "no certificate"
 
 
 def per_time_quadrature(sysm, cert, B, profiles, t):
     """decay_quad of the energy integrand at one time, on its own decay form."""
     A, sigma = sysm.A, cert.sigma
-    d = np.array([evolved_domination(p, s, t)[1] for p, s in zip(profiles, sigma)])
+    d = np.array([evolved_domination(p, s, t) for p, s in zip(profiles, sigma)])
 
     def f(X):
         return B.evaluate(np.stack([p.heat(X @ A[:, j], sigma[j], t)
@@ -491,8 +493,7 @@ class TestBatchedPass:
     TIMES = DEFAULT_TIMES[1:]
 
     def check_against_per_time(self, sysm, cert, B, profiles):
-        trace, _ = monotonicity_scan(sysm, cert, B, profiles, times=self.TIMES,
-                                     check_certificate=False)
+        trace, _ = monotonicity_scan(sysm, cert, B, profiles, times=self.TIMES)
         for t, value, halfwidth, levels in zip(trace.times, trace.values,
                                                trace.halfwidths, trace.levels):
             want = per_time_quadrature(sysm, cert, B, profiles, t)
@@ -525,7 +526,7 @@ class TestBatchedPass:
             return decay_quad_of_stack(g, F, rel_tol=rel_tol)
 
         monkeypatch.setattr(quadrature, "decay_quad", counting)
-        trace, _ = monotonicity_scan(*data, times=self.TIMES, check_certificate=False)
+        trace, _ = monotonicity_scan(*data, times=self.TIMES)
         assert calls == [len(self.TIMES)]
         assert len(set(trace.levels)) > 1
         assert points[0] == sum((quadrature._N0 * 2**int(L) + 1) ** k for L in trace.levels)

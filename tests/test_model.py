@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, euler_check,
-                    numerical_rank, psd_leq_zero)
+from blflow import BellmanSpec, Exponents, VectorSystem, numerical_rank, psd_leq_zero
 from blflow.errors import CertificateRejection, DomainError, StructuralError
 from blflow.model import GaussCert
+from blflow.verifier import euler_defect_at
 
 
 def central_grad(B, y, h=1e-5):
@@ -45,35 +45,35 @@ SPECS = [
 class TestEuler:
     def test_young_symmetric_point(self):
         B = BellmanSpec.young([0.5, 0.5])
-        ok, defect = euler_check(B, [1.0, 1.0], k=1)
+        ok, defect = euler_defect_at(B, [1.0, 1.0])
         assert ok and defect == 0.0
 
     def test_product_rule(self):
         B = BellmanSpec.product(1.0, 2)
         # <grad, y> = 3*2 + 2*3 = 12 = 2 * B(2,3)
         assert B.gradient([2.0, 3.0]) @ np.array([2.0, 3.0]) == pytest.approx(12.0)
-        ok, defect = euler_check(B, [2.0, 3.0], k=2)
+        ok, defect = euler_defect_at(B, [2.0, 3.0])
         assert ok and defect <= 1e-12
 
     def test_lifted_section(self):
         B = BellmanSpec.lifted("sqrt_uv", alpha=[0.5])
-        ok, defect = euler_check(B, [4.0, 1.0, 1.0])
+        ok, defect = euler_defect_at(B, [4.0, 1.0, 1.0])
         assert ok and defect <= 1e-12
         assert B.degree == pytest.approx(1.5)
 
     def test_domain_error(self):
         B = BellmanSpec.young([0.5, 0.5])
         with pytest.raises(DomainError):
-            euler_check(B, [1.0, 0.0])
+            euler_defect_at(B, [1.0, 0.0])
 
     @pytest.mark.parametrize("B", SPECS, ids=lambda b: f"{b.variant}-{b.n}")
     def test_random_interior_points(self, B):
         rng = np.random.default_rng(7)
         for _ in range(100):
             y = np.exp(rng.uniform(-2, 2, size=B.n))
-            ok, defect = euler_check(B, y)
+            ok, defect = euler_defect_at(B, y)
             assert ok
-            assert defect <= 1e-8 * (1.0 + abs(B.evaluate(y)))
+            assert defect <= 1e-8  # relative to 1 + |B(y)|
 
 
 class TestOracleConsistency:
@@ -146,7 +146,7 @@ class TestLiftSection:
         B = BellmanSpec.lifted("sqrt_uv", alpha=[1 / 3, 1 / 3, 1 / 3])
         assert B.n == 5
         assert B.degree == pytest.approx(2.0)
-        ok, _ = euler_check(B, [1.3, 0.7, 2.0, 0.9, 1.1])
+        ok, _ = euler_defect_at(B, [1.3, 0.7, 2.0, 0.9, 1.1])
         assert ok
 
     def test_unknown_section(self):
@@ -193,5 +193,5 @@ class TestDomainTypes:
 def test_young_euler_property(alpha, seed):
     B = BellmanSpec.young(alpha)
     y = np.exp(np.random.default_rng(seed).uniform(-2, 2, size=len(alpha)))
-    ok, _ = euler_check(B, y)
+    ok, _ = euler_defect_at(B, y)
     assert ok

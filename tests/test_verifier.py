@@ -224,7 +224,7 @@ class TestConcavityDiagBoundLink:
                 cert = make_cert(sysm, C, e=e)
             except Exception:
                 continue
-            l3_ok = check_L3(sysm, cert, B, tol=1e-9)[0]
+            l3_ok = check_L3(sysm, cert, B)[0]
             gram = sysm.A.T @ cert.C @ sysm.A - np.diag(1.0 / cert.s_sq)
             margin = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])
             if abs(margin) < 1e-6:
