@@ -18,6 +18,18 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("quad_tol", ["-1", "0", "nan"])
+def test_flow_demo_rejects_bad_quad_tol(quad_tol):
+    # the flow demo is `blflow flow --format csv`; a bad quadrature tolerance
+    # is refused before any row is written
+    proc = subprocess.run([sys.executable, "-m", "blflow.cli", "flow", "problems/holder_boxes.json",
+                           "--format", "csv", "--tol", quad_tol, "--tmax", "1"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "finite number > 0" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_scripts_import_only_the_public_api(script):
     # a script is a client of the package: it takes every name from blflow.__all__
