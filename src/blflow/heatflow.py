@@ -1,27 +1,30 @@
 """Heat-flow energies: exact kernels, the energy trace, and its limits.
 
-Initial data comes from a small catalog (boxes, Gaussians, sums of boxes),
-each dominated by some b * exp(-delta y^2), whose heat extensions have
-closed forms (error functions / Gaussians), so no PDE time stepping is
-needed: a monotonicity violation in the trace indicates a real bug, not
-solver drift.  A profile's domination() is its decay rate delta, the only
-part of the bound the quadrature reads.
+Initial data comes from a small catalog (boxes, Gaussians, sums of boxes)
+whose heat extensions have closed forms (error functions / Gaussians), so no
+PDE time stepping is needed: a monotonicity violation in the trace indicates
+a real bug, not solver drift.  Each profile's bound(sigma, t) is a Gaussian
+bound u(y, t) <= b_t exp(-delta_t (y - c)^2) centred on its own data: exact
+for a Gaussian, and e^BOX_MARGIN times the total height for boxes.
 
 The energy is the integral of B composed with the per-coordinate heat
 extensions, u_j evolving with diffusivity sigma_j = <C a_j, a_j>.  Every B in
 the catalog is a monomial, so for all-Gaussian data the integrand is a
 Gaussian in x and the energy, like the t -> infinity limit, is the closed
-form blflow.gaussian.gaussian_integral (gaussian_energy), at every time.  Box
-data at t = 0 is piecewise constant, so for k = 1 the integrand is a
-constant times a Gaussian between breakpoints and the energy is again a
-closed form (_box_energy_at_zero).  Otherwise the domination bounds make the
-integrand at time t at most c exp(-x^T F_t x) with
-F_t = sum_j w_j delta_j(t) a_j a_j^T, and bellman_energies integrates every
-such time of a grid over R^k in one quadrature.decay_quad pass: the nested
-trapezoid rule on the cube whitened by F_t, which is the same cube for every
-t, so the times share its nodes.  Each node is evaluated once however many
-times the mesh halves, and each time leaves the pass at its first level
-where two successive sums agree.
+form blflow.gaussian.gaussian_integral (gaussian_energy), at every time, and
+one stacked call gives the whole trace.  Box data at t = 0 is piecewise
+constant, so for k = 1 the integrand is a constant times a Gaussian between
+breakpoints and the energy is again a closed form (_box_energy_at_zero).
+Otherwise the bounds make the integrand at time t at most
+c exp(M - (x - x*)^T F_t (x - x*)) with F_t = sum_j w_j delta_j(t) a_j a_j^T,
+centre x* = F_t^{-1} sum_j w_j delta_j c_j a_j and margin M from the box
+columns, and bellman_energies integrates every such time of a grid over R^k
+in one quadrature.decay_quad pass: the nested trapezoid rule on the cube
+whitened by F_t (widened to cover e^M) about x*, which is the same cube for
+every t, so the times share its nodes.  Each node is evaluated once however
+many times the mesh halves, with every column's kernel in one batched call
+(_heat_kernel), and each time leaves the pass at its first level where two
+successive sums agree.
 """
 
 from __future__ import annotations
@@ -94,6 +97,32 @@ def _erf_diff_series(m, h):
     return 4.0 / math.sqrt(math.pi) * h * np.exp(-m2) * series
 
 
+def _box_heat(y, lo, hi, height, w, starts):
+    """The heat extensions of sums of boxes, one per run of edges.
+
+    ``lo``, ``hi`` and ``height`` hold every box edge of every sum, each sum a
+    run that begins at an index in ``starts``; ``y`` and the kernel widths
+    ``w`` broadcast against them along the last axis.  One _erf_diff over all
+    the edges, and each run is summed back by np.add.reduceat:
+    (..., edges) -> (..., runs).
+    """
+    return np.add.reduceat(0.5 * height * _erf_diff(y, lo, hi, w), starts, axis=-1)
+
+
+def _gaussian_heat(y, amp, center, variance, added):
+    """The heat extension of amp exp(-(y - center)^2 / variance) once the
+    kernel has added the variance ``added`` = 4 sigma t: the variance
+    v_t = variance + added and the amplitude amp sqrt(variance / v_t), so the
+    mass is kept; the arguments broadcast elementwise."""
+    vt = variance + added
+    return amp * np.sqrt(variance / vt) * np.exp(-((y - center) ** 2) / vt)
+
+
+#: the log margin K of a box profile's Gaussian bound (_Boxes.bound): the
+#: bound is e^K times the sum of the heights at its centre
+BOX_MARGIN = 8.0
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -120,13 +149,22 @@ class _Boxes:
     def heat(self, y, sigma: float, t):
         if np.ndim(t) == 0 and t == 0.0:
             return self.value(y)
-        lo, hi, height = self._edges
         y = np.asarray(y, dtype=float)[..., None]
-        w = np.sqrt(4.0 * sigma * t)[..., None]
-        return (0.5 * height * _erf_diff(y, lo, hi, w)).sum(axis=-1)
+        return _box_heat(y, *self._edges, np.sqrt(4.0 * sigma * t)[..., None], [0])[..., 0]
 
-    def domination(self) -> float:
-        return 1.0
+    def bound(self, sigma: float, t):
+        """(c, delta_t, log b_t) with u(y, t) <= b_t exp(-delta_t (y - c)^2).
+
+        On the hull [c - l, c + l] of the boxes, with H the sum of their
+        heights and w^2 = 4 sigma t, erfc(x) <= exp(-x^2) gives
+        u(y, t) <= H exp(-((|y - c| - l)_+)^2 / w^2), and by Cauchy-Schwarz
+        that is at most H exp(BOX_MARGIN - (y - c)^2 / (w^2 + l^2 / BOX_MARGIN)).
+        """
+        lo, hi, height = self._edges
+        left, right = float(lo.min()), float(hi.max())
+        half = 0.5 * (right - left)
+        return (0.5 * (left + right), 1.0 / (4.0 * sigma * t + half * half / BOX_MARGIN),
+                math.log(float(height.sum())) + BOX_MARGIN)
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(np.ravel(self._edges[:2], order="F").tolist())  # lo, hi of each box
@@ -171,13 +209,15 @@ class GaussianProfile:
                                self.center, vt)
 
     def heat(self, y, sigma: float, t):
-        vt = self.variance + 4.0 * sigma * t
-        y = np.asarray(y, dtype=float)
-        return (self.amplitude * np.sqrt(self.variance / vt)
-                * np.exp(-((y - self.center) ** 2) / vt))
+        return _gaussian_heat(np.asarray(y, dtype=float), self.amplitude, self.center,
+                              self.variance, 4.0 * sigma * t)
 
-    def domination(self) -> float:
-        return (1.0 if self.center == 0.0 else 0.5) / self.variance
+    def bound(self, sigma: float, t):
+        """(c, delta_t, log b_t) with u(y, t) <= b_t exp(-delta_t (y - c)^2),
+        with equality: the centre, 1 / v_t and the log of the evolved amplitude."""
+        vt = self.variance + 4.0 * sigma * t
+        return (self.center, 1.0 / vt,
+                math.log(self.amplitude) + 0.5 * np.log(self.variance / vt))
 
     def breakpoints(self) -> tuple[float, ...]:
         return ()
@@ -195,15 +235,9 @@ class SumOfBoxes(_Boxes):
 
 
 #: every profile's heat(y, sigma, t) takes one time t >= 0, or an array of
-#: times t > 0 broadcast against y (a (T, 1) column against (T, m) points)
+#: times t > 0 broadcast against y (a (T, 1) column against (T, m) points);
+#: its bound(sigma, t) takes one time or an array of them
 Profile = Box | GaussianProfile | SumOfBoxes
-
-
-def evolved_domination(profile: Profile, sigma: float, t: float) -> float:
-    """Decay rate delta_t of u(., t): u(y, t) <= b_t exp(-delta_t y^2) with
-    delta_t = delta / (1 + 4 t delta sigma), for delta = profile.domination()."""
-    d = profile.domination()
-    return d / (1.0 + 4.0 * t * d * sigma)
 
 
 def gaussian_extremizer(mass: float, sigma: float) -> GaussianProfile:
@@ -226,25 +260,51 @@ def _check_problem(sys: VectorSystem, B: BellmanSpec, profiles) -> None:
         raise StructuralError("need one profile per column and B of n variables")
 
 
-def _profile_vector(sys, cert, profiles, X, t):
-    """Stacked u_j(<a_j, x>, t) for an (..., m, k) batch of points -> (..., m, n);
-    t is one time or an array of times broadcast against the (..., m) points."""
-    cols = [profiles[j].heat(X @ sys.A[:, j], cert.sigma[j], t)
-            for j in range(sys.n)]
-    return np.stack(cols, axis=-1)
+def _heat_kernel(A, sigma, profiles):
+    """The stacked heat extensions u_j(<a_j, x>, t), as one function of an
+    (..., m, k) batch of points and of times t broadcast against (..., m, 1),
+    with values (..., m, n), for profiles of which some are boxes or sums of
+    boxes.  Their edges are gathered here, once, so that each call is one
+    _box_heat over all of them and one _gaussian_heat over the Gaussian
+    columns."""
+    gauss = [j for j, p in enumerate(profiles) if isinstance(p, GaussianProfile)]
+    boxes = [j for j in range(len(profiles)) if j not in gauss]
+    edges = [profiles[j]._edges for j in boxes]
+    sizes = [e[0].size for e in edges]
+    lo, hi, height = (np.concatenate(e) for e in zip(*edges))
+    owner = np.repeat(boxes, sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    amp, center, variance = np.array([(profiles[j].amplitude, profiles[j].center,
+                                       profiles[j].variance) for j in gauss]).reshape(-1, 3).T
+
+    def heat(X, t):
+        out = np.empty((*X.shape[:-1], len(profiles)))
+        out[..., boxes] = _box_heat(X @ A[:, owner], lo, hi, height,
+                                    np.sqrt(4.0 * sigma[owner] * t), starts)
+        if gauss:
+            out[..., gauss] = _gaussian_heat(X @ A[:, gauss], amp, center, variance,
+                                             4.0 * sigma[gauss] * t)
+        return out
+
+    return heat
 
 
-def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles) -> float:
+def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles, added_variance=0.0):
     """Integral over R^k of B(u_1(<a_1, x>), ..., u_n(<a_n, x>)) for Gaussian u_j.
 
     With B = coeff prod y_j^{w_j} and u_j = amp_j exp(-(y - c_j)^2 / v_j) this
     is :func:`blflow.gaussian.gaussian_integral`, after its one-time self-test;
-    where its SVD finds rank(A) < k it raises StructuralError.
+    where it finds rank(A) < k it raises StructuralError.  ``added_variance``
+    evolves the profiles by the heat flow first: 4 sigma_j t for each column
+    gives v_j + 4 sigma_j t and amplitude amp_j sqrt(v_j / (v_j + 4 sigma_j t)),
+    and a (T, n) stack of them, one row per time, gives the T energies at once.
     """
     gaussian._closed_form_selftest()
     amp, center, variance = np.array([(p.amplitude, p.center, p.variance) for p in profiles]).T
-    value = gaussian.gaussian_integral(sys.A, B.weights, amp, center, variance, B.coeff)
-    if value == math.inf:
+    vt = variance + added_variance
+    value = gaussian.gaussian_integral(sys.A, B.weights, amp * np.sqrt(variance / vt),
+                                       center, vt, B.coeff)
+    if np.any(value == math.inf):
         raise StructuralError("degenerate Gaussian form; is rank(A) = k?")
     return value
 
@@ -301,15 +361,16 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
 
     Every time must be finite and >= 0, and so must every 4 sigma_j t
     (DomainError otherwise).  All-Gaussian data stay Gaussian under the heat
-    flow, so their energy is :func:`gaussian_energy` of the evolved
-    profiles; box data at t = 0 with k = 1 is :func:`_box_energy_at_zero`.
-    Both closed forms are reported
-    with halfwidth and levels 0.  Every other time is integrated in one
-    nested-trapezoid pass of :func:`blflow.quadrature.decay_quad` over the
-    stack of the times' decay forms F_t, which share the whitened cube: the
-    halfwidth is the cube's reach sqrt(40 / lam_min(F_t)) along the softest
-    direction of F_t, and levels the number of mesh doublings that time
-    needed.  Box data at t = 0 with k >= 2 raises UnsupportedScaleError.
+    flow, so their energies are one stacked :func:`gaussian_energy` over
+    the times; box data at t = 0 with k = 1 is :func:`_box_energy_at_zero`.
+    Both closed forms are reported with halfwidth and levels 0.  Every other
+    time is integrated in one nested-trapezoid pass of
+    :func:`blflow.quadrature.decay_quad` over the stack of the times' decay
+    forms F_t, which share the whitened cube about each time's centre x*
+    (:func:`_energies_by_quadrature`): the halfwidth is the cube's reach
+    sqrt((40 + M) / lam_min(F_t)) along the softest direction of F_t, for
+    the box columns' margin M, and levels the number of mesh doublings that
+    time needed.  Box data at t = 0 with k >= 2 raises UnsupportedScaleError.
     """
     times = sorted({float(t) for t in times})
     for t in times:
@@ -321,9 +382,7 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     values, halfwidths = np.zeros((2, len(times)))
     levels = np.zeros(len(times), dtype=int)
     if all(isinstance(p, GaussianProfile) for p in profiles):
-        for i, t in enumerate(times):
-            evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
-            values[i] = gaussian_energy(sys, B, evolved)
+        values = gaussian_energy(sys, B, profiles, np.outer(times, 4.0 * cert.sigma))
         return EnergyTrace(np.array(times), values, halfwidths, levels)
     # some profile is a box or a sum of boxes, discontinuous at t = 0: times[0]
     start = int(0.0 in times)
@@ -341,19 +400,34 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
 
 def _energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol) -> list:
     """decay_quad's results at the times ts > 0, from one pass over the
-    Gaussian bounds F_t = sum_j w_j delta_j(t) a_j a_j^T on the integrand."""
+    profiles' Gaussian bounds, centred on the data.
+
+    The bounds u_j(y, t) <= b_j exp(-delta_j (y - c_j)^2) make the integrand
+    at time t at most prod_j b_j^{w_j} exp(-(x - x*)^T F_t (x - x*)), with
+    F_t = sum_j w_j delta_j a_j a_j^T and x* = F_t^{-1} sum_j w_j delta_j c_j a_j.
+    prod_j b_j^{w_j} is e^M times a bound on the integrand's peak, for
+    M = BOX_MARGIN times the weights of the box columns.  So the nodes are
+    shifted by x*, and decay_quad gets F_t LOG_TAIL / (LOG_TAIL + M): its
+    cube then covers the margin e^M as well.
+    """
     if not ts.size:
         return []
-    deltas = np.array([[evolved_domination(p, s, t) for p, s in zip(profiles, cert.sigma)]
-                       for t in ts])
-    F = (sys.A * (B.weights * deltas)[:, None, :]) @ sys.A.T
+    bounds = [p.bound(s, ts) for p, s in zip(profiles, cert.sigma)]
+    centres = np.array([c for c, _, _ in bounds])
+    wd = B.weights * np.stack([d for _, d, _ in bounds], axis=-1)
+    F = (sys.A * wd[:, None, :]) @ sys.A.T
     if np.any(np.linalg.eigvalsh(F)[:, 0] <= 0.0):
         raise StructuralError("degenerate decay form; is rank(A) = k?")
+    x_star = np.linalg.solve(F, ((wd * centres) @ sys.A.T)[..., None])[..., 0]
+    margin = BOX_MARGIN * sum(w for w, p in zip(B.weights, profiles)
+                              if not isinstance(p, GaussianProfile))
+    heat = _heat_kernel(sys.A, cert.sigma, profiles)
 
     def integrand(X, idx):
-        return B.evaluate(_profile_vector(sys, cert, profiles, X, ts[idx, None]))
+        return B.evaluate(heat(X + x_star[idx, None, :], ts[idx, None, None]))
 
-    return quadrature.decay_quad(integrand, F, rel_tol=quad_tol)
+    tail = quadrature.LOG_TAIL
+    return quadrature.decay_quad(integrand, F * (tail / (tail + margin)), rel_tol=quad_tol)
 
 
 def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses) -> float:

@@ -1,5 +1,5 @@
 """Test-only references: dense n x n forms for the verifier, and the heat flow's
-closed-form y-derivatives, domination constants and pointwise identity probe.
+closed-form y-derivatives and pointwise identity probe.
 
 The package decides L3, the PDE identity and the rank bound on the k x k
 spectrum of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T
@@ -68,17 +68,6 @@ def heat_dy(profile, y, sigma: float, t: float):
     w = math.sqrt(4.0 * sigma * t)
     gauss = np.exp(-((y[..., None] - lo) / w) ** 2) - np.exp(-((y[..., None] - hi) / w) ** 2)
     return (height / (w * math.sqrt(math.pi)) * gauss).sum(axis=-1)
-
-
-def evolved_bound(profile, sigma: float, t: float) -> float:
-    """b_t = b (1 + 4 t delta sigma)^{-1/2} with u(y, t) <= b_t exp(-delta_t y^2):
-    b = amplitude exp(c^2 / v) for a Gaussian, sum height exp(max(lo^2, hi^2)) for boxes."""
-    if isinstance(profile, GaussianProfile):
-        b = profile.amplitude * math.exp(profile.center**2 / profile.variance)
-    else:
-        lo, hi, height = profile._edges
-        b = float(np.sum(height * np.exp(np.maximum(lo * lo, hi * hi))))
-    return b / math.sqrt(1.0 + 4.0 * t * profile.domination() * sigma)
 
 
 def bellman_identity_probe(sys, cert, B, profiles, t: float, x) -> tuple[float, float, float]:

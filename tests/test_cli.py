@@ -327,7 +327,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-10, 1e10])
     def test_column_scaling_keeps_the_verdicts(self, tmp_path, capsys, scale):
-        """A = [[1, 0, .6], [0, c, .8]]: the solve and the T verdicts do not see c."""
+        """A = [[1, 0, .6], [0, c, .8]]: the solve and the verdicts do not see c."""
         base = {"k": 2, "n": 3, "A": [[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]],
                 "inv_p": [0.8, 0.5, 0.7]}
         docs = []
@@ -341,6 +341,7 @@ class TestVerify:
             docs.append(doc)
         for key in ("l3", "pde", "rank"):
             assert docs[1][key]["ok"] == docs[0][key]["ok"] is True
+        assert docs[1]["ok"] == docs[0]["ok"] is True
         assert docs[1]["rank"]["worst"] == docs[0]["rank"]["worst"]
 
     def test_bad_certificate_exits_one(self, tmp_path, capsys):
@@ -486,8 +487,8 @@ class TestExitCodes:
         assert proc.stderr == "error: 4 sigma_j t overflows at t = 1e+308\n"
 
     def test_far_off_centre_gaussian_is_non_convergence(self, tmp_path, capsys):
-        # its domination constant exp(center^2 / variance) = exp(900) overflows a
-        # float; the quadrature reads only the decay rate, and does not converge
+        # 29 box widths off the box: at t = 0.01 the Gaussian factor underflows
+        # to 0 where the box lives, and the trapezoid sums do not converge
         doc = json.loads((PROBLEMS / "holder_boxes.json").read_text())
         doc["profiles"][1] = {"type": "gaussian", "amplitude": 1, "center": 30, "variance": 1}
         assert main(["flow", write(tmp_path, doc)]) == 3

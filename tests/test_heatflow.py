@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
                     bellman_energies, cli, gaussian, gaussian_energy, gaussian_extremizer,
                     make_cert, monotonicity_scan, quadrature, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
-from blflow.heatflow import (DEFAULT_TIMES, QUAD_TOL, _erf_diff, erfc as heatflow_erfc,
-                             evolved_domination, time_grid)
-from blflow.quadrature import decay_quad
-from oracles import bellman_identity_probe, evolved_bound, heat_dy
+from blflow.heatflow import (BOX_MARGIN, DEFAULT_TIMES, QUAD_TOL, _erf_diff,
+                             erfc as heatflow_erfc, time_grid)
+from blflow.quadrature import LOG_TAIL, decay_quad
+from oracles import bellman_identity_probe, heat_dy
+
+HOLDER_BOXES = Path(__file__).resolve().parent.parent / "problems" / "holder_boxes.json"
 
 PROFILES = [
     Box(0.0, 1.0, 1.0),
@@ -24,6 +27,46 @@ PROFILES = [
     GaussianProfile(0.7, -1.5, 2.0),
     SumOfBoxes((Box(-1.0, 0.0, 1.0), Box(0.5, 2.0, 2.0))),
 ]
+
+
+def shifted(profile, s):
+    """The profile y -> u(y - s)."""
+    if isinstance(profile, Box):
+        return Box(profile.lo + s, profile.hi + s, profile.height)
+    if isinstance(profile, SumOfBoxes):
+        return SumOfBoxes(tuple(shifted(b, s) for b in profile.boxes))
+    return GaussianProfile(profile.amplitude, profile.center + s, profile.variance)
+
+
+def dilated(profile, lam):
+    """The profile y -> u(y / lam) / lam, of the same mass."""
+    if isinstance(profile, Box):
+        return Box(lam * profile.lo, lam * profile.hi, profile.height / lam)
+    if isinstance(profile, SumOfBoxes):
+        return SumOfBoxes(tuple(dilated(b, lam) for b in profile.boxes))
+    return GaussianProfile(profile.amplitude / lam, lam * profile.center,
+                           lam * lam * profile.variance)
+
+
+def assert_dominated(profile, sigma=1.7):
+    """u(y, t) <= b_t exp(-delta_t (y - c)^2) for (c, delta_t, log b_t) =
+    profile.bound(sigma, t), at random t in (1e-6, 1e6) and random y out to
+    twelve times the profile's half-width plus kernel width from its middle;
+    a Gaussian's bound is attained at its centre."""
+    rng = np.random.default_rng(53)
+    if isinstance(profile, GaussianProfile):
+        r = math.sqrt(profile.variance)
+        lo, hi = profile.center - r, profile.center + r
+    else:
+        lo, hi = float(profile._edges[0].min()), float(profile._edges[1].max())
+    for t in 10.0 ** rng.uniform(-6.0, 6.0, size=40):
+        c, d, log_b = profile.bound(sigma, t)
+        reach = 0.5 * (hi - lo) + math.sqrt(4.0 * sigma * t)
+        y = 0.5 * (lo + hi) + reach * rng.uniform(-12.0, 12.0, size=50)
+        u = profile.heat(y, sigma, t)
+        assert np.all(u <= np.exp(log_b - d * (y - c) ** 2) * (1.0 + 1e-12) + 1e-300)
+        if isinstance(profile, GaussianProfile):
+            assert float(profile.heat(c, sigma, t)) == pytest.approx(math.exp(log_b), rel=1e-14)
 
 
 class TestKernels:
@@ -108,7 +151,7 @@ class TestKernels:
         for got, want in zip(*pairs):
             assert got.shape == want.shape and np.array_equal(got, want)
         assert box.mass() == one.mass() == h * (hi - lo)
-        assert box.domination() == one.domination()
+        assert box.bound(1.3, 0.4) == one.bound(1.3, 0.4)
         assert box.breakpoints() == one.breakpoints() == (lo, hi)
 
     def test_box_t_zero_is_indicator(self):
@@ -149,14 +192,17 @@ class TestKernels:
 
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: type(p).__name__)
     def test_evolved_domination(self, profile):
-        rng = np.random.default_rng(53)
-        sigma = 1.7
-        for _ in range(100):
-            y = rng.uniform(-6.0, 6.0)
-            t = rng.uniform(0.0, 50.0)
-            b, d = evolved_bound(profile, sigma, t), evolved_domination(profile, sigma, t)
-            u = float(profile.heat(y, sigma, t))
-            assert u <= b * math.exp(-d * y * y) * (1.0 + 1e-12) + 1e-300
+        # the profile, shifted by -40 and 1e3 and dilated by 1e-3 and 30
+        for moved in (profile, shifted(profile, -40.0), shifted(profile, 1e3),
+                      dilated(profile, 1e-3), dilated(profile, 30.0)):
+            assert_dominated(moved)
+
+    @pytest.mark.parametrize("profile", [
+        SumOfBoxes((Box(-5.0, -4.0, 2.0), Box(3.0, 3.5, 0.5), Box(9.0, 20.0, 1.0))),
+        SumOfBoxes((Box(100.0, 100.1, 7.0), Box(101.0, 101.01, 0.1))),
+    ])
+    def test_evolved_domination_of_sums_with_gaps(self, profile):
+        assert_dominated(profile)
 
     def test_profile_invariants(self):
         with pytest.raises(StructuralError):
@@ -218,6 +264,27 @@ class TestEnergy:
             monotonicity_scan(sysm, cert, B, None)
 
 
+def per_time_quadrature(sysm, cert, B, profiles, t, rel_tol=QUAD_TOL):
+    """decay_quad of the energy integrand at one time, on its own bound: each
+    profile's (c_j, delta_j) gives F = sum_j w_j delta_j a_j a_j^T and the
+    centre x* = F^{-1} sum_j w_j delta_j c_j a_j, and the cube is widened to
+    cover BOX_MARGIN per unit weight of the box columns."""
+    A, sigma = sysm.A, cert.sigma
+    c, d = np.array([p.bound(s, t)[:2] for p, s in zip(profiles, sigma)]).T
+    wd = B.weights * d
+    F = (A * wd) @ A.T
+    x_star = np.linalg.solve(F, A @ (wd * c))
+    margin = BOX_MARGIN * sum(w for w, p in zip(B.weights, profiles)
+                              if not isinstance(p, GaussianProfile))
+
+    def f(X):
+        X = X + x_star
+        return B.evaluate(np.stack([p.heat(X @ A[:, j], sigma[j], t)
+                                    for j, p in enumerate(profiles)], axis=-1))
+
+    return decay_quad(f, F * (LOG_TAIL / (LOG_TAIL + margin)), rel_tol=rel_tol)
+
+
 def gaussian_datum(k, seed):
     """A random k x (k + 1) system, certificate, Young B and off-centre Gaussians."""
     rng = np.random.default_rng(seed)
@@ -235,16 +302,9 @@ class TestGaussianEnergy:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_quadrature_at_every_time(self, k):
         sysm, cert, B, profiles = gaussian_datum(k, 70 + k)
-        A, sigma = sysm.A, cert.sigma
         for t in DEFAULT_TIMES:
-            d = np.array([evolved_domination(p, s, t) for p, s in zip(profiles, sigma)])
-
-            def f(X):
-                return B.evaluate(np.stack([p.heat(X @ A[:, j], sigma[j], t)
-                                            for j, p in enumerate(profiles)], axis=-1))
-
-            want = decay_quad(f, (A * (B.weights * d)) @ A.T, rel_tol=1e-12).value
-            evolved = [p.evolved(s, t) for p, s in zip(profiles, sigma)]
+            want = per_time_quadrature(sysm, cert, B, profiles, t, rel_tol=1e-12).value
+            evolved = [p.evolved(s, t) for p, s in zip(profiles, cert.sigma)]
             assert gaussian_energy(sysm, B, evolved) == pytest.approx(want, rel=1e-10)
 
     def test_bellman_energies_are_the_closed_form(self):
@@ -277,17 +337,24 @@ class TestGaussianEnergy:
         assert twice.amplitude == pytest.approx(once.amplitude, rel=1e-14)
         assert once.center == g.center and once.mass() == pytest.approx(g.mass(), rel=1e-14)
 
-    def test_degenerate_gaussian_form_raises(self):
-        # A has full rank, but the variances 1e24 leave Q = A diag(w/v) A^T
-        # numerically rank 1
+    def test_graded_variances_are_not_degenerate(self):
+        # A has full rank, so Q = A diag(w/v) A^T is positive definite, though
+        # the variances 1e24 make it numerically rank 1 in absolute terms: rank
+        # is decided on unit columns, and the energy is the closed form.  With
+        # q = w/v, Cauchy-Binet gives det Q = q1 q2 + q1 q3 + q2 q3, and
+        # g = sqrt(q) c is at squared distance q1 q2 q3 (c3 - c1 - c2)^2 / det Q
+        # from the row space of A diag(sqrt(q))
         sysm = VectorSystem(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         B = BellmanSpec.young([0.5, 0.5, 0.5])
-        profiles = tuple(GaussianProfile(1.0, c, v)
-                         for c, v in ((0.0, 1.0), (0.5, 1e24), (-0.5, 1e24)))
-        with pytest.raises(StructuralError):
-            gaussian_energy(sysm, B, profiles)
-        with pytest.raises(StructuralError):
-            bellman_energies(sysm, make_cert(sysm, np.eye(2)), B, profiles, [1.0])
+        c, v = np.array([0.0, 0.5, -0.5]), np.array([1.0, 1e24, 1e24])
+        profiles = tuple(GaussianProfile(1.0, ci, vi) for ci, vi in zip(c, v))
+        q = B.weights / v
+        det = q[0] * q[1] + q[0] * q[2] + q[1] * q[2]
+        want = math.pi / math.sqrt(det) * math.exp(-q.prod() * (c[2] - c[0] - c[1]) ** 2 / det)
+        assert gaussian_energy(sysm, B, profiles) == pytest.approx(want, rel=1e-12)
+        trace = bellman_energies(sysm, make_cert(sysm, np.eye(2)), B, profiles, [0.0, 1.0])
+        assert trace.values[0] == pytest.approx(want, rel=1e-12)
+        assert math.isfinite(trace.values[1]) and trace.values[1] > want
 
 
 def reflect(profile):
@@ -468,18 +535,6 @@ class TestMonotonicity:
         assert verdict.certified is False and verdict.label == "no certificate"
 
 
-def per_time_quadrature(sysm, cert, B, profiles, t):
-    """decay_quad of the energy integrand at one time, on its own decay form."""
-    A, sigma = sysm.A, cert.sigma
-    d = np.array([evolved_domination(p, s, t) for p, s in zip(profiles, sigma)])
-
-    def f(X):
-        return B.evaluate(np.stack([p.heat(X @ A[:, j], sigma[j], t)
-                                    for j, p in enumerate(profiles)], axis=-1))
-
-    return decay_quad(f, (A * (B.weights * d)) @ A.T, rel_tol=QUAD_TOL)
-
-
 def k2_boxes(young3, young3_cert):
     sysm, _, B = young3
     profiles = (Box(0.0, 1.0, 1.0), Box(-1.0, 0.5, 2.0),
@@ -511,7 +566,9 @@ class TestBatchedPass:
     @pytest.mark.parametrize("k", [1, 2])
     def test_each_time_evaluates_its_own_grid_once(self, monkeypatch, k, young3, young3_cert):
         # one pass over the stack of forms; a converged time leaves it, so
-        # each time is evaluated on (m_t + 1)**k nodes up to its last level
+        # each time is evaluated on (m_t + 1)**k nodes up to its last level;
+        # the sharp edges at t = 1e-3 need a finer grid than the later times
+        times = (1e-3, *self.TIMES)
         data = box_mix(3) if k == 1 else k2_boxes(young3, young3_cert)
         calls, points = [], [0]
         decay_quad_of_stack = quadrature.decay_quad
@@ -526,8 +583,8 @@ class TestBatchedPass:
             return decay_quad_of_stack(g, F, rel_tol=rel_tol)
 
         monkeypatch.setattr(quadrature, "decay_quad", counting)
-        trace, _ = monotonicity_scan(*data, times=self.TIMES)
-        assert calls == [len(self.TIMES)]
+        trace, _ = monotonicity_scan(*data, times=times)
+        assert calls == [len(times)]
         assert len(set(trace.levels)) > 1
         assert points[0] == sum((quadrature._N0 * 2**int(L) + 1) ** k for L in trace.levels)
 
@@ -545,10 +602,59 @@ class TestBatchedPass:
     @pytest.mark.parametrize("budget", [8, 64])
     def test_flow_exits_3_when_the_budget_is_too_small(self, monkeypatch, capsys, budget):
         monkeypatch.setattr(quadrature, "MAX_NODES", budget)
-        path = Path(__file__).resolve().parent.parent / "problems" / "holder_boxes.json"
-        assert cli.main(["flow", str(path)]) == 3
+        assert cli.main(["flow", str(HOLDER_BOXES)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("non-convergence: ") and "did not reach rel_tol" in err
+
+
+def flow_csv(capsys, tmp_path, doc):
+    """The exit code of ``flow --format csv`` on the problem ``doc``, and its rows."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["flow", str(path), "--format", "csv"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    return code, np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+class TestBoxSymmetries:
+    """Translations and dilations of box data are exact symmetries of the
+    energy; the decay cube follows the data, so they hold to round-off."""
+
+    @pytest.mark.parametrize("shift", [30.0, -100.0])
+    def test_translated_holder_boxes(self, tmp_path, capsys, shift):
+        doc = json.loads(HOLDER_BOXES.read_text())
+        code, want = flow_csv(capsys, tmp_path, doc)
+        for profile in doc["profiles"]:
+            profile["lo"] += shift
+            profile["hi"] += shift
+        moved_code, got = flow_csv(capsys, tmp_path, doc)
+        assert code == moved_code == 0
+        np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x0", [(5.0, -3.0), (20.0, 10.0)])
+    def test_translated_k2_boxes(self, young3, young3_cert, x0):
+        # u_j -> u_j(. - <a_j, x0>) is the change of variables x -> x - x0
+        sysm, cert, B, profiles = k2_boxes(young3, young3_cert)
+        moved = tuple(shifted(p, s) for p, s in zip(profiles, np.array(x0) @ sysm.A))
+        times = (0.01, 0.1, 1.0, 10.0)
+        want = bellman_energies(sysm, cert, B, profiles, times).values
+        got = bellman_energies(sysm, cert, B, moved, times).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("lam", [math.sqrt(10.0), 10.0])
+    def test_dilated_holder_boxes(self, holder, box_profiles, tmp_path, capsys, lam):
+        # u_j -> u_j(. / lam) / lam and t -> lam^2 t is x -> x / lam, and B is
+        # one-homogeneous: E_lam(lam^2 t) = E(t)
+        sysm, _, B, cert = holder
+        want = bellman_energies(sysm, cert, B, box_profiles, DEFAULT_TIMES).values
+        dilated_boxes = tuple(dilated(p, lam) for p in box_profiles)
+        got = bellman_energies(sysm, cert, B, dilated_boxes,
+                               [lam * lam * t for t in DEFAULT_TIMES]).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        doc = json.loads(HOLDER_BOXES.read_text())
+        doc["profiles"] = [{"type": "box", "lo": p.lo, "hi": p.hi, "height": p.height}
+                           for p in dilated_boxes]
+        assert flow_csv(capsys, tmp_path, doc)[0] == 0
 
 
 class TestIdentityProbe:
