@@ -24,7 +24,7 @@ of rank k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ IDEM_TOL = 1e-9
 EIG_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SSystemResult:
+class SSystemResult(NamedTuple):
     s_sq: np.ndarray
     residual: float
     iterations: int
@@ -228,8 +227,7 @@ def certificate_defect(sys: VectorSystem, e: Exponents, cert: GaussCert) -> floa
     return float(np.linalg.norm(M @ cert.C - np.eye(sys.k)))
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
+class ProjectionReport(NamedTuple):
     ok: bool
     eigenvalues: np.ndarray
     rank: int

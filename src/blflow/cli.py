@@ -6,6 +6,9 @@ verdict-fail (e.g. the concavity check fails), 2 input error (unsupported
 sizes, a malformed field, an option the command does not take, a --tmax not
 finite and >= 0 and a --tol not finite and > 0 included), 3 non-convergence,
 4 certificate rejection.
+
+The verifier and the heat-flow layer are imported by the one command that
+runs each (verify, flow), so the other commands start without them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import certificate, heatflow, polytope, verifier
+from . import certificate, polytope
 from .errors import (BLFlowError, CertificateRejection, DomainError, IterationError,
                      QuadratureAnomaly, StructuralError, UnsupportedScaleError)
 from .io import Problem, parse_problem
@@ -172,6 +175,8 @@ def cmd_solve_c(problem: Problem, args) -> int:
 
 
 def cmd_verify(problem: Problem, args) -> int:
+    from . import verifier
+
     B = _bellman_of(problem)
     cert, _ = _certificate_of(problem)
     pde_tol = verifier.PDE_TOL if args.tol is None else args.tol
@@ -186,7 +191,8 @@ def cmd_verify(problem: Problem, args) -> int:
     return EXIT_OK if report.ok else EXIT_VERDICT
 
 
-def _trace_csv(trace: heatflow.EnergyTrace) -> str:
+def _trace_csv(trace) -> str:
+    """One CSV row per time of a heatflow.EnergyTrace."""
     lines = ["t,B_t,L,refinement"]
     for t, v, L, lev in zip(trace.times, trace.values, trace.halfwidths, trace.levels):
         lines.append(f"{t:.17g},{v:.17g},{L:.17g},{int(lev)}")
@@ -194,6 +200,8 @@ def _trace_csv(trace: heatflow.EnergyTrace) -> str:
 
 
 def cmd_flow(problem: Problem, args) -> int:
+    from . import heatflow
+
     if problem.profiles is None:
         raise StructuralError("flow needs profiles")
     B = _bellman_of(problem)

@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from . import quadrature
 from .errors import EvaluationError
 from .model import RANK_TOL, Exponents, VectorSystem
 
@@ -88,7 +87,13 @@ def gaussian_objective(sys: VectorSystem, e: Exponents, log_b) -> float:
 
 def quadrature_objective(sys: VectorSystem, e: Exponents, log_b,
                          rel_tol: float = 1e-9) -> float:
-    """Direct quadrature of the Gaussian integrand over R^k (k <= 3)."""
+    """Direct quadrature of the Gaussian integrand over R^k (k <= 3).
+
+    blflow.quadrature is imported here, so that verify, which needs only
+    the closed form, starts without it.
+    """
+    from . import quadrature
+
     b = np.exp(np.asarray(log_b, dtype=float).ravel())
     Q = (sys.A * (b * e.inv_p)) @ sys.A.T
     if np.linalg.eigvalsh(Q)[0] <= 0.0:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,13 +201,6 @@ class GaussianProfile:
     def value(self, y):
         y = np.asarray(y, dtype=float)
         return self.amplitude * np.exp(-((y - self.center) ** 2) / self.variance)
-
-    def evolved(self, sigma: float, t: float) -> "GaussianProfile":
-        """The heat extension at time t, again a Gaussian: variance
-        v_t = v + 4 sigma t and amplitude a sqrt(v / v_t), so the mass is kept."""
-        vt = self.variance + 4.0 * sigma * t
-        return GaussianProfile(self.amplitude * math.sqrt(self.variance / vt),
-                               self.center, vt)
 
     def heat(self, y, sigma: float, t):
         return _gaussian_heat(np.asarray(y, dtype=float), self.amplitude, self.center,
@@ -442,8 +436,7 @@ def rhs_limit(sys: VectorSystem, cert: GaussCert, B: BellmanSpec, masses) -> flo
     return gaussian_energy(sys, B, [gaussian_extremizer(m, s) for m, s in zip(masses, cert.sigma)])
 
 
-@dataclass(frozen=True)
-class FlowVerdict:
+class FlowVerdict(NamedTuple):
     monotone: bool
     certified: bool
     mono_tol: float

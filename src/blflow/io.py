@@ -1,31 +1,36 @@
 """Problem files: a single JSON document describing one reproducible run.
 
 Canonical formatting is fixed (key order, two-space indent, shortest
-round-trip float repr) so that parse -> serialize is byte-stable.
+round-trip float repr) so that parse -> serialize is byte-stable.  The
+profile classes live in blflow.heatflow, which is imported only to parse or
+serialize a file's ``profiles``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import StructuralError
-from .heatflow import Box, GaussianProfile, Profile, SumOfBoxes
 from .model import BellmanSpec, Exponents, VectorSystem
 
+if TYPE_CHECKING:
+    from .heatflow import Profile
 
-@dataclass(frozen=True)
-class Problem:
+
+class Problem(NamedTuple):
     system: VectorSystem
     exponents: Exponents | None
     B: BellmanSpec | None
     profiles: tuple[Profile, ...] | None
     C: np.ndarray | None
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping = MappingProxyType({})  # empty and read-only: shared by every default
 
 
 def _parse_B(doc, n: int) -> BellmanSpec:
@@ -43,6 +48,8 @@ def _parse_B(doc, n: int) -> BellmanSpec:
 
 
 def _parse_profile(doc) -> Profile:
+    from .heatflow import Box, GaussianProfile, SumOfBoxes
+
     kind = doc.get("type")
     if kind == "box":
         return Box(doc["lo"], doc["hi"], doc["height"])
@@ -134,6 +141,8 @@ def _B_doc(B: BellmanSpec):
 
 
 def _profile_doc(p: Profile):
+    from .heatflow import Box, GaussianProfile
+
     if isinstance(p, Box):
         return {"type": "box", "lo": p.lo, "hi": p.hi, "height": p.height}
     if isinstance(p, GaussianProfile):
@@ -160,5 +169,5 @@ def serialize_problem(problem: Problem) -> str:
         doc["C"] = problem.C.tolist()
     doc["seed"] = problem.seed
     if problem.tolerances:
-        doc["tolerances"] = problem.tolerances
+        doc["tolerances"] = dict(problem.tolerances)
     return json.dumps(doc, indent=2) + "\n"

@@ -20,8 +20,8 @@ that same table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ BOUNDARY_TOL = 1e-9
 MAX_N = 12
 
 
-@dataclass(frozen=True)
-class BasisIndicatorSet:
+class BasisIndicatorSet(NamedTuple):
     """Bases of the column matroid of A, with the rank of every proper subset.
 
     Row i of ``masks`` is the indicator of the column subset whose bit mask
@@ -61,12 +60,11 @@ class BasisIndicatorSet:
         return len(self.subsets)
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     verdict: str  # "inside" | "boundary" | "outside"
     witness: tuple[int, ...] | None  # the column subset S that attains the slack
     slack: float  # r(S) - x(S) at the witness; inf when every S is a separator
-    bases: BasisIndicatorSet = field(compare=False, repr=False)  # the table it was read from
+    bases: BasisIndicatorSet  # the table it was read from
 
 
 def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:

@@ -20,7 +20,7 @@ slabs along the first axis, so no (m**k, k) array of nodes is ever built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _N0 = 16
 MAX_NODES = 1 << 23
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     halfwidth: float
     levels: int  # mesh doublings: the last grid has _N0 * 2**levels intervals per axis

@@ -46,7 +46,7 @@ shared blflow.gaussian.gaussian_integral at unit Gaussians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ def euler_defect_at(B: BellmanSpec, y) -> tuple[bool, float]:
     return defect <= HOMOG_TOL, defect
 
 
-@dataclass(frozen=True)
-class L5Report:
+class L5Report(NamedTuple):
     converged: bool
     value: float
 
@@ -100,8 +99,7 @@ def check_L5(sys: VectorSystem, B: BellmanSpec) -> L5Report:
     return L5Report(converged=value < math.inf, value=value)
 
 
-@dataclass(frozen=True)
-class VerifierReport:
+class VerifierReport(NamedTuple):
     """Aggregate of the certificate checks with the tolerances used."""
 
     l3_ok: bool
@@ -111,7 +109,7 @@ class VerifierReport:
     rank_ok: bool
     rank: int
     l5: L5Report
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,5 @@
 """Test-only references: dense n x n forms for the verifier, and the heat flow's
-closed-form y-derivatives and pointwise identity probe.
+evolved Gaussian, closed-form y-derivatives and pointwise identity probe.
 
 The package decides L3, the PDE identity and the rank bound on the k x k
 spectrum of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T
@@ -58,11 +58,19 @@ def check_kn_structure(B, tol: float = KN_TOL) -> tuple[bool, float]:
     return worst <= tol, worst
 
 
+def evolved(profile: GaussianProfile, sigma: float, t: float) -> GaussianProfile:
+    """The heat extension of a Gaussian profile at time t, again a Gaussian:
+    variance v_t = v + 4 sigma t and amplitude a sqrt(v / v_t), so the mass is kept."""
+    vt = profile.variance + 4.0 * sigma * t
+    return GaussianProfile(profile.amplitude * math.sqrt(profile.variance / vt),
+                           profile.center, vt)
+
+
 def heat_dy(profile, y, sigma: float, t: float):
     """d/dy of profile.heat(y, sigma, t) at one time t > 0, in closed form."""
     y = np.asarray(y, dtype=float)
     if isinstance(profile, GaussianProfile):
-        g = profile.evolved(sigma, t)
+        g = evolved(profile, sigma, t)
         return -2.0 * (y - g.center) / g.variance * g.value(y)
     lo, hi, height = profile._edges
     w = math.sqrt(4.0 * sigma * t)

@@ -401,6 +401,60 @@ class TestFlow:
             assert "needs profiles" in err and "Traceback" not in err
 
 
+def scaled_datum(doc, c):
+    """a_j -> c_j a_j with u_j(y) -> u_j(y / c_j): box edges and Gaussian centres
+    times c_j, Gaussian variances times c_j^2; heights and amplitudes stay."""
+    out = scaled_columns(doc, c)
+    if "profiles" in doc:
+        def profile(p, cj):
+            if p["type"] == "gaussian":
+                return dict(p, center=p["center"] * cj, variance=p["variance"] * cj * cj)
+            return dict(p, lo=p["lo"] * cj, hi=p["hi"] * cj)
+        out["profiles"] = [profile(p, cj) for p, cj in zip(doc["profiles"], c)]
+    return out
+
+
+class TestColumnScaling:
+    """Column scaling is an exact symmetry of all five commands (ROADMAP item 15)."""
+
+    COMMANDS = ("finiteness", "constant", "solve-c", "verify", "flow")
+
+    def reports(self, capsys, path):
+        return {command: run_json(capsys, [command, path]) for command in self.COMMANDS}
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.json")))
+    def test_every_command_on_the_problem_files(self, tmp_path, capsys, name):
+        doc = json.loads((PROBLEMS / name).read_text())
+        ref = self.reports(capsys, str(PROBLEMS / name))
+        rng = np.random.default_rng(15)
+        for _ in range(6):
+            c = 10.0 ** rng.uniform(-8.0, 8.0, size=doc["n"])
+            got = self.reports(capsys, write(tmp_path, scaled_datum(doc, c)))
+            assert {k: v[0] for k, v in got.items()} == {k: v[0] for k, v in ref.items()}
+            if ref["finiteness"][0] == 0:
+                (_, r), (_, g) = ref["finiteness"], got["finiteness"]
+                assert (g["verdict"], g["witness"], g["basis_count"]) == \
+                    (r["verdict"], r["witness"], r["basis_count"])
+                # D is multiplied by prod_j c_j^(-1/p_j)
+                factor = np.prod(c ** -np.asarray(doc["inv_p"]))
+                assert got["constant"][1]["D"] == pytest.approx(
+                    factor * ref["constant"][1]["D"], rel=1e-13)
+                # the solved C is unchanged; sum s^2 = 1 fixes it up to one positive factor
+                C0, C1 = (np.asarray(out[1]["C"]) for out in (ref["solve-c"], got["solve-c"]))
+                scale = np.sum(C1 * C0) / np.sum(C0 * C0)
+                assert scale > 0.0
+                np.testing.assert_allclose(C1, scale * C0, rtol=1e-12, atol=0.0)
+            (_, r), (_, g) = ref["verify"], got["verify"]
+            assert [g[key]["ok"] for key in ("l3", "pde", "rank")] == \
+                [r[key]["ok"] for key in ("l3", "pde", "rank")]
+            assert (g["rank"]["worst"], g["l5"]["converged"], g["ok"]) == \
+                (r["rank"]["worst"], r["l5"]["converged"], r["ok"])
+            if ref["flow"][0] == 0:
+                (_, r), (_, g) = ref["flow"], got["flow"]
+                np.testing.assert_allclose(g["values"], r["values"], rtol=1e-12, atol=0.0)
+                assert (g["monotone"], g["label"]) == (r["monotone"], r["label"])
+
+
 THREAD_VARS = ("BLFLOW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
@@ -618,3 +672,42 @@ class TestImports:
         namespace = {}
         exec("from blflow import *", namespace)
         assert [name for name in blflow.__all__ if name not in namespace] == []
+
+    #: the blflow submodules a cold process holds after one command
+    LOADED = ("import contextlib, io, json, sys\n"
+              "from blflow.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                                if m.startswith('blflow.'))]))")
+
+    def loaded(self, argv):
+        proc = subprocess.run([sys.executable, "-c", self.LOADED, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0
+        return set(modules)
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c"])
+    def test_certify_commands_load_no_verifier_or_heat_flow(self, tmp_path, command):
+        modules = self.loaded([command, write(tmp_path, YOUNG3)])
+        assert {"blflow.cli", "blflow.polytope", "blflow.certificate"} <= modules
+        assert not modules & {"blflow.heatflow", "blflow.verifier", "blflow.gaussian",
+                              "blflow.quadrature"}
+
+    def test_verify_loads_no_heat_flow_or_quadrature(self, tmp_path):
+        modules = self.loaded(["verify", write(tmp_path, YOUNG3)])
+        assert {"blflow.verifier", "blflow.gaussian"} <= modules
+        assert not modules & {"blflow.heatflow", "blflow.quadrature"}
+
+    def test_exports_are_the_defining_modules_objects(self):
+        for name in blflow.__all__:
+            obj = getattr(blflow, name)
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+            assert obj.__module__.startswith("blflow."), name
+            assert name in dir(blflow), name
+            # resolved on each access, never stored in the package namespace
+            assert name not in vars(blflow), name
+        with pytest.raises(AttributeError):
+            blflow.no_such_export
