@@ -24,13 +24,13 @@ def main() -> None:
           f"at columns S = {verdict.witness})")
 
     result = solve_s_system(verdict.bases, e)
-    cert = build_C(sysm, e, result.s_sq)
-    print(f"s^2 = {cert.s_sq}  ({result.iterations} iterations, "
+    cert = build_C(sysm, result.s_sq)
+    print(f"s^2 = {result.s_sq}  ({result.iterations} iterations, "
           f"residual {result.residual:.3e})")
     print(f"C =\n{cert.C}")
     print(f"inverse defect: {certificate_defect(sysm, e, cert):.3e}")
 
-    proj = projection_check(sysm, cert)
+    proj = projection_check(sysm, cert, result.s_sq)
     print(f"projection: rank {proj.rank}, trace {proj.trace:.12f}, "
           f"eigenvalues {np.round(proj.eigenvalues, 10)}")
 

@@ -14,11 +14,13 @@ that span (_null_projector).  The iteration starts at the fixed-point image
 of C = I, s_j^2 = (1/p_j) / |a_j|^2, which solves k = 1 data outright and
 makes the iterates equivariant under column scaling.  That one solve gives
 both answers: D, the functional's value at its maximizer b = p s^2
-(blflow.gaussian), and the certificate C = M(s)^{-1} (build_C).  The
-certificate's quality is measured by the Frobenius defect of
+(blflow.gaussian), and the certificate C = M(s)^{-1} (build_C), which is
+the pair (C, sigma) with sigma_j = <C a_j, a_j>.  s^2, the solve's residual
+and its notes stay with the solve (SSystemResult).  The certificate's
+quality is measured by the Frobenius defect of
 A diag(1/(p_j sigma_j)) A^T C = I and by the spectrum of the projector
 P = (A S)^T C (A S), S = diag(s_j), which must be an orthogonal projection
-of rank k.
+of rank k (projection_check, given s^2).
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     solve converges, and off the interior of the polytope the value at the
     last iterate.
     """
-    k = len(bases.subsets[0])
+    k = int(bases.vectors[0].sum())
     x = e.inv_p
     degree = float(x.sum())
     off_degree = abs(degree - k) > DEGREE_TOL
@@ -194,12 +196,9 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     return result(z, f, residual, it, True)
 
 
-def build_C(sys: VectorSystem, e: Exponents, s_sq,
-            notes: tuple[str, ...] = ()) -> GaussCert:
-    """Certificate C = (A diag(s^2) A^T)^{-1} with its consistency residual.
+def build_C(sys: VectorSystem, s_sq) -> GaussCert:
+    """Certificate C = (A diag(s^2) A^T)^{-1} and its sigma_j = <C a_j, a_j>.
 
-    The residual is max_j |1/p_j - s_j^2 sigma_j| * p_j, i.e. how well the
-    weights satisfy their defining relation s_j^2 = 1/(p_j sigma_j).
     sigma_j = <M(s)^{-1} a_j, a_j> = |L^{-1} a_j|^2 for the Cholesky factor
     L L^T = M(s): a sum of squares, where the quadratic form a_j^T C a_j
     cancels up to eps cond M(s) of it on nearly parallel columns.
@@ -215,9 +214,7 @@ def build_C(sys: VectorSystem, e: Exponents, s_sq,
         sigma = np.sum(np.linalg.solve(np.linalg.cholesky(M), sys.A) ** 2, axis=0)
     except np.linalg.LinAlgError as exc:
         raise IterationError("M(s) is numerically singular or non-finite") from exc
-    C = 0.5 * (C + C.T)
-    residual = float(np.max(np.abs(e.inv_p - s_sq * sigma) / e.inv_p))
-    return GaussCert(C=C, s_sq=s_sq, sigma=sigma, residual=residual, notes=notes)
+    return GaussCert(C=0.5 * (C + C.T), sigma=sigma)
 
 
 def certificate_defect(sys: VectorSystem, e: Exponents, cert: GaussCert) -> float:
@@ -236,8 +233,8 @@ class ProjectionReport(NamedTuple):
     diag_bound_ok: bool
 
 
-def projection_check(sys: VectorSystem, cert: GaussCert) -> ProjectionReport:
-    """Check that P = (A S)^T C (A S) is an orthogonal projection of rank k.
+def projection_check(sys: VectorSystem, cert: GaussCert, s_sq) -> ProjectionReport:
+    """Check that P = (A S)^T C (A S), S = diag(s_j), is an orthogonal projection of rank k.
 
     P's spectrum is that of T = L^T C L, L L^T = A diag(s^2) A^T
     (model.gram_spectrum), and n - k zeros, so every figure is read off T's
@@ -245,7 +242,7 @@ def projection_check(sys: VectorSystem, cert: GaussCert) -> ProjectionReport:
     rank, and the bound A^T C A <= diag(1/s_j^2), that is P <= I, that is
     lambda_max <= 1 (up to EIG_TOL).
     """
-    lam = gram_spectrum(sys.A, cert.C, cert.s_sq)
+    lam = gram_spectrum(sys.A, cert.C, s_sq)
     idem = float(np.linalg.norm(lam * lam - lam))
     on_01 = bool(np.all(np.minimum(np.abs(lam), np.abs(lam - 1.0)) <= EIG_TOL))
     rank = int(np.count_nonzero(np.abs(lam) > 1e-8 * np.max(np.abs(lam))))

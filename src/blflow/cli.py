@@ -3,9 +3,15 @@
 Every command takes --out; verify and flow take --tol, and flow alone takes
 --tmax and --format.  Exit codes are a stable contract: 0 pass, 1
 verdict-fail (e.g. the concavity check fails), 2 input error (unsupported
-sizes, a malformed field, an option the command does not take, a --tmax not
-finite and >= 0 and a --tol not finite and > 0 included), 3 non-convergence,
-4 certificate rejection.
+sizes, a malformed field, a NaN or an infinity in the problem file, an
+option the command does not take, a --tmax not finite and >= 0 and a --tol
+not finite and > 0 included), 3 non-convergence, 4 certificate rejection.
+
+A certificate is the pair (C, sigma): the file's explicit C, or the one
+solved from the exponents (_solve, then certificate.build_C).  solve-c
+reports what the solve gives with it: s^2, the solver's residual and notes,
+the consistency residual max_j |1/p_j - s_j^2 sigma_j| p_j, and a note
+within 1e-6 of the polytope boundary.
 
 The verifier and the heat-flow layer are imported by the one command that
 runs each (verify, flow), so the other commands start without them.
@@ -86,40 +92,37 @@ def _membership(problem: Problem) -> polytope.MembershipVerdict:
                                                                   polytope.BOUNDARY_TOL))
 
 
+def _solve(problem: Problem):
+    """Polytope verdict and s-system solve, on its basis table, for the file's exponents."""
+    verdict = _membership(problem)
+    return verdict, certificate.solve_s_system(verdict.bases, problem.exponents,
+                                               res_tol=_res_tol(problem))
+
+
 def _solved_certificate(problem: Problem):
-    """Polytope verdict, solved certificate and solve result for the file's exponents.
+    """Polytope verdict, solve result and solved certificate for the file's exponents.
 
     Off the interior of the polytope no certificate exists, however small the
     residual the solver reaches far out along a ray, so that raises
-    IterationError (exit 3).  Within 1e-6 of the boundary (the slack is the
-    l1 distance to it up to a factor of 2) the certificate carries a note:
-    there s^2 spreads over about log10(1/slack) decades, so C rests on a few
-    columns and moves a lot with the exponents.
+    IterationError (exit 3).
     """
-    verdict = _membership(problem)
+    verdict, result = _solve(problem)
     if verdict.verdict != "inside":
         raise IterationError(f"exponents not inside the polytope ({verdict.verdict}); "
                              "no certificate exists")
-    result = certificate.solve_s_system(verdict.bases, problem.exponents,
-                                        res_tol=_res_tol(problem))
-    notes = result.notes
-    if verdict.slack < 1e-6:
-        notes += ("exponents within 1e-6 of the polytope boundary; "
-                  "the weights s^2 spread over many decades",)
-    cert = certificate.build_C(problem.system, problem.exponents, result.s_sq, notes=notes)
-    return verdict, cert, result
+    return verdict, result, certificate.build_C(problem.system, result.s_sq)
 
 
 def _certificate_of(problem: Problem):
-    """Explicit C from the file, or the solved one; returns (cert, solve_info)."""
+    """Explicit C from the file, or the solved one."""
     if problem.C is not None:
-        return make_cert(problem.system, problem.C, e=problem.exponents), None
+        return make_cert(problem.system, problem.C)
     if problem.exponents is None:
         raise StructuralError("need either an explicit C or exponents to solve for one")
-    _, cert, result = _solved_certificate(problem)
+    _, result, cert = _solved_certificate(problem)
     if not result.converged:
         raise IterationError("; ".join(result.notes))
-    return cert, result
+    return cert
 
 
 def cmd_finiteness(problem: Problem, args) -> int:
@@ -136,13 +139,11 @@ def cmd_finiteness(problem: Problem, args) -> int:
 def cmd_constant(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("constant needs inv_p")
-    verdict = _membership(problem)
+    verdict, result = _solve(problem)
     warnings = []
     if verdict.verdict != "inside":
         warnings.append(f"exponents are {verdict.verdict} the polytope; "
                         "the supremum may be infinite or attained only in a limit")
-    result = certificate.solve_s_system(verdict.bases, problem.exponents,
-                                        res_tol=_res_tol(problem))
     status = ("sup not attained / infinite" if verdict.verdict != "inside"
               else "converged" if result.converged
               else "non-convergence")
@@ -157,18 +158,26 @@ def cmd_constant(problem: Problem, args) -> int:
 def cmd_solve_c(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("solve-c needs inv_p")
-    verdict, cert, result = _solved_certificate(problem)
-    defect = certificate.certificate_defect(problem.system, problem.exponents, cert)
-    proj = certificate.projection_check(problem.system, cert)
-    _emit({"C": cert.C, "s_sq": cert.s_sq, "sigma": cert.sigma,
-           "residual": cert.residual, "system_residual": result.residual,
+    verdict, result, cert = _solved_certificate(problem)
+    e = problem.exponents
+    defect = certificate.certificate_defect(problem.system, e, cert)
+    proj = certificate.projection_check(problem.system, cert, result.s_sq)
+    notes = list(result.notes)
+    if verdict.slack < 1e-6:
+        # s^2 spreads over about log10(1 / slack) decades there, so C rests on a
+        # few columns and moves a lot with the exponents
+        notes.append("exponents within 1e-6 of the polytope boundary; "
+                     "the weights s^2 spread over many decades")
+    _emit({"C": cert.C, "s_sq": result.s_sq, "sigma": cert.sigma,
+           "residual": float(np.max(np.abs(e.inv_p - result.s_sq * cert.sigma) / e.inv_p)),
+           "system_residual": result.residual,
            "iterations": result.iterations, "converged": result.converged,
            "inverse_defect": defect,
            "projection": {"ok": proj.ok, "eigenvalues": proj.eigenvalues,
                           "rank": proj.rank, "trace": proj.trace,
                           "idempotency_defect": proj.idempotency_defect},
            "polytope_verdict": verdict.verdict,
-           "notes": list(cert.notes)}, args.out)
+           "notes": notes}, args.out)
     if not result.converged:
         return EXIT_NOCONV
     return EXIT_OK
@@ -178,7 +187,7 @@ def cmd_verify(problem: Problem, args) -> int:
     from . import verifier
 
     B = _bellman_of(problem)
-    cert, _ = _certificate_of(problem)
+    cert = _certificate_of(problem)
     pde_tol = verifier.PDE_TOL if args.tol is None else args.tol
     report = verifier.verify(problem.system, cert, B, pde_tol=pde_tol)
     _emit({"l3": {"ok": report.l3_ok, "max_eig": report.l3_max_eig},
@@ -205,7 +214,7 @@ def cmd_flow(problem: Problem, args) -> int:
     if problem.profiles is None:
         raise StructuralError("flow needs profiles")
     B = _bellman_of(problem)
-    cert, _ = _certificate_of(problem)
+    cert = _certificate_of(problem)
     trace, verdict = heatflow.monotonicity_scan(
         problem.system, cert, B, problem.profiles, times=heatflow.time_grid(args.tmax),
         quad_tol=heatflow.QUAD_TOL if args.tol is None else args.tol)

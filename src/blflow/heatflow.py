@@ -136,6 +136,8 @@ class _Boxes:
         lo, hi, height = np.array(rows, dtype=float).T
         if not np.all((lo < hi) & (height > 0.0)):
             raise StructuralError("box needs lo < hi and positive height")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(height)):
+            raise StructuralError("box edges and height must be finite")
         object.__setattr__(self, "_edges", (lo, hi, height))
 
     def mass(self) -> float:
@@ -194,6 +196,8 @@ class GaussianProfile:
     def __post_init__(self):
         if not (self.amplitude > 0.0 and self.variance > 0.0):
             raise StructuralError("Gaussian needs positive amplitude and variance")
+        if not all(map(math.isfinite, (self.amplitude, self.center, self.variance))):
+            raise StructuralError("Gaussian needs finite amplitude, center and variance")
 
     def mass(self) -> float:
         return self.amplitude * math.sqrt(math.pi * self.variance)

@@ -80,9 +80,9 @@ def _parse_tolerances(doc) -> dict:
 def _field(doc: dict, key: str, convert, default=None):
     """convert(doc[key]), or ``default`` when key is absent.
 
-    A ValueError, KeyError, TypeError or AttributeError that convert raises
-    on a malformed value is reported as a StructuralError that names the
-    field.
+    A ValueError, KeyError, TypeError, AttributeError or OverflowError (int
+    of an infinity) that convert raises on a malformed value is reported as
+    a StructuralError that names the field.
     """
     if key not in doc:
         return default
@@ -90,7 +90,7 @@ def _field(doc: dict, key: str, convert, default=None):
         return convert(doc[key])
     except StructuralError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise StructuralError(f"malformed field {key!r}: {detail}") from exc
 

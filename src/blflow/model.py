@@ -9,11 +9,18 @@ which covers the three supported variants: ``young`` (all weights in (0,1)),
 weighted geometric mean of two designated variables, itself a monomial).
 Keeping the catalog monomial makes gradients and Hessians exact, which is
 what the downstream certificate checks rely on.
+
+A certificate (GaussCert) is the symmetric matrix C with the diffusivities
+sigma_j = <C a_j, a_j>: all that the concavity test and the heat flow read.
+Every range check here is written so that NaN fails it, and an open range
+also requires a finite value, so a non-finite number in a problem file is a
+StructuralError (exit 2), never a verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +123,7 @@ class Exponents:
     def __post_init__(self):
         v = np.asarray(self.inv_p, dtype=float).ravel()
         object.__setattr__(self, "inv_p", v)
-        if v.size == 0 or np.any(v <= 0.0) or np.any(v > 1.0):
+        if v.size == 0 or not np.all((v > 0.0) & (v <= 1.0)):
             raise StructuralError("each 1/p_j must lie in (0, 1]")
 
     @property
@@ -145,9 +152,9 @@ class BellmanSpec:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
         object.__setattr__(self, "weights", w)
-        if self.coeff <= 0.0:
-            raise StructuralError("prefactor must be positive")
-        if np.any(w <= 0.0) or np.any(w > 1.0 + 1e-15):
+        if not (self.coeff > 0.0 and math.isfinite(self.coeff)):
+            raise StructuralError("prefactor must be positive and finite")
+        if not np.all((w > 0.0) & (w <= 1.0 + 1e-15)):
             raise StructuralError("monomial weights must lie in (0, 1]")
 
     # -- constructors ------------------------------------------------------
@@ -155,7 +162,7 @@ class BellmanSpec:
     @classmethod
     def young(cls, alpha) -> "BellmanSpec":
         alpha = np.asarray(alpha, dtype=float).ravel()
-        if np.any(alpha <= 0.0) or np.any(alpha >= 1.0):
+        if not np.all((alpha > 0.0) & (alpha < 1.0)):
             raise StructuralError("Young exponents must lie strictly in (0, 1)")
         return cls("young", 1.0, alpha)
 
@@ -182,7 +189,7 @@ class BellmanSpec:
             raise StructuralError(f"unknown section {phi_id!r}; catalog: "
                                   f"{sorted(SECTION_CATALOG)} or 'geomean'")
         alpha = np.asarray(alpha, dtype=float).ravel()
-        if np.any(alpha <= 0.0) or np.any(alpha > 1.0):
+        if not np.all((alpha > 0.0) & (alpha <= 1.0)):
             raise StructuralError("prefactor exponents must lie in (0, 1]")
         n = alpha.size + 2
         if section_vars is None:
@@ -244,49 +251,27 @@ class BellmanSpec:
 
 @dataclass(frozen=True)
 class GaussCert:
-    """A candidate certificate: symmetric matrix C plus auxiliary weights.
-
-    sigma_j = <C a_j, a_j> must be positive for every column; when produced
-    by the solver, s_j^2 = 1 / (p_j * sigma_j).
-    """
+    """A candidate certificate: the symmetric matrix C and the diffusivities
+    sigma_j = <C a_j, a_j>, each of which must be positive and finite."""
 
     C: np.ndarray
-    s_sq: np.ndarray
     sigma: np.ndarray
-    residual: float
-    notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "s_sq", np.asarray(self.s_sq, dtype=float).ravel())
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float).ravel())
+        if not np.all(np.isfinite(C)):
+            raise StructuralError("C must have finite entries")
+        # a finite C can still overflow sigma_j
+        if not np.all((self.sigma > 0.0) & (self.sigma < np.inf)):
+            raise CertificateRejection("<C a_j, a_j> must be positive and finite for every j")
         scale = max(1.0, float(np.max(np.abs(C))))
         if np.max(np.abs(C - C.T)) > SYM_TOL * scale:
             raise StructuralError("C must be symmetric within 1e-12")
-        if np.any(self.sigma <= 0.0):
-            raise CertificateRejection("<C a_j, a_j> must be positive for every j")
-        if np.any(self.s_sq <= 0.0):
-            raise CertificateRejection("s_j^2 must be positive")
-
-    @property
-    def k(self) -> int:
-        return self.C.shape[0]
 
 
-def make_cert(sys: VectorSystem, C, s_sq=None, e: Exponents | None = None,
-              residual: float = 0.0, notes: tuple[str, ...] = ()) -> GaussCert:
-    """Assemble a GaussCert from an explicit matrix C.
-
-    When s_sq is omitted it is filled in from the defining relation
-    s_j^2 = (1/p_j) / sigma_j, using e if given and uniform weights 1/n
-    otherwise.
-    """
+def make_cert(sys: VectorSystem, C) -> GaussCert:
+    """Assemble a GaussCert from an explicit matrix C."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    sigma = np.einsum("ij,ik,kj->j", sys.A, C, sys.A)
-    if np.any(sigma <= 0.0):
-        raise CertificateRejection("<C a_j, a_j> must be positive for every j")
-    if s_sq is None:
-        inv_p = e.inv_p if e is not None else np.full(sys.n, 1.0 / sys.n)
-        s_sq = inv_p / sigma
-    return GaussCert(C=C, s_sq=s_sq, sigma=sigma, residual=residual, notes=notes)
+    return GaussCert(C=C, sigma=np.einsum("ij,ik,kj->j", sys.A, C, sys.A))

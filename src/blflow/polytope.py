@@ -48,8 +48,7 @@ class BasisIndicatorSet(NamedTuple):
     2^n - 3 - i and ``ranks[::-1]`` lists the complements' ranks.
     """
 
-    subsets: tuple[tuple[int, ...], ...]
-    vectors: np.ndarray  # shape (m, n), one row per basis
+    vectors: np.ndarray  # shape (m, n), the indicator of each basis's columns
     log_c: np.ndarray  # shape (m,), log det(A_B)^2 per basis
     masks: np.ndarray  # shape (2^n - 2, n), one row per proper subset
     ranks: np.ndarray  # shape (2^n - 2,)
@@ -57,7 +56,7 @@ class BasisIndicatorSet(NamedTuple):
 
     @property
     def count(self) -> int:
-        return len(self.subsets)
+        return len(self.vectors)
 
 
 class MembershipVerdict(NamedTuple):
@@ -70,9 +69,9 @@ class MembershipVerdict(NamedTuple):
 def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
     """All k-subsets of columns with a nonsingular k x k submatrix, and the rank table.
 
-    Subsets are returned in lexicographic order of their index sets.  The
-    determinant test is scale invariant: |det| must exceed BASIS_TOL times
-    the product of the column norms.
+    The rows of ``vectors`` are in lexicographic order of their index sets.
+    The determinant test is scale invariant: |det| must exceed BASIS_TOL
+    times the product of the column norms.
     """
     k, n = sys.k, sys.n
     if n > MAX_N:
@@ -90,8 +89,7 @@ def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
     bits = np.arange(1, 2**n - 1)
     masks = ((bits[:, None] >> np.arange(n)) & 1).astype(float)
     ranks = (masks @ vectors.T).max(axis=1, initial=0.0)
-    return BasisIndicatorSet(tuple(map(tuple, rows.tolist())), vectors,
-                             2.0 * np.log(dets[keep]), masks, ranks, norms)
+    return BasisIndicatorSet(vectors, 2.0 * np.log(dets[keep]), masks, ranks, norms)
 
 
 def is_finite(sys: VectorSystem, e: Exponents,

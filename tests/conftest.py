@@ -13,7 +13,7 @@ def holder():
     sysm = VectorSystem(np.array([[1.0, 1.0]]))
     e = Exponents([0.5, 0.5])
     B = BellmanSpec.young([0.5, 0.5])
-    cert = make_cert(sysm, np.array([[1.0]]), e=e)
+    cert = make_cert(sysm, np.array([[1.0]]))
     return sysm, e, B, cert
 
 
@@ -27,11 +27,16 @@ def young3():
 
 
 @pytest.fixture(scope="session")
-def young3_cert(young3):
+def young3_solve(young3):
     sysm, e, _ = young3
     result = solve_s_system(enumerate_bases(sysm), e)
     assert result.converged
-    return build_C(sysm, e, result.s_sq)
+    return result
+
+
+@pytest.fixture(scope="session")
+def young3_cert(young3, young3_solve):
+    return build_C(young3[0], young3_solve.s_sq)
 
 
 @pytest.fixture(scope="session")

@@ -66,8 +66,8 @@ def test_criterion_3_young_certificate_chain():
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
     B = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
     result = solve_s_system(enumerate_bases(sysm), e)
-    cert = build_C(sysm, e, result.s_sq)
-    proj = projection_check(sysm, cert)
+    cert = build_C(sysm, result.s_sq)
+    proj = projection_check(sysm, cert, result.s_sq)
     eig_on_01 = np.all(np.minimum(np.abs(proj.eigenvalues),
                                   np.abs(proj.eigenvalues - 1.0)) <= 1e-8)
     rep = verify(sysm, cert, B)
@@ -115,9 +115,8 @@ def test_criterion_5_section_triple():
 def test_criterion_6_heat_flow_monotonicity():
     t0 = time.perf_counter()
     sysm = VectorSystem(np.array([[1.0, 1.0]]))
-    e = Exponents([0.5, 0.5])
     B = BellmanSpec.young([0.5, 0.5])
-    cert = make_cert(sysm, np.array([[1.0]]), e=e)
+    cert = make_cert(sysm, np.array([[1.0]]))
     profiles = (Box(0.0, 1.0, 1.0), Box(0.0, 2.0, 1.0))
     trace, verdict = monotonicity_scan(sysm, cert, B, profiles)
     late = trace.values[-1]
@@ -134,9 +133,8 @@ def test_criterion_7_equality_cases():
     quad_tol = 1e-8
     # (a) proportional profiles, identical arguments: constant trace
     sysm1 = VectorSystem(np.array([[1.0, 1.0]]))
-    e1 = Exponents([0.5, 0.5])
     B1 = BellmanSpec.young([0.5, 0.5])
-    cert1 = make_cert(sysm1, np.array([[1.0]]), e=e1)
+    cert1 = make_cert(sysm1, np.array([[1.0]]))
     profiles1 = (Box(0.0, 1.0, 2.0), Box(0.0, 1.0, 3.0))
     trace1, _ = monotonicity_scan(sysm1, cert1, B1, profiles1, quad_tol=quad_tol)
     band1 = 5.0 * quad_tol * max(1.0, float(np.max(np.abs(trace1.values))))
@@ -146,7 +144,7 @@ def test_criterion_7_equality_cases():
     sysm2 = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e2 = Exponents([2 / 3, 2 / 3, 2 / 3])
     B2 = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
-    cert2 = build_C(sysm2, e2, solve_s_system(enumerate_bases(sysm2), e2).s_sq)
+    cert2 = build_C(sysm2, solve_s_system(enumerate_bases(sysm2), e2).s_sq)
     profiles2 = tuple(gaussian_extremizer(m, s)
                       for m, s in zip((1.0, 2.0, 1.5), cert2.sigma))
     trace2, verdict2 = monotonicity_scan(sysm2, cert2, B2, profiles2,
@@ -169,7 +167,7 @@ def test_criterion_8_identity_probe():
                      (GaussianProfile(1.0, 0.2, 1.0), GaussianProfile(0.8, -0.3, 2.0))))
     # geometric-mean family, k = 1
     sysm = VectorSystem(np.array([[1.0, 1.0]]))
-    families.append((sysm, make_cert(sysm, np.array([[1.0]]), e=Exponents([0.5, 0.5])),
+    families.append((sysm, make_cert(sysm, np.array([[1.0]])),
                      BellmanSpec.young([0.5, 0.5]),
                      (Box(0.0, 1.0, 1.0), Box(0.0, 2.0, 1.0))))
     # lifted-section family, k = 2
@@ -242,12 +240,13 @@ def test_criterion_9_property_suites():
     sysm = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
     base = solve_s_system(enumerate_bases(sysm), e)
-    C0 = build_C(sysm, e, base.s_sq).C
+    C0 = build_C(sysm, base.s_sq).C
     for _ in range(100):
         lam = float(np.exp(rng.uniform(-2, 2)))
-        cert = build_C(sysm, e, base.s_sq / lam)
+        cert = build_C(sysm, base.s_sq / lam)
         ok &= bool(np.allclose(cert.C, lam * C0, rtol=1e-10))
-        ok &= cert.residual <= 1e-9
+        # max_j |1/p_j - s_j^2 sigma_j| p_j, scale-free in s^2
+        ok &= float(np.max(np.abs(e.inv_p - base.s_sq / lam * cert.sigma) / e.inv_p)) <= 1e-9
 
     # 5) polytope coordinate-sum invariant: hull points sum to k, so none is
     #    outside, and the witness's rank slack r(S) - x(S) is the reported one

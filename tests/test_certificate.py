@@ -7,9 +7,8 @@ from blflow import (Exponents, VectorSystem, build_C, certificate_defect,
                     enumerate_bases, gaussian_objective, is_finite, make_cert,
                     projection_check, solve_s_system)
 from blflow.certificate import _newton_terms, _null_projector
-from blflow.cli import _solved_certificate
+from blflow.cli import main
 from blflow.errors import CertificateRejection
-from blflow.io import parse_problem
 
 
 def polytope_point(rng, slack):
@@ -26,6 +25,11 @@ def polytope_point(rng, slack):
     inner = rng.dirichlet(np.ones(len(V))) @ V
     inv_p = (1.0 - slack) * V[rng.integers(len(V))] + slack * inner
     return sysm, Exponents(inv_p)
+
+
+def consistency_residual(e, s_sq, cert):
+    """max_j |1/p_j - s_j^2 sigma_j| p_j: how well s^2 meets s_j^2 = 1/(p_j sigma_j)."""
+    return float(np.max(np.abs(e.inv_p - s_sq * cert.sigma) / e.inv_p))
 
 
 class TestSSystem:
@@ -58,7 +62,7 @@ class TestSSystem:
             assert is_finite(sysm, e).verdict == "inside"
             res = solve_s_system(enumerate_bases(sysm), e)
             assert res.converged and res.residual <= 1e-10
-            assert projection_check(sysm, build_C(sysm, e, res.s_sq)).ok
+            assert projection_check(sysm, build_C(sysm, res.s_sq), res.s_sq).ok
             closed = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
             assert res.D == pytest.approx(closed, rel=1e-12)
 
@@ -136,8 +140,8 @@ class TestSSystem:
                 assert res_c.iterations == res.iterations
                 expected = res.s_sq / c**2
                 assert np.allclose(res_c.s_sq, expected / expected.sum(), rtol=1e-8)
-                C = build_C(sysm, e, res.s_sq).C
-                C_c = build_C(scaled, e, res_c.s_sq).C
+                C = build_C(sysm, res.s_sq).C
+                C_c = build_C(scaled, res_c.s_sq).C
                 assert np.allclose(C_c / np.trace(C_c), C / np.trace(C), rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e8, 1e20])
@@ -207,10 +211,10 @@ class TestBuildC:
         sysm = VectorSystem(np.eye(2))
         e = Exponents([1.0, 1.0])
         res = solve_s_system(enumerate_bases(sysm), e)
-        cert = build_C(sysm, e, res.s_sq)
+        cert = build_C(sysm, res.s_sq)
         assert np.allclose(cert.C, 2.0 * np.eye(2), atol=1e-10)
         assert np.allclose(cert.sigma, [2.0, 2.0], atol=1e-10)
-        assert cert.residual <= 1e-10
+        assert consistency_residual(e, res.s_sq, cert) <= 1e-10
 
     def test_young_defect_zero(self, young3, young3_cert):
         sysm, e, _ = young3
@@ -220,22 +224,22 @@ class TestBuildC:
     def test_perturbed_C_has_large_defect(self, young3, young3_cert):
         sysm, e, _ = young3
         C_bad = young3_cert.C + np.array([[0.05, 0.0], [0.0, -0.03]])
-        cert = make_cert(sysm, C_bad, e=e)
+        cert = make_cert(sysm, C_bad)
         assert certificate_defect(sysm, e, cert) > 1e-3
 
     def test_rejects_nonpositive_weights(self, young3):
-        sysm, e, _ = young3
+        sysm, _, _ = young3
         with pytest.raises(CertificateRejection):
-            build_C(sysm, e, [0.5, -0.1, 0.6])
+            build_C(sysm, [0.5, -0.1, 0.6])
 
-    def test_gauge_covariance(self, young3, young3_cert):
+    def test_gauge_covariance(self, young3, young3_solve, young3_cert):
         # scaling s^2 by 1/lam scales M by 1/lam, hence C by lam; the
         # defining residual is scale-free
         sysm, e, _ = young3
         lam = 3.0
-        cert = build_C(sysm, e, young3_cert.s_sq / lam)
+        cert = build_C(sysm, young3_solve.s_sq / lam)
         assert np.allclose(cert.C, lam * young3_cert.C, rtol=1e-12)
-        assert cert.residual <= 1e-9
+        assert consistency_residual(e, young3_solve.s_sq / lam, cert) <= 1e-9
 
 
 class TestProjection:
@@ -243,17 +247,17 @@ class TestProjection:
         # k=1, s^2 = (1/2, 1/2), C = (1): P = [[1/2, 1/2], [1/2, 1/2]]
         sysm, e, _, _ = holder
         res = solve_s_system(enumerate_bases(sysm), e)
-        cert = build_C(sysm, e, res.s_sq)
-        S = np.sqrt(cert.s_sq)
+        cert = build_C(sysm, res.s_sq)
+        S = np.sqrt(res.s_sq)
         P = (sysm.A * S).T @ cert.C @ (sysm.A * S)
         assert np.allclose(P, np.full((2, 2), 0.5), atol=1e-10)
-        rep = projection_check(sysm, cert)
+        rep = projection_check(sysm, cert, res.s_sq)
         assert rep.ok and rep.rank == 1 and rep.diag_bound_ok
         assert rep.trace == pytest.approx(1.0, abs=1e-10)
 
-    def test_young_projection(self, young3, young3_cert):
+    def test_young_projection(self, young3, young3_solve, young3_cert):
         sysm, _, _ = young3
-        rep = projection_check(sysm, young3_cert)
+        rep = projection_check(sysm, young3_cert, young3_solve.s_sq)
         assert rep.ok
         assert rep.rank == 2
         assert rep.trace == pytest.approx(2.0, abs=1e-9)
@@ -278,35 +282,36 @@ class TestProjection:
             res = solve_s_system(enumerate_bases(sysm), e)
             if not res.converged:
                 continue
-            cert = build_C(sysm, e, res.s_sq)
-            rep = projection_check(sysm, cert)
+            cert = build_C(sysm, res.s_sq)
+            rep = projection_check(sysm, cert, res.s_sq)
             assert rep.trace == pytest.approx(k, abs=1e-8)
             assert rep.diag_bound_ok
 
-    def test_diag_bound_fails_for_wrong_weights(self, young3, young3_cert):
+    def test_diag_bound_fails_for_wrong_weights(self, young3, young3_solve, young3_cert):
         # shrinking one s_j^2 without re-solving breaks A^T C A <= diag(1/s^2)
         sysm, _, _ = young3
-        bad = make_cert(sysm, young3_cert.C,
-                        s_sq=young3_cert.s_sq * np.array([4.0, 1.0, 1.0]))
-        rep = projection_check(sysm, bad)
+        rep = projection_check(sysm, young3_cert,
+                               young3_solve.s_sq * np.array([4.0, 1.0, 1.0]))
         assert not rep.diag_bound_ok
 
 
-def solved(A, inv_p):
-    """Verdict, certificate and solve result along the CLI's solve chain."""
+def solved(tmp_path, capsys, A, inv_p):
+    """The report of `blflow solve-c`, the CLI's solve chain, on (A, 1/p)."""
     k, n = np.shape(A)
-    return _solved_certificate(parse_problem(json.dumps(
-        {"k": k, "n": n, "A": A, "inv_p": inv_p})))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"k": k, "n": n, "A": A, "inv_p": inv_p}))
+    assert main(["solve-c", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestSolveChain:
-    def test_boundary_warning_note(self):
+    def test_boundary_warning_note(self, tmp_path, capsys):
         # slack 1e-7: inside, but within 1e-6 of the boundary
-        verdict, cert, res = solved([[1.0, 1.0]], [1.0 - 1e-7, 1e-7])
-        assert verdict.verdict == "inside" and res.converged
-        assert any("boundary" in note for note in cert.notes)
+        doc = solved(tmp_path, capsys, [[1.0, 1.0]], [1.0 - 1e-7, 1e-7])
+        assert doc["polytope_verdict"] == "inside" and doc["converged"]
+        assert any("boundary" in note for note in doc["notes"])
 
-    def test_clean_run_has_no_notes(self, young3):
+    def test_clean_run_has_no_notes(self, tmp_path, capsys, young3):
         sysm, e, _ = young3
-        _, cert, res = solved(sysm.A.tolist(), e.inv_p.tolist())
-        assert res.converged and cert.notes == ()
+        doc = solved(tmp_path, capsys, sysm.A.tolist(), e.inv_p.tolist())
+        assert doc["converged"] and doc["notes"] == []

@@ -572,6 +572,29 @@ class TestExitCodes:
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: malformed field {next(iter(field))!r}")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["inv_p", "alpha", "M", "C", "center", "hi", "seed"])
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, field, value):
+        # JSON's NaN and +-Infinity (and 1e999) parse as floats; each range
+        # check fails on them, so no NaN reaches a report or a linear solve
+        gaussian = {"type": "gaussian", "amplitude": 1.0, "center": 0.0, "variance": 1.0}
+        doc = {
+            "inv_p": dict(YOUNG3, inv_p=[value, 2 / 3, 2 / 3]),
+            "alpha": dict(YOUNG3, B={"variant": "young", "alpha": [value, 2 / 3, 2 / 3]}),
+            "M": dict(YOUNG3, B={"variant": "product", "M": value}),
+            "C": dict(YOUNG3, C=[[1.0, 0.0], [0.0, value]]),
+            "center": dict(HOLDER, profiles=[dict(gaussian, center=value), gaussian]),
+            "hi": dict(HOLDER, profiles=[HOLDER["profiles"][0],
+                                         dict(HOLDER["profiles"][1], hi=value)]),
+            "seed": dict(YOUNG3, seed=value),  # int() of an infinity overflows
+        }[field]
+        # C is parsed as a matrix and checked when the certificate is built
+        command = "verify" if field == "C" else "finiteness"
+        assert main([command, write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("command, tol", [("verify", "0"), ("verify", "-0.001"),
                                               ("flow", "-1"), ("flow", "0"),
                                               ("flow", "nan"), ("flow", "inf"),
@@ -614,6 +637,17 @@ class TestExitCodes:
         doc = dict(YOUNG3)
         doc["C"] = [[1.0, 0.0], [0.0, -1.0]]
         assert main(["verify", write(tmp_path, doc)]) == 4
+
+    @pytest.mark.parametrize("C, code", [([[1.0, 1e-3], [0.0, 1.0]], 2),
+                                         ([[1.0, 0.5], [0.0, -1.0]], 4),
+                                         ([[1e308, 0.0], [0.0, 1e308]], 4)],
+                             ids=["asymmetric", "asymmetric_and_negative_sigma",
+                                  "overflowing_sigma"])
+    def test_explicit_C_rejection_order(self, tmp_path, capsys, C, code):
+        # sigma_j <= 0 is decided before symmetry: an asymmetric C is an input
+        # error only while every <C a_j, a_j> > 0 (here sigma_2 = -0.5); a
+        # finite C whose sigma_2 = 2e308 overflows is rejected too
+        assert main(["verify", write(tmp_path, dict(YOUNG3, C=C))]) == code
 
     def test_entry_point_installed(self, tmp_path):
         path = write(tmp_path, YOUNG3)

@@ -178,13 +178,11 @@ class TestDomainTypes:
 
     def test_cert_rejects_nonpositive_sigma(self):
         with pytest.raises(CertificateRejection):
-            GaussCert(C=np.diag([1.0, -1.0]), s_sq=[1.0, 1.0],
-                      sigma=[1.0, -1.0], residual=0.0)
+            GaussCert(C=np.diag([1.0, -1.0]), sigma=[1.0, -1.0])
 
     def test_cert_rejects_asymmetry(self):
         with pytest.raises(StructuralError):
-            GaussCert(C=np.array([[1.0, 1e-6], [0.0, 1.0]]), s_sq=[1.0],
-                      sigma=[1.0], residual=0.0)
+            GaussCert(C=np.array([[1.0, 1e-6], [0.0, 1.0]]), sigma=[1.0])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -25,7 +25,7 @@ def interior_datum(rng, k, n):
     e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
     result = solve_s_system(bases, e)
     assert result.converged
-    return sysm, e, build_C(sysm, e, result.s_sq), BellmanSpec.young(e.inv_p)
+    return sysm, e, build_C(sysm, result.s_sq), BellmanSpec.young(e.inv_p)
 
 
 class TestHadamardForm:
@@ -102,16 +102,16 @@ class TestPDE:
         assert ok and worst <= 1e-10
 
     def test_defect_is_scaling_invariant(self, young3):
-        sysm, e, B = young3
+        sysm, _, B = young3
         bad = np.array([[2.0, 0.0], [0.0, 2.0]])
-        d1 = check_pde_identity(sysm, make_cert(sysm, bad, e=e), B)[1]
+        d1 = check_pde_identity(sysm, make_cert(sysm, bad), B)[1]
         for lam in (1e-6, 1e-2, 3.0, 1e5):
-            d2 = check_pde_identity(sysm, make_cert(sysm, lam * bad, e=e), B)[1]
+            d2 = check_pde_identity(sysm, make_cert(sysm, lam * bad), B)[1]
             assert d2 == pytest.approx(d1, rel=1e-12)
 
     def test_broken_certificate_fails(self, young3):
-        sysm, e, B = young3
-        bad = make_cert(sysm, np.array([[2.0, 0.0], [0.0, 2.0]]), e=e)
+        sysm, _, B = young3
+        bad = make_cert(sysm, np.array([[2.0, 0.0], [0.0, 2.0]]))
         ok, worst = check_pde_identity(sysm, bad, B)
         assert not ok and worst > 1e-3
 
@@ -126,8 +126,8 @@ class TestRank:
         assert check_rank_bound(sysm, cert, B) == (True, 1)
 
     def test_full_rank_violation(self, young3):
-        sysm, e, B = young3
-        bad = make_cert(sysm, np.array([[2.0, 0.0], [0.0, 2.0]]), e=e)
+        sysm, _, B = young3
+        bad = make_cert(sysm, np.array([[2.0, 0.0], [0.0, 2.0]]))
         ok, rank = check_rank_bound(sysm, bad, B)
         assert not ok and rank > 1
 
@@ -221,11 +221,11 @@ class TestConcavityDiagBoundLink:
             D = rng.normal(scale=0.05, size=(2, 2))
             C = young3_cert.C + 0.5 * (D + D.T)
             try:
-                cert = make_cert(sysm, C, e=e)
+                cert = make_cert(sysm, C)
             except Exception:
                 continue
             l3_ok = check_L3(sysm, cert, B)[0]
-            gram = sysm.A.T @ cert.C @ sysm.A - np.diag(1.0 / cert.s_sq)
+            gram = sysm.A.T @ cert.C @ sysm.A - np.diag(e.p * cert.sigma)
             margin = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])
             if abs(margin) < 1e-6:
                 continue  # indeterminate band around the boundary
@@ -296,9 +296,9 @@ class TestBatchedAgainstPerSample:
     @pytest.mark.parametrize("name", ["young3", "section_triple", "product2"])
     def test_named(self, name, request):
         if name == "young3":
-            sysm, e, B = request.getfixturevalue("young3")
+            sysm, _, B = request.getfixturevalue("young3")
             cert = request.getfixturevalue("young3_cert")
-            bad = make_cert(sysm, np.array([[2.0, 0.0], [0.0, 2.0]]), e=e)
+            bad = make_cert(sysm, np.array([[2.0, 0.0], [0.0, 2.0]]))
         else:
             sysm, B, cert = request.getfixturevalue(name)
             bad = make_cert(sysm, np.ones((2, 2)) + 1e-3 * np.eye(2))
@@ -316,7 +316,7 @@ class TestBatchedAgainstPerSample:
 
 
 def scaled_cert(sysm, e, C):
-    return make_cert(sysm, 0.5 * (C + C.T), e=e)
+    return make_cert(sysm, 0.5 * (C + C.T))
 
 
 @st.composite
@@ -434,14 +434,14 @@ def rescaled(sysm, e, C, B, c, lam, mu):
     """The datum with a_j -> c_j a_j, C -> lam C and B -> mu B; C certifies
     the rescaled columns exactly when it certified the old ones."""
     moved = VectorSystem(sysm.A * c)
-    return (moved, make_cert(moved, lam * C, e=e),
+    return (moved, make_cert(moved, lam * C),
             BellmanSpec(B.variant, mu * B.coeff, B.weights))
 
 
 def datum_of(text):
     """System, exponents, certificate (the file's or the solved one) and B, as verify reads them."""
     problem = parse_problem(text)
-    return problem.system, problem.exponents, _certificate_of(problem)[0], _bellman_of(problem)
+    return problem.system, problem.exponents, _certificate_of(problem), _bellman_of(problem)
 
 
 class TestColumnScaling:
@@ -496,7 +496,7 @@ class TestColumnScaling:
         e = Exponents([0.8, 0.5, 0.7])
         sysm = VectorSystem(np.array([[1.0, 0.0, 0.6], [0.0, scale, 0.8]]))
         result = solve_s_system(enumerate_bases(sysm), e)
-        cert = build_C(sysm, e, result.s_sq)
+        cert = build_C(sysm, result.s_sq)
         B = BellmanSpec.young(e.inv_p)
         assert verify(sysm, cert, B).ok
         w, U = np.linalg.eigh(cert.C)
