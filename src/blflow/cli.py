@@ -92,11 +92,10 @@ def _membership(problem: Problem) -> polytope.MembershipVerdict:
                                                                   polytope.BOUNDARY_TOL))
 
 
-def _solve(problem: Problem):
-    """Polytope verdict and s-system solve, on its basis table, for the file's exponents."""
-    verdict = _membership(problem)
-    return verdict, certificate.solve_s_system(verdict.bases, problem.exponents,
-                                               res_tol=_res_tol(problem))
+def _solve(problem: Problem, verdict: polytope.MembershipVerdict):
+    """s-system solve for the file's exponents, on the verdict's basis table."""
+    return certificate.solve_s_system(verdict.bases, problem.exponents,
+                                      res_tol=_res_tol(problem))
 
 
 def _solved_certificate(problem: Problem):
@@ -104,12 +103,13 @@ def _solved_certificate(problem: Problem):
 
     Off the interior of the polytope no certificate exists, however small the
     residual the solver reaches far out along a ray, so that raises
-    IterationError (exit 3).
+    IterationError (exit 3) before any solve.
     """
-    verdict, result = _solve(problem)
+    verdict = _membership(problem)
     if verdict.verdict != "inside":
         raise IterationError(f"exponents not inside the polytope ({verdict.verdict}); "
                              "no certificate exists")
+    result = _solve(problem, verdict)
     return verdict, result, certificate.build_C(problem.system, result.s_sq)
 
 
@@ -139,7 +139,8 @@ def cmd_finiteness(problem: Problem, args) -> int:
 def cmd_constant(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("constant needs inv_p")
-    verdict, result = _solve(problem)
+    verdict = _membership(problem)
+    result = _solve(problem, verdict)
     warnings = []
     if verdict.verdict != "inside":
         warnings.append(f"exponents are {verdict.verdict} the polytope; "

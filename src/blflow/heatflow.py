@@ -134,10 +134,9 @@ class _Boxes:
 
     def _set_edges(self, rows) -> None:
         lo, hi, height = np.array(rows, dtype=float).T
-        if not np.all((lo < hi) & (height > 0.0)):
-            raise StructuralError("box needs lo < hi and positive height")
-        if not np.all(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(height)):
-            raise StructuralError("box edges and height must be finite")
+        if not np.all((lo < hi) & (height > 0.0)
+                      & np.isfinite(lo) & np.isfinite(hi) & np.isfinite(height)):
+            raise StructuralError("box needs finite lo < hi and a finite positive height")
         object.__setattr__(self, "_edges", (lo, hi, height))
 
     def mass(self) -> float:
@@ -194,10 +193,10 @@ class GaussianProfile:
     variance: float
 
     def __post_init__(self):
-        if not (self.amplitude > 0.0 and self.variance > 0.0):
-            raise StructuralError("Gaussian needs positive amplitude and variance")
-        if not all(map(math.isfinite, (self.amplitude, self.center, self.variance))):
-            raise StructuralError("Gaussian needs finite amplitude, center and variance")
+        if not (0.0 < self.amplitude < math.inf and 0.0 < self.variance < math.inf
+                and math.isfinite(self.center)):
+            raise StructuralError("Gaussian needs a finite center and finite positive "
+                                  "amplitude and variance")
 
     def mass(self) -> float:
         return self.amplitude * math.sqrt(math.pi * self.variance)
