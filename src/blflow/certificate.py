@@ -14,13 +14,13 @@ that span (_null_projector).  The iteration starts at the fixed-point image
 of C = I, s_j^2 = (1/p_j) / |a_j|^2, which solves k = 1 data outright and
 makes the iterates equivariant under column scaling.  That one solve gives
 both answers: D, the functional's value at its maximizer b = p s^2
-(blflow.gaussian), and the certificate C = M(s)^{-1} (build_C), which is
-the pair (C, sigma) with sigma_j = <C a_j, a_j>.  s^2, the solve's residual
-and its notes stay with the solve (SSystemResult).  The certificate's
-quality is measured by the Frobenius defect of
-A diag(1/(p_j sigma_j)) A^T C = I and by the spectrum of the projector
-P = (A S)^T C (A S), S = diag(s_j), which must be an orthogonal projection
-of rank k (projection_check, given s^2).
+(blflow.gaussian), and the certificate C = M(s)^{-1} with its Gram matrix
+G = A^T C A, read off one QR factor of A S, S = diag(s_j) (build_C).
+s^2, the solve's residual and its notes stay with the solve
+(SSystemResult).  The certificate's quality is read off the spectrum of T
+(model.gram_spectrum): ||T - I||_F at d = 1/(p_j sigma_j)
+(certificate_defect), and at d = s^2 the projector P = (A S)^T C (A S),
+which must be an orthogonal projection of rank k (projection_check).
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     exponents, |sum(1/p_j) - k| > polytope.DEGREE_TOL, stop it unconverged
     after the first evaluation.  Within that tolerance, exponents that miss
     the degree by more than res_tol are solved at x = (1/p) k / sum(1/p),
-    and all others at x = 1/p.  s^2 is returned normalized to
-    sum(s^2) = 1, with f there; the residual is max_j |x_j - tau_j|.
+    and all others at x = 1/p.  s^2 is returned normalized to the scale-free
+    tr M(s) = 1, with f there; the residual is max_j |x_j - tau_j|.
     D = exp(f - sum_j x_j log x_j / 2) is the Gaussian functional at
     b = p s^2 (no determinant of Q(b) is formed): the concave f's one
     stationary point is its maximum, so D is the sharp constant when the
@@ -142,7 +142,7 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
         degree = float(x.sum())
 
     def result(z, f, residual, iterations, converged, note=None) -> SSystemResult:
-        shift = float(np.logaddexp.reduce(z))  # sum(exp(z - shift)) = 1
+        shift = float(np.logaddexp.reduce(z + 2.0 * np.log(bases.norms)))  # tr M(s) = 1
         f = f - 0.5 * shift * (degree - k)
         return SSystemResult(np.exp(z - shift), residual, iterations, converged, f,
                              math.exp(f - 0.5 * float(x @ np.log(x))),
@@ -197,31 +197,28 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
 
 
 def build_C(sys: VectorSystem, s_sq) -> GaussCert:
-    """Certificate C = (A diag(s^2) A^T)^{-1} and its sigma_j = <C a_j, a_j>.
+    """Certificate C = (A diag(s^2) A^T)^{-1} and its G = A^T C A, from one QR factor.
 
-    sigma_j = <M(s)^{-1} a_j, a_j> = |L^{-1} a_j|^2 for the Cholesky factor
-    L L^T = M(s): a sum of squares, where the quadratic form a_j^T C a_j
-    cancels up to eps cond M(s) of it on nearly parallel columns.
+    (A S)^T = Q R, S = diag(s_j), gives M(s) = R^T R, C = R^{-1} R^{-T} and
+    G = S^{-1} Q Q^T S^{-1} without forming M(s), which would square the
+    conditioning of A S on nearly parallel columns.
     """
     s_sq = np.asarray(s_sq, dtype=float).ravel()
-    if np.any(s_sq <= 0.0):
-        raise CertificateRejection("s_j^2 must be positive")
-    M = (sys.A * s_sq) @ sys.A.T
+    if not np.all((s_sq > 0.0) & (s_sq < np.inf)):
+        raise CertificateRejection("s_j^2 must be positive and finite")
+    s = np.sqrt(s_sq)
+    Q, R = np.linalg.qr((sys.A * s).T)
     try:
-        if not np.all(np.isfinite(M)):
-            raise np.linalg.LinAlgError
-        C = np.linalg.inv(M)
-        sigma = np.sum(np.linalg.solve(np.linalg.cholesky(M), sys.A) ** 2, axis=0)
+        R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError as exc:
-        raise IterationError("M(s) is numerically singular or non-finite") from exc
-    return GaussCert(C=0.5 * (C + C.T), sigma=sigma)
+        raise IterationError("M(s) is numerically singular") from exc
+    W = Q / s[:, None]
+    return GaussCert(C=R_inv @ R_inv.T, G=W @ W.T)
 
 
 def certificate_defect(sys: VectorSystem, e: Exponents, cert: GaussCert) -> float:
-    """Frobenius norm of A diag(1/(p_j sigma_j)) A^T C - I."""
-    d = e.inv_p / cert.sigma
-    M = (sys.A * d) @ sys.A.T
-    return float(np.linalg.norm(M @ cert.C - np.eye(sys.k)))
+    """||T - I||_F at d = 1/(p_j sigma_j): zero exactly when A diag(1/(p_j sigma_j)) A^T C = I."""
+    return float(np.linalg.norm(gram_spectrum(cert.G, e.inv_p / cert.sigma, sys.k) - 1.0))
 
 
 class ProjectionReport(NamedTuple):
@@ -236,13 +233,12 @@ class ProjectionReport(NamedTuple):
 def projection_check(sys: VectorSystem, cert: GaussCert, s_sq) -> ProjectionReport:
     """Check that P = (A S)^T C (A S), S = diag(s_j), is an orthogonal projection of rank k.
 
-    P's spectrum is that of T = L^T C L, L L^T = A diag(s^2) A^T
-    (model.gram_spectrum), and n - k zeros, so every figure is read off T's
-    k eigenvalues: ||P^2 - P||_F = ||lambda^2 - lambda||, the trace, the
+    P = S G S has T's spectrum at d = s^2 (model.gram_spectrum) and n - k
+    zeros, so every figure is read off T's k eigenvalues: ||P^2 - P||_F = ||lambda^2 - lambda||, the trace, the
     rank, and the bound A^T C A <= diag(1/s_j^2), that is P <= I, that is
     lambda_max <= 1 (up to EIG_TOL).
     """
-    lam = gram_spectrum(sys.A, cert.C, s_sq)
+    lam = gram_spectrum(cert.G, s_sq, sys.k)
     idem = float(np.linalg.norm(lam * lam - lam))
     on_01 = bool(np.all(np.minimum(np.abs(lam), np.abs(lam - 1.0)) <= EIG_TOL))
     rank = int(np.count_nonzero(np.abs(lam) > 1e-8 * np.max(np.abs(lam))))

@@ -7,7 +7,7 @@ sizes, a malformed field, a NaN or an infinity in the problem file, an
 option the command does not take, a --tmax not finite and >= 0 and a --tol
 not finite and > 0 included), 3 non-convergence, 4 certificate rejection.
 
-A certificate is the pair (C, sigma): the file's explicit C, or the one
+A certificate is the pair (C, G = A^T C A): the file's explicit C, or the one
 solved from the exponents (_solve, then certificate.build_C).  solve-c
 reports what the solve gives with it: s^2, the solver's residual and notes,
 the consistency residual max_j |1/p_j - s_j^2 sigma_j| p_j, and a note
@@ -143,7 +143,8 @@ def cmd_constant(problem: Problem, args) -> int:
     result = _solve(problem, verdict)
     warnings = []
     if verdict.verdict != "inside":
-        warnings.append(f"exponents are {verdict.verdict} the polytope; "
+        where = "on the boundary of" if verdict.verdict == "boundary" else "outside"
+        warnings.append(f"exponents are {where} the polytope; "
                         "the supremum may be infinite or attained only in a limit")
     status = ("sup not attained / infinite" if verdict.verdict != "inside"
               else "converged" if result.converged

@@ -10,8 +10,8 @@ weighted geometric mean of two designated variables, itself a monomial).
 Keeping the catalog monomial makes gradients and Hessians exact, which is
 what the downstream certificate checks rely on.
 
-A certificate (GaussCert) is the symmetric matrix C with the diffusivities
-sigma_j = <C a_j, a_j>: all that the concavity test and the heat flow read.
+A certificate (GaussCert) is the symmetric matrix C and its Gram matrix
+G = A^T C A: the concavity test reads G, the heat flow sigma_j = G_jj.
 Every range check here is written so that NaN fails it, and an open range
 also requires a finite value, so a non-finite number in a problem file is a
 StructuralError (exit 2), never a verdict.
@@ -64,22 +64,19 @@ def psd_leq_zero(M, tol: float = 1e-9) -> bool:
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1]) / scale <= tol
 
 
-def gram_spectrum(A, C, d) -> np.ndarray:
-    """Ascending eigenvalues of T = L^T C L, where L L^T = A diag(d) A^T.
+def gram_spectrum(G, d, k: int) -> np.ndarray:
+    """Ascending eigenvalues of T = F^{1/2} C F^{1/2}, F = A diag(d) A^T, read off G = A^T C A.
 
-    For d > 0 and rank A = k, F = A diag(d) A^T is positive definite and T
-    is similar to F^{1/2} C F^{1/2}.  T's k eigenvalues are the nonzero
-    spectrum of the n x n form (A D)^T C (A D), D = diag(sqrt(d)): the
-    verifier decides on them at d = w / sigma, the projection check at
-    d = s^2.  T does not see a rescaling a_j -> c_j a_j that rescales d_j
-    by 1 / c_j^2, a positive scaling of C against d, or a rotation of R^k.
+    For d > 0 the n x n form D G D = (A D)^T C (A D), D = diag(sqrt(d)), has
+    T's spectrum and n - k zeros, so its k eigenvalues of largest modulus
+    are kept; where T has an eigenvalue near 0 the choice among near-zeros
+    moves no verdict.  T does not see a rescaling a_j -> c_j a_j that
+    rescales d_j by 1 / c_j^2, a positive scaling of C against d, or a
+    rotation of R^k.
     """
-    try:
-        L = np.linalg.cholesky((A * d) @ A.T)
-    except np.linalg.LinAlgError as exc:
-        raise StructuralError("A diag(d) A^T is not positive definite to working "
-                              "precision; is rank(A) = k?") from exc
-    return np.linalg.eigvalsh(L.T @ C @ L)
+    root = np.sqrt(d)
+    lam = np.linalg.eigvalsh(root[:, None] * G * root)
+    return np.sort(lam[np.argsort(np.abs(lam))[lam.size - k:]])
 
 
 @dataclass(frozen=True)
@@ -251,27 +248,33 @@ class BellmanSpec:
 
 @dataclass(frozen=True)
 class GaussCert:
-    """A candidate certificate: the symmetric matrix C and the diffusivities
-    sigma_j = <C a_j, a_j>, each of which must be positive and finite."""
+    """A candidate certificate: the symmetric matrix C and its Gram matrix
+    G = A^T C A, which must be finite, with every sigma_j = G_jj = <C a_j, a_j> > 0."""
 
     C: np.ndarray
-    sigma: np.ndarray
+    G: np.ndarray
 
     def __post_init__(self):
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float).ravel())
+        object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
         if not np.all(np.isfinite(C)):
             raise StructuralError("C must have finite entries")
-        # a finite C can still overflow sigma_j
-        if not np.all((self.sigma > 0.0) & (self.sigma < np.inf)):
-            raise CertificateRejection("<C a_j, a_j> must be positive and finite for every j")
+        # a finite C can still overflow G
+        if not (np.all(np.isfinite(self.G)) and np.all(self.sigma > 0.0)):
+            raise CertificateRejection("A^T C A must be finite and every <C a_j, a_j> positive")
         scale = max(1.0, float(np.max(np.abs(C))))
         if np.max(np.abs(C - C.T)) > SYM_TOL * scale:
             raise StructuralError("C must be symmetric within 1e-12")
+
+    @property
+    def sigma(self) -> np.ndarray:  # the diffusivities sigma_j = G_jj = <C a_j, a_j>
+        return np.diagonal(self.G)
 
 
 def make_cert(sys: VectorSystem, C) -> GaussCert:
     """Assemble a GaussCert from an explicit matrix C."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    return GaussCert(C=C, sigma=np.einsum("ij,ik,kj->j", sys.A, C, sys.A))
+    with np.errstate(over="ignore", invalid="ignore"):  # GaussCert rejects what is not finite
+        G = sys.A.T @ C @ sys.A
+    return GaussCert(C=C, G=G)

@@ -19,7 +19,7 @@ has the inertia and rank of K at every interior y.  Since G_jj = sigma_j,
 E K E = A_w^T C A_w - I with E = diag(1/sqrt(w_j sigma_j)) and
 A_w = A diag(sqrt(w / sigma)), and the nonzero spectrum of A_w^T C A_w is
 the spectrum lambda_1 <= ... <= lambda_k of the k x k matrix
-T = F^{1/2} C F^{1/2}, F = A_w A_w^T = A diag(w / sigma) A^T
+T = F^{1/2} C F^{1/2}, F = A_w A_w^T = A diag(w / sigma) A^T, read off G
 (model.gram_spectrum).  So K has the inertia and rank of
 diag(lambda_1 - 1, ..., lambda_k - 1, -1, ..., -1), and
 
@@ -33,9 +33,9 @@ T = I says that the columns C^{1/2} a_j / sqrt(sigma_j) with weights w are
 in Ball-Barthe geometric position.  T, and with it every verdict, does not
 see a positive scaling of C or of B, a permutation or a rescaling of the
 columns, or a rotation of R^k.  Over 3000 random solved certificates
-(k = 2, 3, n <= 8, unit columns, Young B) max |lambda_i - 1| was 8.0e-11 at
-the 99th percentile and 8.6e-10 at most; the negative controls (one
-eigenvalue of C doubled or halved) were at least 8.3e-3 off.
+(k = 2, 3, n <= 8, unit columns, Young B) max |lambda_i - 1| was 8.5e-11 at
+the 99th percentile and 1.7e-10 at most; the negative controls (one
+eigenvalue of C doubled or halved) were at least 4.8e-3 off.
 
 L5 integrates B(exp(-<a_1, x>^2), ..., exp(-<a_n, x>^2)) over R^k, which is
 coeff * exp(-x^T Q x) with Q = A diag(w) A^T: the integral is
@@ -63,7 +63,7 @@ RANK_TOL = 1e-6
 
 def certificate_spectrum(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> np.ndarray:
     """Ascending eigenvalues of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T."""
-    return gram_spectrum(sys.A, cert.C, B.weights / cert.sigma)
+    return gram_spectrum(cert.G, B.weights / cert.sigma, sys.k)
 
 
 def check_L3(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> tuple[bool, float]:

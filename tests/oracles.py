@@ -7,7 +7,8 @@ spectrum of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T
 verdicts stand for: the Hadamard form H(y) = (A^T C A) o Hess B(y) at one
 point, and the y-free core K = (A^T C A) o (w w^T - diag w) with
 H(y) = B(y) Y^{-1} K Y^{-1}, so that the tests can hold the k x k verdicts
-against K's eigenvalues, rank and PDE defect.
+against K's eigenvalues, rank and PDE defect, and cholesky_spectrum is T
+itself, formed the other way round.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def dense_verdicts(sys, cert, B, rank_tol: float) -> tuple[float, float, int]:
     return (float(np.linalg.eigvalsh(K)[-1]) / scale,
             float(np.linalg.norm((sys.A * inv_sigma) @ K)) / pde_scale,
             numerical_rank(K, tol=rank_tol))
+
+
+def cholesky_spectrum(A, C, d) -> np.ndarray:
+    """Ascending eigenvalues of T = L^T C L, L L^T = A diag(d) A^T: T formed from
+    a factor of A diag(d) A^T, independent of blflow.model.gram_spectrum's
+    reading of the n x n form off A^T C A."""
+    L = np.linalg.cholesky((A * d) @ A.T)
+    return np.linalg.eigvalsh(L.T @ C @ L)
 
 
 def check_kn_structure(B, tol: float = KN_TOL) -> tuple[bool, float]:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from blflow import (Exponents, VectorSystem, build_C, certificate_defect,
+from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, certificate_defect,
                     enumerate_bases, gaussian_objective, is_finite, make_cert,
-                    projection_check, solve_s_system)
+                    projection_check, solve_s_system, verify)
 from blflow.certificate import _newton_terms, _null_projector
 from blflow.cli import main
 from blflow.errors import CertificateRejection
@@ -38,7 +38,8 @@ class TestSSystem:
         res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged
         assert res.residual <= 1e-10
-        assert np.allclose(res.s_sq, [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
+        # tr M(s) = s^2 sum_j |a_j|^2 = 4 s^2 = 1
+        assert np.allclose(res.s_sq, [1 / 4, 1 / 4, 1 / 4], atol=1e-10)
 
     def test_identity_system(self):
         sysm = VectorSystem(np.eye(2))
@@ -114,7 +115,8 @@ class TestSSystem:
         sysm = VectorSystem(np.array([np.cos(angles), np.sin(angles)]) * [1.0, 2.0, 0.5])
         res = solve_s_system(enumerate_bases(sysm), Exponents([2 / 3, 2 / 3, 2 / 3]))
         assert res.converged and res.iterations == 1
-        assert np.allclose(res.s_sq, np.array([1.0, 0.25, 4.0]) / 5.25, rtol=1e-12)
+        # tr M(s) = 1 * 1 + 0.25 * 4 + 4 * 0.25 = 3 before normalizing
+        assert np.allclose(res.s_sq, np.array([1.0, 0.25, 4.0]) / 3.0, rtol=1e-12)
 
     def test_k1_start_is_exact(self):
         # for k = 1, tau_j = s_j^2 a_j^2 / sum_i s_i^2 a_i^2 = x_j at the start
@@ -122,12 +124,12 @@ class TestSSystem:
         e = Exponents([0.2, 0.3, 0.4, 0.1])
         res = solve_s_system(enumerate_bases(sysm), e)
         assert res.converged and res.iterations == 1
-        expected = e.inv_p / sysm.A[0] ** 2
-        assert np.allclose(res.s_sq, expected / expected.sum(), rtol=1e-14)
+        # tr M(s) = sum_j x_j = 1 at s_j^2 = x_j / a_j^2
+        assert np.allclose(res.s_sq, e.inv_p / sysm.A[0] ** 2, rtol=1e-14)
 
     def test_column_scaling_is_equivariant(self):
-        # a_j -> c_j a_j sends s_j^2 to s_j^2 / c_j^2 (up to the gauge), leaves
-        # C = M(s)^{-1} the same up to a positive factor, and runs the same steps
+        # a_j -> c_j a_j sends s_j^2 to s_j^2 / c_j^2 at the same tr M(s) = 1,
+        # leaves C = M(s)^{-1} the same, and runs the same steps
         rng = np.random.default_rng(7)
         for slack in (1.0, 1e-3):
             for _ in range(10):
@@ -138,11 +140,10 @@ class TestSSystem:
                 res_c = solve_s_system(enumerate_bases(scaled), e)
                 assert res.converged and res_c.converged
                 assert res_c.iterations == res.iterations
-                expected = res.s_sq / c**2
-                assert np.allclose(res_c.s_sq, expected / expected.sum(), rtol=1e-8)
+                assert np.allclose(res_c.s_sq, res.s_sq / c**2, rtol=1e-8)
                 C = build_C(sysm, res.s_sq).C
                 C_c = build_C(scaled, res_c.s_sq).C
-                assert np.allclose(C_c / np.trace(C_c), C / np.trace(C), rtol=1e-8, atol=0)
+                assert np.allclose(C_c, C, rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e8, 1e20])
     def test_divergence_test_does_not_see_column_scaling(self, scale):
@@ -183,7 +184,7 @@ class TestSSystem:
             if np.max(np.abs(r)) <= 1e-15:
                 break
             z = z + np.linalg.lstsq(K, r, rcond=None)[0]
-        oracle = np.exp(z) / np.exp(z).sum()
+        oracle = np.exp(z) / (np.exp(z) @ np.sum(A**2, axis=0))
         assert np.allclose(res.s_sq, oracle, rtol=1e-12, atol=0)
 
     def test_null_projector(self, young3):
@@ -219,7 +220,8 @@ class TestBuildC:
     def test_young_defect_zero(self, young3, young3_cert):
         sysm, e, _ = young3
         assert certificate_defect(sysm, e, young3_cert) <= 1e-10
-        assert np.allclose(young3_cert.sigma, [2.0, 2.0, 2.0], atol=1e-8)
+        # s^2 = 1/4 gives M(s) = A A^T / 4 and sigma_j = <4 (A A^T)^{-1} a_j, a_j> = 8/3
+        assert np.allclose(young3_cert.sigma, [8 / 3, 8 / 3, 8 / 3], atol=1e-8)
 
     def test_perturbed_C_has_large_defect(self, young3, young3_cert):
         sysm, e, _ = young3
@@ -293,6 +295,57 @@ class TestProjection:
         rep = projection_check(sysm, young3_cert,
                                young3_solve.s_sq * np.array([4.0, 1.0, 1.0]))
         assert not rep.diag_bound_ok
+
+
+def stress_datum(rng, near_parallel):
+    """Unit columns, k = 2..4, n = k + 2..8; with near_parallel, a_2 is
+    1e-8 to 1e-3 from a_1, so that cond M(s) reaches 1e15 at the solution."""
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(k + 2, 9))
+    A = rng.normal(size=(k, n))
+    A /= np.linalg.norm(A, axis=0)
+    if near_parallel:
+        u = rng.normal(size=k)
+        u -= (u @ A[:, 0]) * A[:, 0]
+        A[:, 1] = A[:, 0] + 10.0 ** rng.uniform(-8.0, -3.0) * u / np.linalg.norm(u)
+        A[:, 1] /= np.linalg.norm(A[:, 1])
+    return VectorSystem(A)
+
+
+def exact_ratio_defect(mpmath, A, x, s_sq) -> float:
+    """max_j |x_j / tau_j - 1| at the given s^2, tau_j = s_j^2 <M(s)^{-1} a_j, a_j>, to 60 digits."""
+    with mpmath.workdps(60):
+        AS = mpmath.matrix(A.tolist()) * mpmath.diag([mpmath.sqrt(mpmath.mpf(v)) for v in s_sq])
+        C = (AS * AS.T) ** -1
+        return float(max(abs(mpmath.mpf(x[j]) / (AS[:, j].T * C * AS[:, j])[0] - 1)
+                         for j in range(A.shape[1])))
+
+
+class TestStressSet:
+    def test_solved_certificates_meet_the_exact_defect(self):
+        """300 interior data, half with a near-parallel pair.  Every converged
+        solve's certificate is a projection, and verify's PDE defect is at most
+        the exact max_j |x_j / tau_j - 1| at the solver's s^2: in exact
+        arithmetic T's eigenvalues lie between the smallest and the largest
+        x_j / tau_j, so the certificate adds nothing to what s^2 misses."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        checked = 0
+        for i in range(300):
+            sysm = stress_datum(rng, i % 2 == 1)
+            bases = enumerate_bases(sysm)
+            e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
+            verdict = is_finite(sysm, e)
+            assert verdict.verdict == "inside"
+            res = solve_s_system(verdict.bases, e)
+            if not res.converged:
+                continue
+            cert = build_C(sysm, res.s_sq)
+            assert projection_check(sysm, cert, res.s_sq).ok, i
+            defect = verify(sysm, cert, BellmanSpec.young(e.inv_p)).pde_defect
+            assert defect <= exact_ratio_defect(mpmath, sysm.A, e.inv_p, res.s_sq) + 1e-9, i
+            checked += 1
+        assert checked >= 290
 
 
 def solved(tmp_path, capsys, A, inv_p):

@@ -62,8 +62,8 @@ WIDE_BOUNDARY_TOL = {
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 # inside (slack 0.063), but a_1 and a_3 are 5e-5 from parallel: s^2 spans nine
-# decades and cond M(s) = 1.2e9, so the solved C meets T = I only to
-# eps cond M(s), a few times PDE_TOL
+# decades and cond M(s) = 1.2e9, so a C read off a factor of M(s) would meet
+# T = I only to eps cond M(s), a few times PDE_TOL
 NEAR_PARALLEL = {
     "k": 2, "n": 3,
     "A": [[-1.23039551, -1.02126268, 1.13451221], [0.65083906, -0.94682061, -0.60019183]],
@@ -163,6 +163,15 @@ class TestConstant:
         assert code == 0
         assert out["status"] == "sup not attained / infinite"
 
+    @pytest.mark.parametrize("doc, where", [(BOUNDARY, "on the boundary of"),
+                                            (OUTSIDE, "outside")],
+                             ids=["boundary", "outside"])
+    def test_warning_is_a_sentence(self, tmp_path, capsys, doc, where):
+        code, out = run_json(capsys, ["constant", write(tmp_path, doc)])
+        assert code == 0
+        assert out["warnings"] == [f"exponents are {where} the polytope; the supremum "
+                                   "may be infinite or attained only in a limit"]
+
 
     def test_reports_the_solver_notes(self, tmp_path, capsys):
         # off degree the solver stops at once and its note says why
@@ -209,7 +218,8 @@ class TestSolveC:
         C = np.array(doc["C"])
         scale = C[0, 0] / AAT_inv[0, 0]
         assert np.allclose(C, scale * AAT_inv, rtol=1e-8)
-        assert np.allclose(doc["s_sq"], [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
+        # tr M(s) = s^2 sum_j |a_j|^2 = 4 s^2 = 1
+        assert np.allclose(doc["s_sq"], [1 / 4, 1 / 4, 1 / 4], atol=1e-9)
         assert doc["inverse_defect"] <= 1e-9
         assert doc["projection"]["ok"] and doc["projection"]["rank"] == 2
 
@@ -312,18 +322,23 @@ class TestVerify:
         assert main(["verify", write(tmp_path, doc_in)]) == 3
 
     def test_near_parallel_agrees_with_solve_c(self, tmp_path, capsys):
-        """verify and solve-c decide on the same k x k spectrum: on a solved
-        certificate with w = 1/p, verify's T at d = w / sigma is solve-c's at
-        d = s^2, so both see the same max |lambda - 1| and both fail it."""
+        """verify and solve-c decide on the same k x k spectrum, read off the
+        Gram matrix that one QR factor of A S gives: both pass, and the solved
+        C is M(s)^{-1} to far better than eps cond M(s)."""
+        mpmath = pytest.importorskip("mpmath")
         path = write(tmp_path, NEAR_PARALLEL)
         code, ver = run_json(capsys, ["verify", path])
-        assert code == 1 and not ver["ok"] and not ver["pde"]["ok"]
+        assert code == 0 and ver["ok"] and ver["pde"]["defect"] <= 1e-12
         code, sol = run_json(capsys, ["solve-c", path])
-        assert code == 0 and sol["converged"] and not sol["projection"]["ok"]
+        assert code == 0 and sol["converged"] and sol["projection"]["ok"]
         top = np.sort(sol["projection"]["eigenvalues"])[-NEAR_PARALLEL["k"]:]
-        proj_defect = float(np.max(np.abs(top - 1.0)))
-        assert ver["pde"]["defect"] > verifier.PDE_TOL and proj_defect > verifier.PDE_TOL
-        assert ver["pde"]["defect"] == pytest.approx(proj_defect, rel=0.25)
+        assert float(np.max(np.abs(top - 1.0))) <= 1e-12
+        # the reference: a 50-digit inverse of M(s) = A diag(s^2) A^T at the same s^2
+        with mpmath.workdps(50):
+            AS = mpmath.matrix(NEAR_PARALLEL["A"]) * mpmath.diag(
+                [mpmath.sqrt(mpmath.mpf(v)) for v in sol["s_sq"]])
+            exact = np.array(((AS * AS.T) ** -1).tolist(), dtype=float)
+        assert np.linalg.norm(np.asarray(sol["C"]) - exact) <= 1e-11 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-10, 1e10])
     def test_column_scaling_keeps_the_verdicts(self, tmp_path, capsys, scale):
@@ -439,11 +454,9 @@ class TestColumnScaling:
                 factor = np.prod(c ** -np.asarray(doc["inv_p"]))
                 assert got["constant"][1]["D"] == pytest.approx(
                     factor * ref["constant"][1]["D"], rel=1e-13)
-                # the solved C is unchanged; sum s^2 = 1 fixes it up to one positive factor
+                # the solved C is unchanged: tr M(s) = 1 fixes its scale
                 C0, C1 = (np.asarray(out[1]["C"]) for out in (ref["solve-c"], got["solve-c"]))
-                scale = np.sum(C1 * C0) / np.sum(C0 * C0)
-                assert scale > 0.0
-                np.testing.assert_allclose(C1, scale * C0, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(C1, C0, rtol=1e-12, atol=0.0)
             (_, r), (_, g) = ref["verify"], got["verify"]
             assert [g[key]["ok"] for key in ("l3", "pde", "rank")] == \
                 [r[key]["ok"] for key in ("l3", "pde", "rank")]
@@ -453,6 +466,32 @@ class TestColumnScaling:
                 (_, r), (_, g) = ref["flow"], got["flow"]
                 np.testing.assert_allclose(g["values"], r["values"], rtol=1e-12, atol=0.0)
                 assert (g["monotone"], g["label"]) == (r["monotone"], r["label"])
+
+
+    def test_flow_with_a_solved_certificate(self, tmp_path, capsys):
+        """Without an explicit C the flow runs on the solved one, and its
+        diffusivities must not see the scaling either."""
+        rng = np.random.default_rng(2026)
+        for _ in range(10):
+            k = int(rng.integers(2, 4))
+            n = int(rng.integers(k + 1, 7))
+            A = rng.normal(size=(k, n))
+            A /= np.linalg.norm(A, axis=0)
+            V = polytope.enumerate_bases(blflow.VectorSystem(A)).vectors
+            inv_p = rng.dirichlet(np.ones(len(V))) @ V
+            doc = {"k": k, "n": n, "A": A.tolist(), "inv_p": inv_p.tolist(),
+                   "profiles": [{"type": "gaussian", "amplitude": float(a),
+                                 "center": float(m), "variance": float(v)}
+                                for a, m, v in zip(rng.uniform(0.5, 2.0, n),
+                                                   rng.normal(size=n),
+                                                   rng.uniform(0.5, 2.0, n))]}
+            c = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+            code, ref = run_json(capsys, ["flow", write(tmp_path, doc), "--tmax", "10"])
+            assert code == 0 and ref["label"] == "certified"
+            code, got = run_json(capsys, ["flow", write(tmp_path, scaled_datum(doc, c)),
+                                          "--tmax", "10"])
+            assert code == 0 and got["times"] == ref["times"]
+            np.testing.assert_allclose(got["values"], ref["values"], rtol=1e-12, atol=0.0)
 
 
 THREAD_VARS = ("BLFLOW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")

@@ -177,12 +177,13 @@ class TestDomainTypes:
             Exponents([0.5, 0.0])
 
     def test_cert_rejects_nonpositive_sigma(self):
+        # A = I: G = C, whose diagonal sigma = (1, -1)
         with pytest.raises(CertificateRejection):
-            GaussCert(C=np.diag([1.0, -1.0]), sigma=[1.0, -1.0])
+            GaussCert(C=np.diag([1.0, -1.0]), G=np.diag([1.0, -1.0]))
 
     def test_cert_rejects_asymmetry(self):
         with pytest.raises(StructuralError):
-            GaussCert(C=np.array([[1.0, 1e-6], [0.0, 1.0]]), sigma=[1.0])
+            GaussCert(C=np.array([[1.0, 1e-6], [0.0, 1.0]]), G=[[1.0]])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

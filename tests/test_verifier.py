@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, certificate_spectrum,
                     check_L3, check_L5, enumerate_bases, make_cert, solve_s_system, verify)
 from blflow.cli import _bellman_of, _certificate_of
+from blflow.errors import CertificateRejection
 from blflow.io import parse_problem
-from blflow.model import HOMOG_TOL
+from blflow.model import HOMOG_TOL, gram_spectrum
 from blflow.quadrature import decay_quad
 from blflow.verifier import L3_TOL, PDE_TOL, RANK_TOL
-from oracles import check_kn_structure, core_form, dense_verdicts, hadamard_form
+from oracles import (check_kn_structure, cholesky_spectrum, core_form, dense_verdicts,
+                     hadamard_form)
 
 
 def interior_datum(rng, k, n):
@@ -419,6 +421,66 @@ class TestDenseOracle:
             checked += 1
             controls += len(certs) - 1
         assert controls >= 200
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def explicit_C(rng, k, kind):
+    """A random symmetric C of the given kind, times 10^[-8, 8]."""
+    Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    if kind == "positive_definite":
+        ev = rng.uniform(0.1, 10.0, size=k)
+    elif kind == "indefinite":
+        ev = rng.uniform(0.1, 10.0, size=k) * np.where(np.arange(k) == 0, -1.0, 1.0)
+    elif kind == "singular":
+        ev = rng.uniform(0.1, 10.0, size=k) * (np.arange(k) > 0)
+    else:  # "spread": eigenvalues over 12 decades
+        ev = 10.0 ** rng.uniform(-6.0, 6.0, size=k)
+    C = (Q * ev) @ Q.T
+    return 0.5 * (C + C.T) * 10.0 ** rng.uniform(-8.0, 8.0)
+
+
+class TestGramSpectrumOracle:
+    """gram_spectrum's reading of G = A^T C A against T = L^T C L, L L^T = A diag(d) A^T."""
+
+    KINDS = ("positive_definite", "indefinite", "singular", "spread", "solved")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        checked = 0
+        while checked < 200:
+            k = int(rng.integers(2, 5))
+            n = int(rng.integers(k + 1, 9))
+            sysm, e, cert, B = interior_datum(rng, k, n)
+            if kind != "solved":
+                B = BellmanSpec.young(rng.uniform(0.05, 0.95, size=n))
+                try:
+                    cert = make_cert(sysm, explicit_C(rng, k, kind))
+                except CertificateRejection:
+                    continue
+            # columns scaled by 10^[-4, 4], which T does not see
+            c = 10.0 ** rng.uniform(-4.0, 4.0, size=n)
+            scaled = VectorSystem(sysm.A * c)
+            cert = make_cert(scaled, cert.C)
+            d = B.weights / cert.sigma
+            ref = cholesky_spectrum(scaled.A, cert.C, d)
+            lam = gram_spectrum(cert.G, d, k)
+            # both readings start from sigma_j, which cancels up to
+            # kappa = max_j ||C|| |a_j|^2 / sigma_j, so either is off by up to
+            # about n^2 eps kappa: the Cholesky one by 1.1e-9 on a singular C
+            # here with kappa = 4.2e7
+            kappa = np.linalg.norm(cert.C, 2) * np.max(np.sum(scaled.A**2, axis=0) / cert.sigma)
+            tol = 1e-9 * max(1.0, float(np.max(np.abs(ref)))) + n * n * EPS * kappa
+            assert np.allclose(lam, ref, rtol=0.0, atol=tol)
+            rep = verify(scaled, cert, B)
+            dev = np.abs(ref - 1.0)
+            assert (rep.l3_ok, rep.pde_ok, rep.rank) == (
+                ref[-1] - 1.0 <= L3_TOL, dev.max() <= PDE_TOL,
+                n - int(np.count_nonzero(dev <= RANK_TOL)))
+            assert rep.ok == (kind == "solved")
+            checked += 1
 
 
 PROBLEMS = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json"))
