@@ -17,11 +17,11 @@ if _os.environ.get("BLFLOW_THREADS"):
 _EXPORTS = {
     "certificate": ("build_C", "certificate_defect", "projection_check", "solve_s_system"),
     "gaussian": ("gaussian_objective", "quadrature_objective"),
-    "heatflow": ("Box", "GaussianProfile", "SumOfBoxes", "bellman_energies", "gaussian_energy",
-                 "gaussian_extremizer", "monotonicity_scan", "rhs_limit"),
+    "heatflow": ("bellman_energies", "gaussian_energy", "monotonicity_scan", "rhs_limit"),
     "model": ("BellmanSpec", "Exponents", "GaussCert", "VectorSystem", "make_cert",
               "numerical_rank", "psd_leq_zero"),
     "polytope": ("enumerate_bases", "is_finite"),
+    "profiles": ("Box", "GaussianProfile", "SumOfBoxes", "gaussian_extremizer"),
     "verifier": ("certificate_spectrum", "check_L3", "check_L5", "verify"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -15,8 +15,11 @@ of C = I, s_j^2 = (1/p_j) / |a_j|^2, which solves k = 1 data outright and
 makes the iterates equivariant under column scaling.  That one solve gives
 both answers: D, the functional's value at its maximizer b = p s^2
 (blflow.gaussian), and the certificate C = M(s)^{-1} with its Gram matrix
-G = A^T C A, read off one QR factor of A S, S = diag(s_j) (build_C).
-s^2, the solve's residual and its notes stay with the solve
+G = A^T C A, read off one QR factor (A S)^T = Q R, S = diag(s_j) (Factor,
+build_C).  The table's tau loses digits on bases that hold nearly parallel
+columns, so the solve finishes on that factor's own tau_j = |q_j|^2 and
+returns the factor, from which the certificate is read without a second QR.
+s^2, the solve's residual, its notes and the factor stay with the solve
 (SSystemResult).  The certificate's quality is read off the spectrum of T
 (model.gram_spectrum): ||T - I||_F at d = 1/(p_j sigma_j)
 (certificate_defect), and at d = s^2 the projector P = (A S)^T C (A S),
@@ -44,18 +47,46 @@ _MIN_STEP = 2.0**-30
 _ROUNDOFF = 1e-12
 # a larger part of the gradient outside the Hessian's range is not round-off
 _RANGE_TOL = 1e-8
+# Newton steps the solve may take on the certificate's factor once the table meets res_tol
+_FINISH_STEPS = 5
 # projection_check's bounds on ||P^2 - P||_F and on each eigenvalue's distance to 0 or 1
 IDEM_TOL = 1e-9
 EIG_TOL = 1e-8
 
 
+class Factor(NamedTuple):
+    """(A S)^T = Q R at S = diag(s_j).  M(s) = R^T R, so the squared row
+    norms of Q are the leverage scores tau_j = s_j^2 <C a_j, a_j> for
+    C = M(s)^{-1} = R^{-1} R^{-T}."""
+
+    s: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+
+    def cert(self) -> GaussCert:
+        """C = R^{-1} R^{-T} and G = S^{-1} Q Q^T S^{-1}, without forming M(s),
+        which would square the conditioning of A S on nearly parallel columns."""
+        try:
+            R_inv = np.linalg.inv(self.R)
+        except np.linalg.LinAlgError as exc:
+            raise IterationError("M(s) is numerically singular") from exc
+        W = self.Q / self.s[:, None]
+        return GaussCert(C=R_inv @ R_inv.T, G=W @ W.T)
+
+
+def _factor(A: np.ndarray, s_sq: np.ndarray) -> Factor:
+    s = np.sqrt(s_sq)
+    return Factor(s, *np.linalg.qr((A * s).T))
+
+
 class SSystemResult(NamedTuple):
     s_sq: np.ndarray
-    residual: float
+    residual: float  # max_j |x_j - tau_j|, on the factor once the table met res_tol
     iterations: int
     converged: bool
     f: float  # the log-objective f at z = log s_sq
     D: float  # the Gaussian functional at b = p s_sq, exp(f - sum(x log x) / 2)
+    factor: Factor  # (A S)^T = Q R at s_sq; factor.cert() is the certificate
     notes: tuple[str, ...] = ()
 
 
@@ -124,14 +155,21 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     after the first evaluation.  Within that tolerance, exponents that miss
     the degree by more than res_tol are solved at x = (1/p) k / sum(1/p),
     and all others at x = 1/p.  s^2 is returned normalized to the scale-free
-    tr M(s) = 1, with f there; the residual is max_j |x_j - tau_j|.
+    tr M(s) = 1, with f there; the residual is max_j |x_j - tau_j|.  Once
+    the table's residual meets res_tol, tau is read off the QR factor of
+    (A S)^T at the normalized s^2, the factor the certificate comes from
+    (Factor), and up to _FINISH_STEPS Newton steps on it, with the same
+    covariance written diag(tau) - Pi o Pi for Pi = Q Q^T, bring that
+    residual to res_tol; otherwise the solve stops unconverged, with a note.
+    The result carries the factor at its s^2, and the residual is the
+    factor's wherever the table met res_tol.
     D = exp(f - sum_j x_j log x_j / 2) is the Gaussian functional at
     b = p s^2 (no determinant of Q(b) is formed): the concave f's one
     stationary point is its maximum, so D is the sharp constant when the
     solve converges, and off the interior of the polytope the value at the
     last iterate.
     """
-    k = int(bases.vectors[0].sum())
+    k = bases.A.shape[0]
     x = e.inv_p
     degree = float(x.sum())
     off_degree = abs(degree - k) > DEGREE_TOL
@@ -141,11 +179,16 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
         x = x * (k / degree)
         degree = float(x.sum())
 
-    def result(z, f, residual, iterations, converged, note=None) -> SSystemResult:
-        shift = float(np.logaddexp.reduce(z + 2.0 * np.log(bases.norms)))  # tr M(s) = 1
+    def scale(z) -> float:  # the shift of z to tr M(s) = 1
+        return float(np.logaddexp.reduce(z + 2.0 * np.log(bases.norms)))
+
+    def result(z, f, residual, iterations, converged, note=None, factor=None) -> SSystemResult:
+        shift = scale(z)
         f = f - 0.5 * shift * (degree - k)
-        return SSystemResult(np.exp(z - shift), residual, iterations, converged, f,
+        s_sq = np.exp(z - shift)
+        return SSystemResult(s_sq, residual, iterations, converged, f,
                              math.exp(f - 0.5 * float(x @ np.log(x))),
+                             _factor(bases.A, s_sq) if factor is None else factor,
                              () if note is None else (note,))
 
     # one fixed-point step from C = I, s_j^2 = x_j / |a_j|^2: exact for k = 1
@@ -193,27 +236,38 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
         z, f, r, K = z + t * d, f_new, r_new, K_new
         residual = float(np.max(np.abs(r)))
         it += 1
-    return result(z, f, residual, it, True)
+    # the finish on the certificate's own factor, tau_j = |q_j|^2
+    for step in range(_FINISH_STEPS + 1):
+        factor = _factor(bases.A, np.exp(z - scale(z)))
+        tau = np.sum(factor.Q**2, axis=1)
+        r = x - tau
+        residual = float(np.max(np.abs(r)))
+        if residual <= res_tol:
+            return result(z, f, residual, it, True, factor=factor)
+        if step == _FINISH_STEPS:
+            break
+        Pi = factor.Q @ factor.Q.T
+        try:
+            d = np.linalg.solve(np.diag(tau) - Pi * Pi + P, r - P @ r)
+        except np.linalg.LinAlgError:
+            break
+        longest = float(np.max(np.abs(d)))
+        if longest > _MAX_STEP:
+            d *= _MAX_STEP / longest
+        z = z + d
+        f = _newton_terms(bases, x, z)[0]
+        it += 1
+    return result(z, f, residual, it, False, f"the certificate's residual max_j |x_j - tau_j| "
+                  f"stays at {residual:.3g} > res_tol = {res_tol:g}", factor)
 
 
 def build_C(sys: VectorSystem, s_sq) -> GaussCert:
-    """Certificate C = (A diag(s^2) A^T)^{-1} and its G = A^T C A, from one QR factor.
-
-    (A S)^T = Q R, S = diag(s_j), gives M(s) = R^T R, C = R^{-1} R^{-T} and
-    G = S^{-1} Q Q^T S^{-1} without forming M(s), which would square the
-    conditioning of A S on nearly parallel columns.
-    """
+    """Certificate C = (A diag(s^2) A^T)^{-1} and its G = A^T C A, read off
+    the QR factor of (A S)^T, S = diag(s_j) (Factor.cert)."""
     s_sq = np.asarray(s_sq, dtype=float).ravel()
     if not np.all((s_sq > 0.0) & (s_sq < np.inf)):
         raise CertificateRejection("s_j^2 must be positive and finite")
-    s = np.sqrt(s_sq)
-    Q, R = np.linalg.qr((sys.A * s).T)
-    try:
-        R_inv = np.linalg.inv(R)
-    except np.linalg.LinAlgError as exc:
-        raise IterationError("M(s) is numerically singular") from exc
-    W = Q / s[:, None]
-    return GaussCert(C=R_inv @ R_inv.T, G=W @ W.T)
+    return _factor(sys.A, s_sq).cert()
 
 
 def certificate_defect(sys: VectorSystem, e: Exponents, cert: GaussCert) -> float:

@@ -8,13 +8,15 @@ option the command does not take, a --tmax not finite and >= 0 and a --tol
 not finite and > 0 included), 3 non-convergence, 4 certificate rejection.
 
 A certificate is the pair (C, G = A^T C A): the file's explicit C, or the one
-solved from the exponents (_solve, then certificate.build_C).  solve-c
-reports what the solve gives with it: s^2, the solver's residual and notes,
-the consistency residual max_j |1/p_j - s_j^2 sigma_j| p_j, and a note
-within 1e-6 of the polytope boundary.
+solved from the exponents, read off the QR factor the solve finished on
+(_solved_certificate).  solve-c reports what the solve gives with it: s^2,
+the solver's residual on that factor and its notes, the consistency
+residual max_j |1/p_j - s_j^2 sigma_j| p_j, and a note within 1e-6 of the
+polytope boundary.
 
 The verifier and the heat-flow layer are imported by the one command that
-runs each (verify, flow), so the other commands start without them.
+runs each (verify, flow), so the other commands start without them; a
+file's profiles need only blflow.profiles.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def _solved_certificate(problem: Problem):
         raise IterationError(f"exponents not inside the polytope ({verdict.verdict}); "
                              "no certificate exists")
     result = _solve(problem, verdict)
-    return verdict, result, certificate.build_C(problem.system, result.s_sq)
+    return verdict, result, result.factor.cert()
 
 
 def _certificate_of(problem: Problem):

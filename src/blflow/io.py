@@ -2,8 +2,9 @@
 
 Canonical formatting is fixed (key order, two-space indent, shortest
 round-trip float repr) so that parse -> serialize is byte-stable.  The
-profile classes live in blflow.heatflow, which is imported only to parse or
-serialize a file's ``profiles``.
+profile classes live in blflow.profiles, which is imported only to parse or
+serialize a file's ``profiles`` and does not import the energy layer
+(blflow.heatflow).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import StructuralError
 from .model import BellmanSpec, Exponents, VectorSystem
 
 if TYPE_CHECKING:
-    from .heatflow import Profile
+    from .profiles import Profile
 
 
 class Problem(NamedTuple):
@@ -48,7 +49,7 @@ def _parse_B(doc, n: int) -> BellmanSpec:
 
 
 def _parse_profile(doc) -> Profile:
-    from .heatflow import Box, GaussianProfile, SumOfBoxes
+    from .profiles import Box, GaussianProfile, SumOfBoxes
 
     kind = doc.get("type")
     if kind == "box":
@@ -141,7 +142,7 @@ def _B_doc(B: BellmanSpec):
 
 
 def _profile_doc(p: Profile):
-    from .heatflow import Box, GaussianProfile
+    from .profiles import Box, GaussianProfile
 
     if isinstance(p, Box):
         return {"type": "box", "lo": p.lo, "hi": p.hi, "height": p.height}

@@ -72,6 +72,39 @@ NEAR_PARALLEL = {
 }
 
 
+# inside, with a_0 and a_1 2.2e-8 apart: the basis table's tau meets
+# res_tol at an s^2 whose exact max_j |x_j / tau_j - 1| is 7.6e-2; the QR
+# factor the certificate is read from takes the solve on to the solution
+TABLE_MISSES = {
+    "k": 4, "n": 6,
+    "A": [[0.11721590527178676, 0.11721589767171113, -0.5424925083586664,
+           -0.36882084383278296, 0.24523982285971332, 0.009181120546081726],
+          [-0.9035488729501212, -0.9035488818901931, -0.11032504132771846,
+           -0.08995004120346797, -0.4088653417696275, 0.8723155400108713],
+          [-0.10243441210583241, -0.1024344121709774, -0.2116261950570454,
+           -0.9083044403416725, -0.2000703828221725, 0.326240265065446],
+          [-0.39920803719165493, -0.39920801917193877, -0.8054468431848478,
+           0.1756793069703133, 0.8559546737419753, 0.3640722388909759]],
+    "inv_p": [0.6283447342610494, 0.6321190165555957, 0.6418162043771541,
+              0.7444496656655405, 0.7560589088913996, 0.5972114702492604],
+}
+
+# inside, with a_0 and a_1 2.5e-8 apart and cond M(s) near 1e16 at the
+# solution: no factor in double precision brings max_j |x_j - tau_j| to
+# res_tol, where the basis table's tau reports 2.2e-16
+FACTOR_MISSES = {
+    "k": 3, "n": 5,
+    "A": [[-0.7703356306960871, -0.7703356149060281, -0.6233381581659965,
+           -0.4196731285841403, -0.4697655639517035],
+          [0.3510122844044148, 0.3510122899300132, -0.7817917731576983,
+           0.8241379437234869, -0.467306561157617],
+          [-0.5323282749180771, -0.5323282941244435, -0.01584815437724657,
+           0.3803565627928909, 0.748962544339956]],
+    "inv_p": [0.9452621714465934, 0.442828891013349, 0.514101795225846,
+              0.6319998370528064, 0.46580730526140535],
+}
+
+
 def tmax_for(command):
     """A short time grid for flow, the one command that reads --tmax."""
     return ["--tmax", "1"] if command == "flow" else []
@@ -242,6 +275,23 @@ class TestSolveC:
         assert any("boundary" in note for note in doc["notes"])
         code, doc = run_json(capsys, ["solve-c", write(tmp_path, YOUNG3)])
         assert code == 0 and doc["converged"] and doc["notes"] == []
+
+
+    def test_finishes_on_the_certificates_factor(self, tmp_path, capsys):
+        path = write(tmp_path, TABLE_MISSES)
+        code, doc = run_json(capsys, ["solve-c", path])
+        assert code == 0 and doc["converged"]
+        assert doc["system_residual"] <= certificate.RES_TOL and doc["residual"] <= 1e-8
+        code, doc = run_json(capsys, ["verify", path])
+        assert code == 0 and doc["pde"]["defect"] <= 1e-8
+
+    def test_a_factor_that_misses_res_tol_is_non_convergence(self, tmp_path, capsys):
+        path = write(tmp_path, FACTOR_MISSES)
+        code, doc = run_json(capsys, ["solve-c", path])
+        assert code == 3 and not doc["converged"]
+        assert doc["system_residual"] > certificate.RES_TOL
+        assert any("certificate's residual" in note for note in doc["notes"])
+        assert main(["verify", path]) == 3
 
 
 class TestOneBasisTable:
@@ -773,6 +823,38 @@ class TestImports:
         modules = self.loaded(["verify", write(tmp_path, YOUNG3)])
         assert {"blflow.verifier", "blflow.gaussian"} <= modules
         assert not modules & {"blflow.heatflow", "blflow.quadrature"}
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c"])
+    def test_certify_commands_parse_profiles_without_the_energy_layer(self, command):
+        modules = self.loaded([command, str(PROBLEMS / "holder_boxes.json")])
+        assert {"blflow.cli", "blflow.profiles"} <= modules
+        assert not modules & {"blflow.heatflow", "blflow.verifier", "blflow.gaussian",
+                              "blflow.quadrature"}
+
+    def test_verify_parses_profiles_without_the_energy_layer(self):
+        modules = self.loaded(["verify", str(PROBLEMS / "holder_boxes.json")])
+        assert {"blflow.verifier", "blflow.profiles"} <= modules
+        assert not modules & {"blflow.heatflow", "blflow.quadrature"}
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c"])
+    def test_a_file_without_profiles_loads_no_profiles(self, command):
+        modules = self.loaded([command, str(PROBLEMS / "young_convolution.json")])
+        assert modules == {"blflow.certificate", "blflow.cli", "blflow.errors", "blflow.io",
+                           "blflow.model", "blflow.polytope"}
+
+    def test_flow_on_box_data_loads_no_numpy_ma(self):
+        # np.unique loads numpy.ma (three modules) on its first call in NumPy 2.x
+        script = ("import contextlib, io, sys\n"
+                  "from blflow.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(sys.argv[1:])\n"
+                  "print(code, sorted(m for m in sys.modules\n"
+                  "                   if m.split('.')[:2] == ['numpy', 'ma']))")
+        proc = subprocess.run([sys.executable, "-c", script, "flow",
+                               str(PROBLEMS / "holder_boxes.json")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "[]"]
 
     def test_exports_are_the_defining_modules_objects(self):
         for name in blflow.__all__:

@@ -13,8 +13,8 @@ from blflow import (BellmanSpec, Box, GaussianProfile, SumOfBoxes, VectorSystem,
                     bellman_energies, cli, gaussian, gaussian_energy, gaussian_extremizer,
                     make_cert, monotonicity_scan, quadrature, rhs_limit)
 from blflow.errors import DomainError, StructuralError, UnsupportedScaleError
-from blflow.heatflow import (BOX_MARGIN, DEFAULT_TIMES, QUAD_TOL, _erf_diff,
-                             erfc as heatflow_erfc, time_grid)
+from blflow.heatflow import DEFAULT_TIMES, QUAD_TOL, time_grid
+from blflow.profiles import BOX_MARGIN, erf_diff, erfc as profiles_erfc
 from blflow.quadrature import LOG_TAIL, decay_quad
 from oracles import bellman_identity_probe, evolved, heat_dy
 
@@ -101,7 +101,7 @@ class TestKernels:
         w = 0.25 / h
         ms = np.linspace(-8.0, 8.0, 33)
         y = c - 0.75 + ms * w
-        got = _erf_diff(y, lo, hi, w)
+        got = erf_diff(y, lo, hi, w)
         for yi, g in zip(y, got):
             a = (mpmath.mpf(yi) - mpmath.mpf(lo)) / mpmath.mpf(w)
             b = (mpmath.mpf(yi) - mpmath.mpf(hi)) / mpmath.mpf(w)
@@ -114,20 +114,20 @@ class TestKernels:
         # Box.heat's erfc is libm's; SciPy's differs from it by at most 5.7e-14
         # relative on this grid (measured with SciPy 1.17), erfc(26) ~ 6e-296
         x = np.linspace(-6.0, 26.0, 32001)
-        got = heatflow_erfc(x)
+        got = profiles_erfc(x)
         assert got.dtype == np.float64
         assert np.array_equal(got, [math.erfc(v) for v in x])
         assert np.max(np.abs(got - erfc(x)) / erfc(x)) <= 1e-13
-        assert heatflow_erfc(10.0) == math.erfc(10.0)
+        assert profiles_erfc(10.0) == math.erfc(10.0)
 
     def test_erfc_of_a_0d_array(self):
-        got = heatflow_erfc(np.array(0.5))
+        got = profiles_erfc(np.array(0.5))
         assert got.shape == () and got.dtype == np.float64
         assert got == math.erfc(0.5)
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0)])
     def test_erfc_of_an_empty_array(self, shape):
-        got = heatflow_erfc(np.empty(shape))
+        got = profiles_erfc(np.empty(shape))
         assert got.shape == shape and got.dtype == np.float64
 
     @pytest.mark.parametrize("profile", PROFILES)
