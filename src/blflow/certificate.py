@@ -12,18 +12,19 @@ the matroid's separators, the column sets S with r(S) + r(E \\ S) = k.  Each
 step is one positive-definite solve with the Hessian plus the projector onto
 that span (_null_projector).  The iteration starts at the fixed-point image
 of C = I, s_j^2 = (1/p_j) / |a_j|^2, which solves k = 1 data outright and
-makes the iterates equivariant under column scaling.  That one solve gives
-both answers: D, the functional's value at its maximizer b = p s^2
+makes the iterates equivariant under column scaling.  One solve evaluates
+the table once per trial point (_newton_terms), builds the projector at most
+once, at its first step (so never on data solved at the start, k = 1 among
+them), and then factors (A S)^T = Q R, S = diag(s_j), once per finish step:
+the table's tau loses digits on bases that hold nearly parallel columns, so
+the solve finishes on the factor's own tau_j = |q_j|^2.  That last factor
+gives both answers: D, the functional's value at its maximizer b = p s^2
 (blflow.gaussian), and the certificate C = M(s)^{-1} with its Gram matrix
-G = A^T C A, read off one QR factor (A S)^T = Q R, S = diag(s_j) (Factor,
-build_C).  The table's tau loses digits on bases that hold nearly parallel
-columns, so the solve finishes on that factor's own tau_j = |q_j|^2 and
-returns the factor, from which the certificate is read without a second QR.
-s^2, the solve's residual, its notes and the factor stay with the solve
-(SSystemResult).  The certificate's quality is read off the spectrum of T
-(model.gram_spectrum): ||T - I||_F at d = 1/(p_j sigma_j)
-(certificate_defect), and at d = s^2 the projector P = (A S)^T C (A S),
-which must be an orthogonal projection of rank k (projection_check).
+G = A^T C A (Factor.cert), read without a second QR.  s^2, the residual, the
+notes and the factor stay with the solve (SSystemResult).  The certificate's
+quality is read off the spectrum of T (model.gram_spectrum): ||T - I||_F at
+d = 1/(p_j sigma_j) (certificate_defect), and at d = s^2 the projector
+P = (A S)^T C (A S), an orthogonal projection of rank k (projection_check).
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ class Factor(NamedTuple):
         return GaussCert(C=R_inv @ R_inv.T, G=W @ W.T)
 
 
+def _max_abs(v) -> float:  # NaN propagates, so a NaN residual never meets a tolerance
+    return float(abs(v).max())
+
+
 def _factor(A: np.ndarray, s_sq: np.ndarray) -> Factor:
     s = np.sqrt(s_sq)
     return Factor(s, *np.linalg.qr((A * s).T))
@@ -83,7 +88,8 @@ class SSystemResult(NamedTuple):
     s_sq: np.ndarray
     residual: float  # max_j |x_j - tau_j|, on the factor once the table met res_tol
     iterations: int
-    converged: bool
+    converged: bool  # the certificate's factor met res_tol
+    table_converged: bool  # the basis table's residual met res_tol, which is all D needs
     f: float  # the log-objective f at z = log s_sq
     D: float  # the Gaussian functional at b = p s_sq, exp(f - sum(x log x) / 2)
     factor: Factor  # (A S)^T = Q R at s_sq; factor.cert() is the certificate
@@ -107,7 +113,7 @@ def _newton_terms(bases: BasisIndicatorSet, x: np.ndarray, z: np.ndarray):
     mu /= total
     tau = mu @ V
     f = 0.5 * (float(x @ z) - top - math.log(total))
-    return f, x - tau, (V.T * mu) @ V - np.outer(tau, tau)
+    return f, x - tau, (V.T * mu) @ V - tau[:, None] * tau
 
 
 def _null_projector(bases: BasisIndicatorSet, k: int) -> np.ndarray:
@@ -179,14 +185,18 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
         x = x * (k / degree)
         degree = float(x.sum())
 
-    def scale(z) -> float:  # the shift of z to tr M(s) = 1
-        return float(np.logaddexp.reduce(z + 2.0 * np.log(bases.norms)))
+    log_norms_sq = 2.0 * np.log(bases.norms)
 
-    def result(z, f, residual, iterations, converged, note=None, factor=None) -> SSystemResult:
-        shift = scale(z)
+    def normalized(z):  # the shift of z to tr M(s) = 1, and s^2 there
+        shift = float(np.logaddexp.reduce(z + log_norms_sq))
+        return shift, np.exp(z - shift)
+
+    def result(z, f, residual, iterations, converged, note=None, factor=None,
+               norm=None) -> SSystemResult:
+        shift, s_sq = normalized(z) if norm is None else norm
         f = f - 0.5 * shift * (degree - k)
-        s_sq = np.exp(z - shift)
-        return SSystemResult(s_sq, residual, iterations, converged, f,
+        # only the finish, which starts once the table met res_tol, hands in its factor
+        return SSystemResult(s_sq, residual, iterations, converged, factor is not None, f,
                              math.exp(f - 0.5 * float(x @ np.log(x))),
                              _factor(bases.A, s_sq) if factor is None else factor,
                              () if note is None else (note,))
@@ -196,28 +206,29 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
     z -= z.mean()
     z0 = z
     f, r, K = _newton_terms(bases, x, z)
-    residual = float(np.max(np.abs(r)))
+    residual = _max_abs(r)
     it = 1
     if off_degree:
         # sum(1/p - tau) = sum(1/p) - k at every z, so the residual cannot vanish
         return result(z, f, residual, it, False, f"sum(1/p_j) = {degree!r} differs from "
                       f"k = {k}: the s-system has no solution")
-    P = _null_projector(bases, k)
+    P = None  # the null projector, built at the first Newton step
     while residual > res_tol:
         if it == MAX_ITER:
             return result(z, f, residual, it, False, f"no convergence in {MAX_ITER} iterations")
-        if float(np.max(np.abs(z - z0))) > _DIVERGENCE_SPREAD:
+        if _max_abs(z - z0) > _DIVERGENCE_SPREAD:
             return result(z, f, residual, it, False, "log s^2 moved more than "
                           f"{_DIVERGENCE_SPREAD:g} from its start: the supremum is not attained")
+        P = _null_projector(bases, k) if P is None else P
         try:
             d = np.linalg.solve(K + P, r - P @ r)
         except np.linalg.LinAlgError:
             d = None
-        if d is None or float(np.max(np.abs(r - K @ d))) > _RANGE_TOL:
+        if d is None or _max_abs(r - K @ d) > _RANGE_TOL:
             # f is linear along K's null space, which is the same at every z
             return result(z, f, residual, it, False, "the gradient leaves the range "
                           "of the Hessian: the supremum is not attained")
-        longest = float(np.max(np.abs(d)))
+        longest = _max_abs(d)
         if longest > _MAX_STEP:
             d *= _MAX_STEP / longest
         slope = 0.5 * float(r @ d)
@@ -228,44 +239,46 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
                 break
             # round-off in f hides the last steps; there a lower residual takes them
             if (t * slope <= _ROUNDOFF * max(1.0, abs(f))
-                    and np.max(np.abs(r_new)) < residual):
+                    and _max_abs(r_new) < residual):
                 break
             t *= 0.5
         else:
             return result(z, f, residual, it, False, "line search stalled")
         z, f, r, K = z + t * d, f_new, r_new, K_new
-        residual = float(np.max(np.abs(r)))
+        residual = _max_abs(r)
         it += 1
     # the finish on the certificate's own factor, tau_j = |q_j|^2
     for step in range(_FINISH_STEPS + 1):
-        factor = _factor(bases.A, np.exp(z - scale(z)))
-        tau = np.sum(factor.Q**2, axis=1)
+        norm = normalized(z)
+        factor = _factor(bases.A, norm[1])
+        tau = (factor.Q**2).sum(axis=1)
         r = x - tau
-        residual = float(np.max(np.abs(r)))
+        residual = _max_abs(r)
         if residual <= res_tol:
-            return result(z, f, residual, it, True, factor=factor)
+            return result(z, f, residual, it, True, None, factor, norm)
         if step == _FINISH_STEPS:
             break
+        P = _null_projector(bases, k) if P is None else P
         Pi = factor.Q @ factor.Q.T
         try:
             d = np.linalg.solve(np.diag(tau) - Pi * Pi + P, r - P @ r)
         except np.linalg.LinAlgError:
             break
-        longest = float(np.max(np.abs(d)))
+        longest = _max_abs(d)
         if longest > _MAX_STEP:
             d *= _MAX_STEP / longest
         z = z + d
         f = _newton_terms(bases, x, z)[0]
         it += 1
     return result(z, f, residual, it, False, f"the certificate's residual max_j |x_j - tau_j| "
-                  f"stays at {residual:.3g} > res_tol = {res_tol:g}", factor)
+                  f"stays at {residual:.3g} > res_tol = {res_tol:g}", factor, norm)
 
 
 def build_C(sys: VectorSystem, s_sq) -> GaussCert:
     """Certificate C = (A diag(s^2) A^T)^{-1} and its G = A^T C A, read off
     the QR factor of (A S)^T, S = diag(s_j) (Factor.cert)."""
     s_sq = np.asarray(s_sq, dtype=float).ravel()
-    if not np.all((s_sq > 0.0) & (s_sq < np.inf)):
+    if not ((s_sq > 0.0) & (s_sq < np.inf)).all():
         raise CertificateRejection("s_j^2 must be positive and finite")
     return _factor(sys.A, s_sq).cert()
 
@@ -294,8 +307,8 @@ def projection_check(sys: VectorSystem, cert: GaussCert, s_sq) -> ProjectionRepo
     """
     lam = gram_spectrum(cert.G, s_sq, sys.k)
     idem = float(np.linalg.norm(lam * lam - lam))
-    on_01 = bool(np.all(np.minimum(np.abs(lam), np.abs(lam - 1.0)) <= EIG_TOL))
-    rank = int(np.count_nonzero(np.abs(lam) > 1e-8 * np.max(np.abs(lam))))
+    on_01 = bool((np.minimum(abs(lam), abs(lam - 1.0)) <= EIG_TOL).all())
+    rank = int(np.count_nonzero(abs(lam) > 1e-8 * abs(lam).max()))
     return ProjectionReport(ok=idem <= IDEM_TOL and on_01 and rank == sys.k,
                             eigenvalues=np.sort(np.append(np.zeros(sys.n - sys.k), lam)),
                             rank=rank, idempotency_defect=idem, trace=float(lam.sum()),

@@ -149,7 +149,7 @@ def cmd_constant(problem: Problem, args) -> int:
         warnings.append(f"exponents are {where} the polytope; "
                         "the supremum may be infinite or attained only in a limit")
     status = ("sup not attained / infinite" if verdict.verdict != "inside"
-              else "converged" if result.converged
+              else "converged" if result.table_converged
               else "non-convergence")
     _emit({"D": result.D, "argmax_b": problem.exponents.p * result.s_sq,
            "iterations": result.iterations, "residual": result.residual, "status": status,
@@ -173,7 +173,7 @@ def cmd_solve_c(problem: Problem, args) -> int:
         notes.append("exponents within 1e-6 of the polytope boundary; "
                      "the weights s^2 spread over many decades")
     _emit({"C": cert.C, "s_sq": result.s_sq, "sigma": cert.sigma,
-           "residual": float(np.max(np.abs(e.inv_p - result.s_sq * cert.sigma) / e.inv_p)),
+           "residual": float((abs(e.inv_p - result.s_sq * cert.sigma) / e.inv_p).max()),
            "system_residual": result.residual,
            "iterations": result.iterations, "converged": result.converged,
            "inverse_defect": defect,

@@ -41,7 +41,7 @@ SECTION_CATALOG = {
 def numerical_rank(M, tol: float = RANK_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise StructuralError("matrix has non-finite entries")
     if M.size == 0:
         return 0
@@ -76,7 +76,9 @@ def gram_spectrum(G, d, k: int) -> np.ndarray:
     """
     root = np.sqrt(d)
     lam = np.linalg.eigvalsh(root[:, None] * G * root)
-    return np.sort(lam[np.argsort(np.abs(lam))[lam.size - k:]])
+    top = lam[abs(lam).argsort()[lam.size - k:]]
+    top.sort()
+    return top
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ class VectorSystem:
         k, n = A.shape
         if not (1 <= k <= n):
             raise StructuralError(f"need 1 <= k <= n, got k={k}, n={n}")
-        norms = np.linalg.norm(A, axis=0)
-        if np.any(norms == 0.0):
+        norms = np.sqrt((A * A).sum(axis=0))
+        if (norms == 0.0).any():
             raise StructuralError("every column of A must be nonzero")
         # on unit columns, so that rescaling one column cannot change the answer
         if numerical_rank(A / norms) < k:
@@ -120,7 +122,7 @@ class Exponents:
     def __post_init__(self):
         v = np.asarray(self.inv_p, dtype=float).ravel()
         object.__setattr__(self, "inv_p", v)
-        if v.size == 0 or not np.all((v > 0.0) & (v <= 1.0)):
+        if v.size == 0 or not ((v > 0.0) & (v <= 1.0)).all():
             raise StructuralError("each 1/p_j must lie in (0, 1]")
 
     @property
@@ -258,18 +260,18 @@ class GaussCert:
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
-        if not np.all(np.isfinite(C)):
+        if not np.isfinite(C).all():
             raise StructuralError("C must have finite entries")
         # a finite C can still overflow G
-        if not (np.all(np.isfinite(self.G)) and np.all(self.sigma > 0.0)):
+        if not (np.isfinite(self.G).all() and (self.sigma > 0.0).all()):
             raise CertificateRejection("A^T C A must be finite and every <C a_j, a_j> positive")
-        scale = max(1.0, float(np.max(np.abs(C))))
-        if np.max(np.abs(C - C.T)) > SYM_TOL * scale:
+        scale = max(1.0, float(abs(C).max()))
+        if abs(C - C.T).max() > SYM_TOL * scale:
             raise StructuralError("C must be symmetric within 1e-12")
 
     @property
     def sigma(self) -> np.ndarray:  # the diffusivities sigma_j = G_jj = <C a_j, a_j>
-        return np.diagonal(self.G)
+        return self.G.diagonal()
 
 
 def make_cert(sys: VectorSystem, C) -> GaussCert:

@@ -78,9 +78,9 @@ def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
     if n > MAX_N:
         raise UnsupportedScaleError(f"the rank table supports n <= {MAX_N}, got n={n}")
     combos = np.array(list(combinations(range(n), k)))
-    norms = np.linalg.norm(sys.A, axis=0)
+    norms = np.sqrt((sys.A * sys.A).sum(axis=0))
     dets = np.abs(np.linalg.det(np.moveaxis(sys.A[:, combos], 1, 0)))
-    keep = dets > BASIS_TOL * np.prod(norms[combos], axis=1)
+    keep = dets > BASIS_TOL * norms[combos].prod(axis=1)
     rows = combos[keep]
     if not len(rows):
         # cannot happen for a valid VectorSystem (rank(A) = k)
@@ -113,16 +113,16 @@ def is_finite(sys: VectorSystem, e: Exponents,
         return MembershipVerdict("outside", tuple(range(sys.n)), -abs(off_degree), bases)
     room = bases.ranks - bases.masks @ x
     if room.size and room.min() < -DEGREE_TOL:
-        worst = int(np.argmin(room))
+        worst = int(room.argmin())
         return MembershipVerdict("outside", _columns(bases.masks[worst]), float(room[worst]), bases)
-    candidates = np.flatnonzero(bases.ranks + bases.ranks[::-1] > sys.k)
+    candidates = (bases.ranks + bases.ranks[::-1] > sys.k).nonzero()[0]
     if not candidates.size:
         return MembershipVerdict("inside", None, math.inf, bases)
-    tight = candidates[np.argmin(room[candidates])]
+    tight = candidates[room[candidates].argmin()]
     slack = float(room[tight])
     verdict = "inside" if slack > boundary_tol else "boundary"
     return MembershipVerdict(verdict, _columns(bases.masks[tight]), slack, bases)
 
 
 def _columns(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(mask).tolist())
+    return tuple(mask.nonzero()[0].tolist())

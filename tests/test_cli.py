@@ -292,6 +292,11 @@ class TestSolveC:
         assert doc["system_residual"] > certificate.RES_TOL
         assert any("certificate's residual" in note for note in doc["notes"])
         assert main(["verify", path]) == 3
+        # D needs no certificate: the table met res_tol, so constant converges
+        code, doc = run_json(capsys, ["constant", path])
+        assert code == 0 and doc["status"] == "converged"
+        assert doc["D"] == pytest.approx(918.9567104499172, rel=1e-9)
+        assert any("certificate's residual" in note for note in doc["notes"])
 
 
 class TestOneBasisTable:
@@ -321,6 +326,37 @@ class TestOneBasisTable:
     def test_explicit_C_builds_none(self, tmp_path, capsys, builds, command):
         assert main([command, write(tmp_path, dict(HOLDER, C=[[1.0]])), *tmax_for(command)]) == 0
         assert builds == []
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Calls of certificate.<name>, which the solve looks up in its module."""
+        calls = []
+        original = getattr(certificate, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(certificate, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("doc,command", [
+        *((HOLDER, c) for c in ("finiteness", "constant", "solve-c", "verify", "flow")),
+        *((YOUNG3, c) for c in ("finiteness", "constant", "solve-c", "verify")),
+        (NEAR_PARALLEL, "verify")])
+    def test_converged_interior_data_run_one_qr(self, tmp_path, capsys, monkeypatch,
+                                                doc, command):
+        qrs = self.counted(monkeypatch, "_factor")
+        assert main([command, write(tmp_path, doc), *tmax_for(command)]) == 0
+        assert len(qrs) == (command != "finiteness")
+
+    @pytest.mark.parametrize("command", ["constant", "solve-c", "verify", "flow"])
+    def test_k1_data_build_no_null_projector(self, tmp_path, capsys, monkeypatch, command):
+        doc = json.loads((PROBLEMS / "holder_boxes.json").read_text())
+        del doc["C"]
+        projectors = self.counted(monkeypatch, "_null_projector")
+        assert main([command, write(tmp_path, doc), *tmax_for(command)]) == 0
+        assert projectors == []
 
 
 class TestVerify:
