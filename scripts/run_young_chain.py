@@ -9,7 +9,7 @@ against direct quadrature at the maximizer b = p s^2.
 
 import numpy as np
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, certificate_defect,
+from blflow import (BellmanSpec, Exponents, VectorSystem, certificate_defect,
                     gaussian_objective, is_finite, projection_check,
                     quadrature_objective, solve_s_system, verify)
 
@@ -24,7 +24,7 @@ def main() -> None:
           f"at columns S = {verdict.witness})")
 
     result = solve_s_system(verdict.bases, e)
-    cert = build_C(sysm, result.s_sq)
+    cert = result.factor.cert()
     print(f"s^2 = {result.s_sq}  ({result.iterations} iterations, "
           f"residual {result.residual:.3e})")
     print(f"C =\n{cert.C}")

@@ -15,14 +15,14 @@ if _os.environ.get("BLFLOW_THREADS"):
 #: access (PEP 562) and not stored here, so a command loads only the
 #: submodules it runs, and every lookup sees the submodule's current binding.
 _EXPORTS = {
-    "certificate": ("build_C", "certificate_defect", "projection_check", "solve_s_system"),
+    "certificate": ("certificate_defect", "projection_check", "solve_s_system"),
     "gaussian": ("gaussian_objective", "quadrature_objective"),
     "heatflow": ("bellman_energies", "gaussian_energy", "monotonicity_scan", "rhs_limit"),
     "model": ("BellmanSpec", "Exponents", "GaussCert", "VectorSystem", "make_cert",
-              "numerical_rank", "psd_leq_zero"),
+              "numerical_rank"),
     "polytope": ("enumerate_bases", "is_finite"),
     "profiles": ("Box", "GaussianProfile", "SumOfBoxes", "gaussian_extremizer"),
-    "verifier": ("certificate_spectrum", "check_L3", "check_L5", "verify"),
+    "verifier": ("check_L3", "check_L5", "verify"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

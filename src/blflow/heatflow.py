@@ -52,8 +52,6 @@ def time_grid(tmax: float | None = None) -> list[float]:
 def _check_problem(sys: VectorSystem, B: BellmanSpec, profiles) -> None:
     if profiles is None:
         raise StructuralError("flow needs profiles")
-    if sys.k > quadrature.MAX_DIM:
-        raise UnsupportedScaleError(f"tensor quadrature capped at k <= {quadrature.MAX_DIM}")
     if len(profiles) != sys.n or B.n != sys.n:
         raise StructuralError("need one profile per column and B of n variables")
 
@@ -141,7 +139,9 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     (:func:`_energies_by_quadrature`): the halfwidth is the cube's reach
     sqrt((40 + M) / lam_min(F_t)) along the softest direction of F_t, for
     the box columns' margin M, and levels the number of mesh doublings that
-    time needed.  Box data at t = 0 with k >= 2 raises UnsupportedScaleError.
+    time needed.  Box data at t = 0 with k >= 2 raises UnsupportedScaleError,
+    and so does decay_quad on k > quadrature.MAX_DIM; the closed forms have
+    no cap on k.
     """
     times = sorted({float(t) for t in times})
     for t in times:

@@ -49,21 +49,6 @@ def numerical_rank(M, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def psd_leq_zero(M, tol: float = 1e-9) -> bool:
-    """True iff the symmetric matrix M is negative semidefinite up to tol * ||M||_F.
-
-    A zero M has scale 1.  Raises StructuralError where max |M - M^T| exceeds
-    tol * ||M||_F, so that the guard, like the eigenvalue, does not see a
-    positive scaling of M.
-    """
-    M = np.asarray(M, dtype=float)
-    scale = float(np.linalg.norm(M)) or 1.0
-    asym = float(np.max(np.abs(M - M.T))) / scale
-    if asym > tol:
-        raise StructuralError(f"relative matrix asymmetry {asym:g} exceeds tol {tol:g}")
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1]) / scale <= tol
-
-
 def gram_spectrum(G, d, k: int) -> np.ndarray:
     """Ascending eigenvalues of T = F^{1/2} C F^{1/2}, F = A diag(d) A^T, read off G = A^T C A.
 

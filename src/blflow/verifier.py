@@ -61,17 +61,12 @@ PDE_TOL = 1e-8
 RANK_TOL = 1e-6
 
 
-def certificate_spectrum(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> np.ndarray:
-    """Ascending eigenvalues of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T."""
-    return gram_spectrum(cert.G, B.weights / cert.sigma, sys.k)
-
-
 def check_L3(sys: VectorSystem, cert: GaussCert, B: BellmanSpec) -> tuple[bool, float]:
     """Negative semidefiniteness of H(y) at every interior y: lambda_max(T) <= 1.
 
     Returns (ok, lambda_max(T) - 1), ok up to L3_TOL.
     """
-    top = float(certificate_spectrum(sys, cert, B)[-1]) - 1.0
+    top = float(gram_spectrum(cert.G, B.weights / cert.sigma, sys.k)[-1]) - 1.0
     return top <= L3_TOL, top
 
 
@@ -119,7 +114,7 @@ class VerifierReport(NamedTuple):
 def verify(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
            pde_tol: float = PDE_TOL) -> VerifierReport:
     """Run the full check battery on one (A, C, B) triple, from one spectrum of T."""
-    lam = certificate_spectrum(sys, cert, B)
+    lam = gram_spectrum(cert.G, B.weights / cert.sigma, sys.k)
     dev = np.abs(lam - 1.0)
     l3, pde = float(lam[-1]) - 1.0, float(dev.max())
     rank = sys.n - int(np.count_nonzero(dev <= RANK_TOL))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blflow import (BellmanSpec, Box, Exponents, VectorSystem, build_C,
-                    enumerate_bases, make_cert, solve_s_system)
+from blflow import (BellmanSpec, Box, Exponents, VectorSystem, enumerate_bases, make_cert,
+                    solve_s_system)
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +35,8 @@ def young3_solve(young3):
 
 
 @pytest.fixture(scope="session")
-def young3_cert(young3, young3_solve):
-    return build_C(young3[0], young3_solve.s_sq)
+def young3_cert(young3_solve):
+    return young3_solve.factor.cert()
 
 
 @pytest.fixture(scope="session")

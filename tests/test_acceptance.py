@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from blflow import (BellmanSpec, Box, Exponents, VectorSystem, build_C, certificate_defect,
+from blflow import (BellmanSpec, Box, Exponents, VectorSystem, certificate_defect,
                     check_L3, enumerate_bases, gaussian_extremizer, gaussian_objective,
                     is_finite, make_cert, monotonicity_scan, numerical_rank,
                     projection_check, quadrature_objective, solve_s_system, verify)
+from blflow.certificate import _factor
 from blflow.errors import EvaluationError
 from blflow.verifier import euler_defect_at
 from oracles import bellman_identity_probe, hadamard_form
@@ -66,7 +67,7 @@ def test_criterion_3_young_certificate_chain():
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
     B = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
     result = solve_s_system(enumerate_bases(sysm), e)
-    cert = build_C(sysm, result.s_sq)
+    cert = result.factor.cert()
     proj = projection_check(sysm, cert, result.s_sq)
     eig_on_01 = np.all(np.minimum(np.abs(proj.eigenvalues),
                                   np.abs(proj.eigenvalues - 1.0)) <= 1e-8)
@@ -144,7 +145,7 @@ def test_criterion_7_equality_cases():
     sysm2 = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e2 = Exponents([2 / 3, 2 / 3, 2 / 3])
     B2 = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
-    cert2 = build_C(sysm2, solve_s_system(enumerate_bases(sysm2), e2).s_sq)
+    cert2 = solve_s_system(enumerate_bases(sysm2), e2).factor.cert()
     profiles2 = tuple(gaussian_extremizer(m, s)
                       for m, s in zip((1.0, 2.0, 1.5), cert2.sigma))
     trace2, verdict2 = monotonicity_scan(sysm2, cert2, B2, profiles2,
@@ -240,10 +241,10 @@ def test_criterion_9_property_suites():
     sysm = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
     base = solve_s_system(enumerate_bases(sysm), e)
-    C0 = build_C(sysm, base.s_sq).C
+    C0 = base.factor.cert().C
     for _ in range(100):
         lam = float(np.exp(rng.uniform(-2, 2)))
-        cert = build_C(sysm, base.s_sq / lam)
+        cert = _factor(sysm.A, base.s_sq / lam).cert()
         ok &= bool(np.allclose(cert.C, lam * C0, rtol=1e-10))
         # max_j |1/p_j - s_j^2 sigma_j| p_j, scale-free in s^2
         ok &= float(np.max(np.abs(e.inv_p - base.s_sq / lam * cert.sigma) / e.inv_p)) <= 1e-9

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, certificate_defect,
+from blflow import (BellmanSpec, Exponents, VectorSystem, certificate_defect,
                     enumerate_bases, gaussian_objective, is_finite, make_cert,
                     projection_check, solve_s_system, verify)
-from blflow.certificate import _newton_terms, _null_projector
+from blflow.certificate import EIG_TOL, _factor, _newton_terms, _null_projector
 from blflow.cli import main
-from blflow.errors import CertificateRejection
 
 
 def polytope_point(rng, slack):
@@ -63,7 +62,7 @@ class TestSSystem:
             assert is_finite(sysm, e).verdict == "inside"
             res = solve_s_system(enumerate_bases(sysm), e)
             assert res.converged and res.residual <= 1e-10
-            assert projection_check(sysm, build_C(sysm, res.s_sq), res.s_sq).ok
+            assert projection_check(sysm, res.factor.cert(), res.s_sq).ok
             closed = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
             assert res.D == pytest.approx(closed, rel=1e-12)
 
@@ -141,8 +140,8 @@ class TestSSystem:
                 assert res.converged and res_c.converged
                 assert res_c.iterations == res.iterations
                 assert np.allclose(res_c.s_sq, res.s_sq / c**2, rtol=1e-8)
-                C = build_C(sysm, res.s_sq).C
-                C_c = build_C(scaled, res_c.s_sq).C
+                C = res.factor.cert().C
+                C_c = res_c.factor.cert().C
                 assert np.allclose(C_c, C, rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e8, 1e20])
@@ -212,7 +211,7 @@ class TestBuildC:
         sysm = VectorSystem(np.eye(2))
         e = Exponents([1.0, 1.0])
         res = solve_s_system(enumerate_bases(sysm), e)
-        cert = build_C(sysm, res.s_sq)
+        cert = res.factor.cert()
         assert np.allclose(cert.C, 2.0 * np.eye(2), atol=1e-10)
         assert np.allclose(cert.sigma, [2.0, 2.0], atol=1e-10)
         assert consistency_residual(e, res.s_sq, cert) <= 1e-10
@@ -229,17 +228,12 @@ class TestBuildC:
         cert = make_cert(sysm, C_bad)
         assert certificate_defect(sysm, e, cert) > 1e-3
 
-    def test_rejects_nonpositive_weights(self, young3):
-        sysm, _, _ = young3
-        with pytest.raises(CertificateRejection):
-            build_C(sysm, [0.5, -0.1, 0.6])
-
     def test_gauge_covariance(self, young3, young3_solve, young3_cert):
         # scaling s^2 by 1/lam scales M by 1/lam, hence C by lam; the
         # defining residual is scale-free
         sysm, e, _ = young3
         lam = 3.0
-        cert = build_C(sysm, young3_solve.s_sq / lam)
+        cert = _factor(sysm.A, young3_solve.s_sq / lam).cert()
         assert np.allclose(cert.C, lam * young3_cert.C, rtol=1e-12)
         assert consistency_residual(e, young3_solve.s_sq / lam, cert) <= 1e-9
 
@@ -249,12 +243,12 @@ class TestProjection:
         # k=1, s^2 = (1/2, 1/2), C = (1): P = [[1/2, 1/2], [1/2, 1/2]]
         sysm, e, _, _ = holder
         res = solve_s_system(enumerate_bases(sysm), e)
-        cert = build_C(sysm, res.s_sq)
+        cert = res.factor.cert()
         S = np.sqrt(res.s_sq)
         P = (sysm.A * S).T @ cert.C @ (sysm.A * S)
         assert np.allclose(P, np.full((2, 2), 0.5), atol=1e-10)
         rep = projection_check(sysm, cert, res.s_sq)
-        assert rep.ok and rep.rank == 1 and rep.diag_bound_ok
+        assert rep.ok and rep.rank == 1 and rep.eigenvalues[-1] <= 1.0 + EIG_TOL
         assert rep.trace == pytest.approx(1.0, abs=1e-10)
 
     def test_young_projection(self, young3, young3_solve, young3_cert):
@@ -284,17 +278,16 @@ class TestProjection:
             res = solve_s_system(enumerate_bases(sysm), e)
             if not res.converged:
                 continue
-            cert = build_C(sysm, res.s_sq)
-            rep = projection_check(sysm, cert, res.s_sq)
+            rep = projection_check(sysm, res.factor.cert(), res.s_sq)
             assert rep.trace == pytest.approx(k, abs=1e-8)
-            assert rep.diag_bound_ok
+            assert rep.eigenvalues[-1] <= 1.0 + EIG_TOL
 
     def test_diag_bound_fails_for_wrong_weights(self, young3, young3_solve, young3_cert):
         # shrinking one s_j^2 without re-solving breaks A^T C A <= diag(1/s^2)
         sysm, _, _ = young3
         rep = projection_check(sysm, young3_cert,
                                young3_solve.s_sq * np.array([4.0, 1.0, 1.0]))
-        assert not rep.diag_bound_ok
+        assert rep.eigenvalues[-1] > 1.0 + EIG_TOL
 
 
 def stress_datum(rng, near_parallel):
@@ -345,7 +338,7 @@ class TestStressSet:
                 continue
             exact = exact_ratio_defect(mpmath, sysm.A, e.inv_p, res.s_sq)
             assert exact <= 1e-8, i
-            cert = build_C(sysm, res.s_sq)
+            cert = res.factor.cert()
             assert projection_check(sysm, cert, res.s_sq).ok, i
             defect = verify(sysm, cert, BellmanSpec.young(e.inv_p)).pde_defect
             assert defect <= exact + 1e-9, i

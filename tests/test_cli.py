@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import blflow
-from blflow import certificate, heatflow, polytope, verifier
+from blflow import (BellmanSpec, certificate, enumerate_bases, heatflow, polytope,
+                    solve_s_system, verifier)
 from blflow.cli import main
+from blflow.io import parse_problem
 
 HOLDER = {
     "k": 1, "n": 2, "A": [[1.0, 1.0]], "inv_p": [0.5, 0.5],
@@ -102,6 +104,18 @@ FACTOR_MISSES = {
            0.3803565627928909, 0.748962544339956]],
     "inv_p": [0.9452621714465934, 0.442828891013349, 0.514101795225846,
               0.6319998370528064, 0.46580730526140535],
+}
+
+
+# k = 4, n = 6: the moment curve (1, t, t^2, t^3) at six points, so every four
+# columns are independent and 1/p = 2/3 is interior; off-centre Gaussians
+_T = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+K4_GAUSSIANS = {
+    "k": 4, "n": 6,
+    "A": (np.vstack([_T**0, _T, _T**2, _T**3]) / np.sqrt(1 + _T**2 + _T**4 + _T**6)).tolist(),
+    "inv_p": [2 / 3] * 6,
+    "profiles": [{"type": "gaussian", "amplitude": 1.0, "center": 0.1 * j,
+                  "variance": 1.0 + 0.2 * j} for j in range(6)],
 }
 
 
@@ -290,6 +304,11 @@ class TestSolveC:
         code, doc = run_json(capsys, ["solve-c", path])
         assert code == 3 and not doc["converged"]
         assert doc["system_residual"] > certificate.RES_TOL
+        # the fit readings see the miss; the projection block cannot, as
+        # P = Q Q^T for the factor's own certificate
+        assert doc["residual"] > certificate.RES_TOL
+        assert doc["inverse_defect"] > certificate.RES_TOL
+        assert doc["projection"]["ok"]
         assert any("certificate's residual" in note for note in doc["notes"])
         assert main(["verify", path]) == 3
         # D needs no certificate: the table met res_tol, so constant converges
@@ -631,12 +650,23 @@ class TestExitCodes:
         assert "n <= 12" in capsys.readouterr().err
 
     def test_flow_beyond_supported_k_is_input_error(self, tmp_path, capsys):
-        doc = {"k": 4, "n": 4, "A": np.eye(4).tolist(), "C": np.eye(4).tolist(),
-               "B": {"variant": "young", "alpha": [0.5] * 4},
-               "profiles": [{"type": "gaussian", "amplitude": 1.0, "center": 0.0,
-                             "variance": 1.0}] * 4}
+        # box data is integrated exactly at t = 0 for k = 1 only, and the grid holds t = 0
+        doc = dict(K4_GAUSSIANS, profiles=[{"type": "box", "lo": 0.0, "hi": 1.0, "height": 1.0},
+                                           *K4_GAUSSIANS["profiles"][1:]])
         assert main(["flow", write(tmp_path, doc)]) == 2
-        assert "k <= 3" in capsys.readouterr().err
+        assert "only integrated exactly for k = 1" in capsys.readouterr().err
+
+    def test_flow_on_k4_gaussians_is_closed_form(self, tmp_path, capsys):
+        code, doc = run_json(capsys, ["flow", write(tmp_path, K4_GAUSSIANS)])
+        assert code == 0 and doc["monotone"] and doc["label"] == "certified"
+        problem = parse_problem(json.dumps(K4_GAUSSIANS))
+        sigma = solve_s_system(enumerate_bases(problem.system),
+                               problem.exponents).factor.cert().sigma
+        B = BellmanSpec.young(problem.exponents.inv_p)
+        expect = heatflow.gaussian_energy(problem.system, B, problem.profiles,
+                                          np.outer(doc["times"], 4.0 * sigma))
+        assert np.allclose(doc["values"], expect, rtol=1e-12, atol=0.0)
+        assert doc["levels"] == [0] * len(doc["times"])
 
     @pytest.mark.parametrize("problem, tmax", [("holder_boxes", "-1"),
                                                ("lifted_section_triple", "-0.1")])
@@ -730,7 +760,8 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, str(PROBLEMS / "holder_boxes.json"), "--tol", tol, *tmax_for(command)])
         assert exc.value.code == 2
-        assert "finite number > 0" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "finite number > 0" in err and out == ""
 
     def test_tol_is_honoured(self, capsys):
         path = str(PROBLEMS / "holder_boxes.json")

@@ -240,6 +240,14 @@ class TestEnergy:
         # positive time is fine
         assert bellman_energies(sysm, young3_cert, B, boxes, [0.5]).values[0] > 0.0
 
+    def test_k4_boxes_past_t0_meet_the_quadratures_cap(self):
+        # decay_quad alone refuses k > MAX_DIM; the closed forms have no cap on k
+        sysm, cert, B, profiles = gaussian_datum(4, 3)
+        boxes = (Box(0.0, 1.0, 1.0), *profiles[1:])
+        with pytest.raises(UnsupportedScaleError, match="k <= 3, got k=4") as exc:
+            bellman_energies(sysm, cert, B, boxes, [0.5])
+        assert exc.traceback[-1].name == "decay_quad"
+
     def test_rejects_profile_count_mismatch(self, holder):
         sysm, _, B, cert = holder
         with pytest.raises(StructuralError):

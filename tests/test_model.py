@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blflow import BellmanSpec, Exponents, VectorSystem, numerical_rank, psd_leq_zero
+from blflow import BellmanSpec, Exponents, VectorSystem, numerical_rank
 from blflow.errors import CertificateRejection, DomainError, StructuralError
 from blflow.model import GaussCert
 from blflow.verifier import euler_defect_at
@@ -113,16 +113,6 @@ class TestOracleConsistency:
 
 
 class TestMatrixPredicates:
-    def test_psd_leq_zero_examples(self):
-        assert psd_leq_zero(np.zeros((2, 2)))
-        assert psd_leq_zero(np.diag([-1.0, -2.0]))
-        # eigenvalues of [[-1, 2], [2, -1]] are 1 and -3
-        assert not psd_leq_zero(np.array([[-1.0, 2.0], [2.0, -1.0]]))
-
-    def test_psd_rejects_asymmetry(self):
-        with pytest.raises(StructuralError):
-            psd_leq_zero(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_numerical_rank(self):
         assert numerical_rank(np.eye(3)) == 3
         v = np.array([1.0, 1.0, 0.0])

@@ -1,11 +1,14 @@
 import ast
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import blflow
+from blflow import certificate
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
@@ -18,16 +21,13 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("quad_tol", ["-1", "0", "nan"])
-def test_flow_demo_rejects_bad_quad_tol(quad_tol):
-    # the flow demo is `blflow flow --format csv`; a bad quadrature tolerance
-    # is refused before any row is written
-    proc = subprocess.run([sys.executable, "-m", "blflow.cli", "flow", "problems/holder_boxes.json",
-                           "--format", "csv", "--tol", quad_tol, "--tmax", "1"],
-                          cwd=ROOT, capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "finite number > 0" in proc.stderr and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+def test_young_chain_builds_one_qr(monkeypatch, capsys):
+    # the walkthrough reads C off the factor its solve finished on
+    qr = mock.Mock(wraps=certificate._factor)
+    monkeypatch.setattr(certificate, "_factor", qr)
+    runpy.run_path(str(ROOT / "scripts" / "run_young_chain.py"), run_name="__main__")
+    assert "verifier: ok=True" in capsys.readouterr().out
+    assert qr.call_count == 1
 
 
 @pytest.mark.parametrize("script", SCRIPTS)

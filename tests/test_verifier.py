@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, build_C, certificate_spectrum,
-                    check_L3, check_L5, enumerate_bases, make_cert, solve_s_system, verify)
+from blflow import (BellmanSpec, Exponents, VectorSystem, check_L3, check_L5,
+                    enumerate_bases, make_cert, solve_s_system, verify)
 from blflow.cli import _bellman_of, _certificate_of
 from blflow.errors import CertificateRejection
 from blflow.io import parse_problem
@@ -27,7 +27,7 @@ def interior_datum(rng, k, n):
     e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
     result = solve_s_system(bases, e)
     assert result.converged
-    return sysm, e, build_C(sysm, result.s_sq), BellmanSpec.young(e.inv_p)
+    return sysm, e, result.factor.cert(), BellmanSpec.young(e.inv_p)
 
 
 class TestHadamardForm:
@@ -407,7 +407,7 @@ class TestDenseOracle:
             if k > 1:
                 certs += [broken_cert(sysm, e, cert, rng, f) for f in (2.0, 0.5)]
             for c in certs:
-                lam = certificate_spectrum(sysm, c, B)
+                lam = gram_spectrum(c.G, B.weights / c.sigma, k)
                 K, _ = core_form(sysm, c, B)
                 E = 1.0 / np.sqrt(B.weights * c.sigma)
                 expect = np.sort(np.append(lam - 1.0, -np.ones(n - k)))
@@ -558,7 +558,7 @@ class TestColumnScaling:
         e = Exponents([0.8, 0.5, 0.7])
         sysm = VectorSystem(np.array([[1.0, 0.0, 0.6], [0.0, scale, 0.8]]))
         result = solve_s_system(enumerate_bases(sysm), e)
-        cert = build_C(sysm, result.s_sq)
+        cert = result.factor.cert()
         B = BellmanSpec.young(e.inv_p)
         assert verify(sysm, cert, B).ok
         w, U = np.linalg.eigh(cert.C)
