@@ -8,11 +8,14 @@ option the command does not take, a --tmax not finite and >= 0 and a --tol
 not finite and > 0 included), 3 non-convergence, 4 certificate rejection.
 
 A certificate is the pair (C, G = A^T C A): the file's explicit C, or the one
-solved from the exponents, read off the QR factor the solve finished on
+solved from the exponents, read off the factor the solve finished on
 (_solved_certificate).  solve-c reports what the solve gives with it: s^2,
 the solver's residual on that factor and its notes, the consistency
 residual max_j |1/p_j - s_j^2 sigma_j| p_j, and a note within 1e-6 of the
-polytope boundary.
+polytope boundary.  constant reports D, argmax_b = p s^2 and the residual
+from the same solve, whose convergence is its status inside the polytope;
+outside, D is infinite and nothing is solved, so those three are null and
+the note gives the verdict's witness and slack.
 
 The verifier and the heat-flow layer are imported by the one command that
 runs each (verify, flow), so the other commands start without them; a
@@ -142,21 +145,26 @@ def cmd_constant(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("constant needs inv_p")
     verdict = _membership(problem)
-    result = _solve(problem, verdict)
     warnings = []
     if verdict.verdict != "inside":
         where = "on the boundary of" if verdict.verdict == "boundary" else "outside"
         warnings.append(f"exponents are {where} the polytope; "
                         "the supremum may be infinite or attained only in a limit")
-    status = ("sup not attained / infinite" if verdict.verdict != "inside"
-              else "converged" if result.table_converged
-              else "non-convergence")
-    _emit({"D": result.D, "argmax_b": problem.exponents.p * result.s_sq,
-           "iterations": result.iterations, "residual": result.residual, "status": status,
-           "warnings": warnings, "notes": list(result.notes)}, args.out)
-    if status == "non-convergence":
-        return EXIT_NOCONV
-    return EXIT_OK
+    doc = {"D": None, "argmax_b": None, "iterations": 0, "residual": None,
+           "status": "sup not attained / infinite", "warnings": warnings, "notes": []}
+    if verdict.verdict == "outside":
+        # D is infinite there, so there is nothing to solve for
+        doc["notes"].append(f"the exponents miss the polytope by {-verdict.slack:.3g} at "
+                            f"columns S = {list(verdict.witness)}: D is infinite")
+    else:
+        result = _solve(problem, verdict)
+        doc.update(D=result.D, argmax_b=problem.exponents.p * result.s_sq,
+                   iterations=result.iterations, residual=result.residual,
+                   notes=list(result.notes))
+        if verdict.verdict == "inside":
+            doc["status"] = "converged" if result.converged else "non-convergence"
+    _emit(doc, args.out)
+    return EXIT_NOCONV if doc["status"] == "non-convergence" else EXIT_OK
 
 
 def cmd_solve_c(problem: Problem, args) -> int:

@@ -11,10 +11,10 @@ so one stacked determinant over the k-subsets and one product against the
 2^n - 2 proper subsets give the whole rank table; n is capped at MAX_N.
 
 enumerate_bases is the package's one test of which column subsets are
-bases.  Its table keeps log det(A_B)^2 per basis, the column norms and A
-itself, which the s-system solver starts from; is_finite hands it on with its
-verdict, and blflow.certificate solves the s-system, whose solution gives
-both C and D, on that same table.
+bases.  Its table keeps the bases, the rank of every proper subset, the
+column norms and A itself; is_finite hands it on with its verdict, and
+blflow.certificate solves the s-system, whose solution gives both C and D,
+from A, the norms (its start) and the ranks (the Hessian's null space).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class BasisIndicatorSet(NamedTuple):
     """
 
     vectors: np.ndarray  # shape (m, n), the indicator of each basis's columns
-    log_c: np.ndarray  # shape (m,), log det(A_B)^2 per basis
     masks: np.ndarray  # shape (2^n - 2, n), one row per proper subset
     ranks: np.ndarray  # shape (2^n - 2,)
     norms: np.ndarray  # shape (n,), the column norms |a_j|
@@ -90,7 +89,7 @@ def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
     bits = np.arange(1, 2**n - 1)
     masks = ((bits[:, None] >> np.arange(n)) & 1).astype(float)
     ranks = (masks @ vectors.T).max(axis=1, initial=0.0)
-    return BasisIndicatorSet(vectors, 2.0 * np.log(dets[keep]), masks, ranks, norms, sys.A)
+    return BasisIndicatorSet(vectors, masks, ranks, norms, sys.A)
 
 
 def is_finite(sys: VectorSystem, e: Exponents,

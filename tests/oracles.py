@@ -1,5 +1,6 @@
-"""Test-only references: dense n x n forms for the verifier, and the heat flow's
-evolved Gaussian, closed-form y-derivatives and pointwise identity probe.
+"""Test-only references: dense n x n forms for the verifier, the s-system's
+Cauchy-Binet terms over the basis table, and the heat flow's evolved
+Gaussian, closed-form y-derivatives and pointwise identity probe.
 
 The package decides L3, the PDE identity and the rank bound on the k x k
 spectrum of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T
@@ -46,6 +47,29 @@ def dense_verdicts(sys, cert, B, rank_tol: float) -> tuple[float, float, int]:
     return (float(np.linalg.eigvalsh(K)[-1]) / scale,
             float(np.linalg.norm((sys.A * inv_sigma) @ K)) / pde_scale,
             numerical_rank(K, tol=rank_tol))
+
+
+def cauchy_binet_terms(A, bases, x, z):
+    """f(z), the residual x - tau and K at s^2 = exp(z), over the basis table.
+
+    By Cauchy-Binet det M(e^z) = sum_B c_B e^{<1_B, z>} over the bases B,
+    with c_B = det(A_B)^2, so f(z) = (<x, z> - log det M(e^z)) / 2 is a
+    log-sum-exp over the table.  Under mu_B = c_B e^{<1_B, z>} / det M the
+    marginals are tau = mu V, and K = V^T diag(mu) V - tau tau^T, the
+    covariance of 1_B, is -2 times the Hessian of f: the same terms that
+    blflow.certificate.solve_s_system reads off one factor of (A S)^T.
+    """
+    V = bases.vectors
+    columns = V.nonzero()[1].reshape(len(V), A.shape[0])
+    log_c = 2.0 * np.log(abs(np.linalg.det(np.moveaxis(A[:, columns], 1, 0))))
+    logw = log_c + V @ z
+    top = float(logw.max())
+    mu = np.exp(logw - top)
+    total = float(mu.sum())
+    mu /= total
+    tau = mu @ V
+    f = 0.5 * (float(x @ z) - top - math.log(total))
+    return f, x - tau, (V.T * mu) @ V - np.outer(tau, tau)
 
 
 def cholesky_spectrum(A, C, d) -> np.ndarray:

@@ -6,8 +6,9 @@ import pytest
 from blflow import (BellmanSpec, Exponents, VectorSystem, certificate_defect,
                     enumerate_bases, gaussian_objective, is_finite, make_cert,
                     projection_check, solve_s_system, verify)
-from blflow.certificate import EIG_TOL, _factor, _newton_terms, _null_projector
+from blflow.certificate import EIG_TOL, _factor, _null_projector
 from blflow.cli import main
+from oracles import cauchy_binet_terms
 
 
 def polytope_point(rng, slack):
@@ -179,7 +180,7 @@ class TestSSystem:
         z = np.log(e.inv_p / np.linalg.norm(A, axis=0) ** 2)
         z -= z.mean()
         for _ in range(50):
-            _, r, K = _newton_terms(bases, e.inv_p, z)
+            _, r, K = cauchy_binet_terms(A, bases, e.inv_p, z)
             if np.max(np.abs(r)) <= 1e-15:
                 break
             z = z + np.linalg.lstsq(K, r, rcond=None)[0]
@@ -312,6 +313,18 @@ def exact_ratio_defect(mpmath, A, x, s_sq) -> float:
         C = (AS * AS.T) ** -1
         return float(max(abs(mpmath.mpf(x[j]) / (AS[:, j].T * C * AS[:, j])[0] - 1)
                          for j in range(A.shape[1])))
+
+
+def exact_functional(mpmath, A, x, b) -> float:
+    """The Gaussian functional prod_j b_j^{x_j/2} det(Q(b))^{-1/2},
+    Q(b) = sum_j b_j x_j a_j a_j^T, to 60 digits: D at b = p s^2."""
+    with mpmath.workdps(60):
+        Q = mpmath.zeros(A.shape[0])
+        for a, xj, bj in zip(A.T, x, b):
+            col = mpmath.matrix(a.tolist())
+            Q += mpmath.mpf(bj) * mpmath.mpf(xj) * (col * col.T)
+        top = mpmath.fprod(mpmath.mpf(bj) ** (mpmath.mpf(xj) / 2) for xj, bj in zip(x, b))
+        return float(top / mpmath.sqrt(mpmath.det(Q)))
 
 
 class TestStressSet:

@@ -13,6 +13,7 @@ from blflow import (BellmanSpec, certificate, enumerate_bases, heatflow, polytop
                     solve_s_system, verifier)
 from blflow.cli import main
 from blflow.io import parse_problem
+from test_certificate import exact_functional
 
 HOLDER = {
     "k": 1, "n": 2, "A": [[1.0, 1.0]], "inv_p": [0.5, 0.5],
@@ -74,9 +75,9 @@ NEAR_PARALLEL = {
 }
 
 
-# inside, with a_0 and a_1 2.2e-8 apart: the basis table's tau meets
-# res_tol at an s^2 whose exact max_j |x_j / tau_j - 1| is 7.6e-2; the QR
-# factor the certificate is read from takes the solve on to the solution
+# inside, with a_0 and a_1 2.2e-8 apart: the basis {a_0, a_1, a_3, a_5} falls
+# below polytope.BASIS_TOL, yet holds 4.7 % of det M(s) at the solution, so a
+# solve on the basis table alone misses both s^2 and D (by 2.5 %)
 TABLE_MISSES = {
     "k": 4, "n": 6,
     "A": [[0.11721590527178676, 0.11721589767171113, -0.5424925083586664,
@@ -91,9 +92,9 @@ TABLE_MISSES = {
               0.7444496656655405, 0.7560589088913996, 0.5972114702492604],
 }
 
-# inside, with a_0 and a_1 2.5e-8 apart and cond M(s) near 1e16 at the
-# solution: no factor in double precision brings max_j |x_j - tau_j| to
-# res_tol, where the basis table's tau reports 2.2e-16
+# inside, with a_0 and a_1 2.5e-8 apart and cond M(s) near 1.4e16 at the
+# solution: max_j |x_j - tau_j| on a factor in double precision stays near
+# res_tol, so whether a solve meets it there is round-off
 FACTOR_MISSES = {
     "k": 3, "n": 5,
     "A": [[-0.7703356306960871, -0.7703356149060281, -0.6233381581659965,
@@ -197,6 +198,27 @@ class TestConstant:
         # the start s^2 ∝ x / |a|^2 = (2, 1, 2) is four Newton steps from the
         # symmetric solution
         assert doc["iterations"] == 5 and doc["residual"] <= 1e-10
+        # YOUNG3 is eps = -1 of A = [[1, 1, 0], [0, eps, 1]] at 1/p = 2/3, where
+        # D = (sqrt(3)/2) |eps|^(-1/3); a_0 and a_1 come within eps of parallel
+        for eps in (1e-2, 1e-4, 1e-5, 1e-6, 1e-8):
+            path = write(tmp_path, dict(YOUNG3, A=[[1.0, 1.0, 0.0], [0.0, eps, 1.0]]),
+                         f"eps_{eps:g}.json")
+            code, doc = run_json(capsys, ["constant", path])
+            assert code == 0 and doc["status"] == "converged", eps
+            assert doc["D"] == pytest.approx(math.sqrt(3.0) / 2.0 * eps ** (-1.0 / 3.0),
+                                             rel=1e-12), eps
+            code, doc = run_json(capsys, ["solve-c", path])
+            assert code == 0 and doc["converged"], eps
+
+    def test_D_is_exact_at_its_weights(self, tmp_path, capsys):
+        # D comes from the factor s^2 does, not from the basis table, which
+        # lacks a basis that holds 4.7 % of det M(s) here
+        mpmath = pytest.importorskip("mpmath")
+        code, doc = run_json(capsys, ["constant", write(tmp_path, TABLE_MISSES)])
+        assert code == 0 and doc["status"] == "converged"
+        exact = exact_functional(mpmath, np.array(TABLE_MISSES["A"]),
+                                 np.array(TABLE_MISSES["inv_p"]), np.array(doc["argmax_b"]))
+        assert doc["D"] == pytest.approx(exact, rel=1e-8)
 
     def test_outside_reports_divergence(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["constant", write(tmp_path, OUTSIDE)])
@@ -221,10 +243,20 @@ class TestConstant:
 
 
     def test_reports_the_solver_notes(self, tmp_path, capsys):
-        # off degree the solver stops at once and its note says why
-        code, doc = run_json(capsys, ["constant", write(tmp_path, dict(YOUNG3, inv_p=[.5, .5, .5]))])
-        assert code == 0 and doc["status"] == "sup not attained / infinite"
-        assert any("sum(1/p_j) = 1.5 differs from k = 2" in note for note in doc["notes"])
+        # D is infinite outside, so nothing is solved: the note is the verdict's
+        # witness and slack, and D, argmax_b and residual are null
+        for name, doc, witness, miss in [
+                ("off_degree.json", dict(YOUNG3, inv_p=[.5, .5, .5]), [0, 1, 2], "0.5"),
+                ("parallel_pair.json", OUTSIDE, [0, 1], "0.2")]:
+            path = write(tmp_path, doc, name)
+            verdict = run_json(capsys, ["finiteness", path])[1]
+            assert verdict["verdict"] == "outside" and verdict["witness"] == witness
+            code, out = run_json(capsys, ["constant", path])
+            assert code == 0 and out["status"] == "sup not attained / infinite"
+            assert out["D"] is None and out["argmax_b"] is None and out["residual"] is None
+            assert out["iterations"] == 0
+            assert out["notes"] == [f"the exponents miss the polytope by {miss} at columns "
+                                    f"S = {witness}: D is infinite"]
 
     def test_degree_within_tolerance_gets_one_verdict(self, tmp_path, capsys):
         # sum(1/p) = 2 + 1e-9 is within polytope.DEGREE_TOL of k = 2: the
@@ -246,6 +278,9 @@ class TestConstant:
         code, doc = run_json(capsys, ["solve-c", path])
         assert code == 3 and not doc["converged"]
         assert doc["system_residual"] > 1e-30
+        # P = U U^T for the factor's own certificate, so the projection block
+        # holds on a solve that stops short of res_tol
+        assert doc["projection"]["ok"]
 
     def test_honours_boundary_tol(self, tmp_path, capsys):
         path = write(tmp_path, WIDE_BOUNDARY_TOL)
@@ -299,23 +334,22 @@ class TestSolveC:
         code, doc = run_json(capsys, ["verify", path])
         assert code == 0 and doc["pde"]["defect"] <= 1e-8
 
-    def test_a_factor_that_misses_res_tol_is_non_convergence(self, tmp_path, capsys):
+    def test_a_near_singular_factor_gets_one_verdict(self, tmp_path, capsys):
+        # cond M(s) is about 1.4e16 at the solution, so whether a factor meets
+        # res_tol there is round-off; constant and solve-c read one solve, so
+        # they give one verdict, and D is the exact value at the reported weights
+        mpmath = pytest.importorskip("mpmath")
         path = write(tmp_path, FACTOR_MISSES)
-        code, doc = run_json(capsys, ["solve-c", path])
-        assert code == 3 and not doc["converged"]
-        assert doc["system_residual"] > certificate.RES_TOL
-        # the fit readings see the miss; the projection block cannot, as
-        # P = Q Q^T for the factor's own certificate
-        assert doc["residual"] > certificate.RES_TOL
-        assert doc["inverse_defect"] > certificate.RES_TOL
-        assert doc["projection"]["ok"]
-        assert any("certificate's residual" in note for note in doc["notes"])
-        assert main(["verify", path]) == 3
-        # D needs no certificate: the table met res_tol, so constant converges
-        code, doc = run_json(capsys, ["constant", path])
-        assert code == 0 and doc["status"] == "converged"
-        assert doc["D"] == pytest.approx(918.9567104499172, rel=1e-9)
-        assert any("certificate's residual" in note for note in doc["notes"])
+        c_code, const = run_json(capsys, ["constant", path])
+        s_code, solve = run_json(capsys, ["solve-c", path])
+        assert c_code == s_code
+        assert (const["status"] == "converged") == solve["converged"]
+        assert const["residual"] == solve["system_residual"]
+        assert const["iterations"] == solve["iterations"]
+        assert (const["residual"] <= certificate.RES_TOL) == solve["converged"]
+        exact = exact_functional(mpmath, np.array(FACTOR_MISSES["A"]),
+                                 np.array(FACTOR_MISSES["inv_p"]), np.array(const["argmax_b"]))
+        assert const["D"] == pytest.approx(exact, rel=1e-8)
 
 
 class TestOneBasisTable:
@@ -359,15 +393,46 @@ class TestOneBasisTable:
         monkeypatch.setattr(certificate, name, counting)
         return calls
 
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """Every factor made, the number made when each solve returned, and
+        every factor a certificate was read from."""
+        log = {"made": [], "solves": [], "certs": []}
+        factor, solve, cert = certificate._factor, certificate.solve_s_system, certificate.Factor.cert
+
+        def factoring(*args):
+            log["made"].append(factor(*args))
+            return log["made"][-1]
+
+        def solving(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            log["solves"].append((result, len(log["made"])))
+            return result
+
+        def reading(self):
+            log["certs"].append(self)
+            return cert(self)
+
+        monkeypatch.setattr(certificate, "_factor", factoring)
+        monkeypatch.setattr(certificate, "solve_s_system", solving)
+        monkeypatch.setattr(certificate.Factor, "cert", reading)
+        return log
+
     @pytest.mark.parametrize("doc,command", [
         *((HOLDER, c) for c in ("finiteness", "constant", "solve-c", "verify", "flow")),
         *((YOUNG3, c) for c in ("finiteness", "constant", "solve-c", "verify")),
         (NEAR_PARALLEL, "verify")])
-    def test_converged_interior_data_run_one_qr(self, tmp_path, capsys, monkeypatch,
-                                                doc, command):
-        qrs = self.counted(monkeypatch, "_factor")
+    def test_converged_interior_data_run_one_qr(self, tmp_path, capsys, factors, doc, command):
+        # the one factorisation D and the certificate come from is the solve's
+        # last, and nothing is factored after the solve returns
         assert main([command, write(tmp_path, doc), *tmax_for(command)]) == 0
-        assert len(qrs) == (command != "finiteness")
+        if command == "finiteness":
+            assert factors == {"made": [], "solves": [], "certs": []}
+            return
+        [(result, made)] = factors["solves"]
+        assert made == len(factors["made"]) and result.factor is factors["made"][-1]
+        assert len(factors["certs"]) == (command != "constant")
+        assert all(c is result.factor for c in factors["certs"])
 
     @pytest.mark.parametrize("command", ["constant", "solve-c", "verify", "flow"])
     def test_k1_data_build_no_null_projector(self, tmp_path, capsys, monkeypatch, command):

@@ -22,12 +22,28 @@ def test_script_runs(argv):
 
 
 def test_young_chain_builds_one_qr(monkeypatch, capsys):
-    # the walkthrough reads C off the factor its solve finished on
-    qr = mock.Mock(wraps=certificate._factor)
-    monkeypatch.setattr(certificate, "_factor", qr)
+    # the walkthrough's C is read off its solve's last factor, and nothing is
+    # factored after the solve returns
+    made, solves = [], []
+    factor, solve = certificate._factor, certificate.solve_s_system
+
+    def factoring(*args):
+        made.append(factor(*args))
+        return made[-1]
+
+    def solving(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    cert = mock.Mock(wraps=certificate.Factor.cert)
+    monkeypatch.setattr(certificate, "_factor", factoring)
+    monkeypatch.setattr(certificate, "solve_s_system", solving)
+    monkeypatch.setattr(certificate.Factor, "cert", lambda self: cert(self))
     runpy.run_path(str(ROOT / "scripts" / "run_young_chain.py"), run_name="__main__")
     assert "verifier: ok=True" in capsys.readouterr().out
-    assert qr.call_count == 1
+    [result] = solves
+    assert result.factor is made[-1]
+    assert cert.call_count == 1 and cert.call_args.args[0] is made[-1]
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
