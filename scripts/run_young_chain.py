@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end walkthrough on the three-function convolution system.
 
-Solves the auxiliary weight system once, on the basis table of the
+Solves the auxiliary weight system once, on the components of the
 finiteness verdict, and reads off both the certifying matrix C and the
 sharp constant D; runs the full verifier battery on C, and compares D
 against direct quadrature at the maximizer b = p s^2.
@@ -23,7 +23,7 @@ def main() -> None:
     print(f"polytope verdict: {verdict.verdict} (slack r(S) - x(S) = {verdict.slack:.3e} "
           f"at columns S = {verdict.witness})")
 
-    result = solve_s_system(verdict.bases, e)
+    result = solve_s_system(sysm, e, verdict)
     cert = result.factor.cert()
     print(f"s^2 = {result.s_sq}  ({result.iterations} iterations, "
           f"residual {result.residual:.3e})")

@@ -10,11 +10,10 @@ of it is one SVD (A S)^T = U diag(sv) V^T, S = diag(s_j), of the rows
 sorted by decreasing s_j^2 |a_j|^2 (_factor), and that factor gives
 everything the step needs: log det M(s) = 2 sum log sv, the leverage scores
 tau_j = |u_j|^2 and the Hessian through Pi = U U^T.  The Hessian is
-singular along a null space that the basis table of polytope.is_finite's
-verdict names: the span of (1, ..., 1) and the indicators of the
-matroid's separators, the column sets S with r(S) + r(E \\ S) = k.  Each
-step is one positive-definite solve with the Hessian plus the projector onto
-that span (_null_projector).  The iteration starts at the fixed-point image
+singular along the span of the indicators of the column matroid's connected
+components, which polytope.is_finite's verdict labels.  Each step is one
+positive-definite solve with the Hessian plus the projector onto that span
+(_null_projector).  The iteration starts at the fixed-point image
 of C = I, s_j^2 = (1/p_j) / |a_j|^2, which solves k = 1 data outright and
 makes the iterates equivariant under column scaling.  The last factor gives
 both answers: D, the functional's value at its maximizer b = p s^2
@@ -30,13 +29,15 @@ orthogonal projection of rank k (projection_check).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import IterationError
 from .model import Exponents, GaussCert, VectorSystem, gram_spectrum
-from .polytope import DEGREE_TOL, BasisIndicatorSet
+
+if TYPE_CHECKING:
+    from .polytope import MembershipVerdict
 
 MAX_ITER = 100
 RES_TOL = 1e-10
@@ -96,77 +97,76 @@ class SSystemResult(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _null_projector(bases: BasisIndicatorSet, k: int) -> np.ndarray:
+def _null_projector(components: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the null space of the Hessian, the same at every z.
 
     A separator S, r(S) + r(E \\ S) = k, meets every basis B in r(S)
-    columns, so K 1_S = 0; with 1, the separators' indicators span null(K),
-    which is spanned by the indicators of the connected components of the
-    column matroid.  Columns i and j share a component iff no separator holds
-    one and not the other, and P averages over components: 11^T / n for
-    connected data.
+    columns, so K 1_S = 0, and null(K) is spanned by the indicators of the
+    column matroid's connected components, which ``components`` labels.  P
+    averages over components: 11^T / n for connected data.
     """
-    sep = bases.masks[bases.ranks + bases.ranks[::-1] == k]
-    apart = sep.T @ (1.0 - sep)
-    same = (apart + apart.T) == 0.0
+    same = components[:, None] == components
     return same / same.sum(axis=1, keepdims=True)
 
 
-def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
+def solve_s_system(sys: VectorSystem, e: Exponents, verdict: MembershipVerdict,
                    res_tol: float = RES_TOL) -> SSystemResult:
     """Damped Newton iteration for the auxiliary weights, one factor per point.
 
     In z = log s^2 the system is the stationarity condition of the concave
-    f(z) = (<1/p, z> - log det M(e^z)) / 2.  Each evaluation factors
-    (A S)^T = U diag(sv) V^T at the normalized s^2 (_factor; A, n and k are
-    read from ``bases``, polytope.is_finite's table) and reads everything
-    off it: log det M(s) = 2 sum_i log sv_i, the gradient (1/p - tau) / 2
-    with tau_j = |u_j|^2 = s_j^2 <M(s)^{-1} a_j, a_j>, and the Hessian -K / 2
-    with K = diag(tau) - Pi o Pi, Pi = U U^T.  By Cauchy-Binet
+    f(z) = (<1/p, z> - log det M(e^z)) / 2; ``verdict`` is
+    polytope.is_finite's on (sys, e).  Each evaluation factors
+    (A S)^T = U diag(sv) V^T at the normalized s^2 (_factor) and reads
+    everything off it: log det M(s) = 2 sum_i log sv_i, the gradient
+    (1/p - tau) / 2 with tau_j = |u_j|^2 = s_j^2 <M(s)^{-1} a_j, a_j>, and the
+    Hessian -K / 2 with K = diag(tau) - Pi o Pi, Pi = U U^T.  By Cauchy-Binet
     det M(e^z) = sum_B det(A_B)^2 e^{<1_B, z>} over the bases B, and K is
     the covariance of 1_B under the weights of that sum.  The iteration
     starts at z = log(x_j / |a_j|^2), centred: one fixed-point step
     s_j^2 = x_j / <C a_j, a_j> from C = I, exact for k = 1.  K annihilates
     the gauge direction (1, ..., 1) and, on decomposable data, the indicator
     of every connected component.  That null space is the same at every z,
-    P = _null_projector(bases, k) projects onto it (built at the first step,
-    so never on data solved at the start), and the step d solves the
-    positive-definite system (K + P) d = r - P r, whose solution is
+    P = _null_projector(verdict.components) projects onto it (built at the
+    first step, so never on data solved at the start), and the step d solves
+    the positive-definite system (K + P) d = r - P r, whose solution is
     orthogonal to the null space, so sum(z) stays fixed; where K + P is
     singular to working precision the step is r - P r itself.  Steps are
     capped and backtracked (Armijo on f; only in the round-off endgame, where
     f cannot show the predicted increase, a drop in the residual also accepts
-    a step).  Off the interior of the finiteness polytope the supremum is
-    not attained and the iterates run off to infinity; the solve stops
-    unconverged when they move farther than _DIVERGENCE_SPREAD from the
-    start in some coordinate (measured from the start, not from the gauge
-    origin, so that rescaling a column does not change the verdict), when
-    the line search stalls, or after MAX_ITER evaluations.  Off-degree
-    exponents, |sum(1/p_j) - k| > polytope.DEGREE_TOL, stop it unconverged
-    after the first evaluation.  Within that tolerance, exponents that miss
-    the degree by more than res_tol are solved at x = (1/p) k / sum(1/p),
-    and all others at x = 1/p.  s^2 is returned normalized to the scale-free
-    tr M(s) = 1, with the factor there, whose certificate is factor.cert(),
-    and the residual max_j |x_j - tau_j| on it: the solve converged exactly
-    when that residual met res_tol.
+    a step).  An outside verdict, off-degree exponents among them, raises
+    IterationError before any factorisation: the s-system has no solution
+    there.  On the boundary of the polytope the supremum is not attained and
+    the iterates run off to infinity; the solve stops unconverged when they
+    move farther than _DIVERGENCE_SPREAD from the start in some coordinate
+    (measured from the start, not from the gauge origin, so that rescaling a
+    column does not change the verdict), when the line search stalls, or
+    after MAX_ITER evaluations.  Exponents that miss the degree k by more
+    than res_tol are solved at x = (1/p) k / sum(1/p), and all others at
+    x = 1/p.  s^2 is returned normalized to the scale-free tr M(s) = 1, with
+    the factor there, whose certificate is factor.cert(), and the residual
+    max_j |x_j - tau_j| on it: the solve converged exactly when that
+    residual met res_tol.
     D = exp(f - sum_j x_j log x_j / 2) is the Gaussian functional at
     b = p s^2 (blflow.gaussian; no determinant of Q(b) is formed): the
     concave f's one stationary point is its maximum, so D is the sharp
-    constant when the solve converges, and off the interior of the polytope
-    the value at the last iterate.
+    constant when the solve converges, and on the boundary the value at the
+    last iterate.
     """
-    A = bases.A
+    if verdict.verdict == "outside":
+        raise IterationError(f"the exponents miss the polytope by {-verdict.slack:.3g} at "
+                             f"columns S = {list(verdict.witness)}: the s-system has no solution")
+    A = sys.A
     k, n = A.shape
     x = e.inv_p
     degree = float(x.sum())
-    off_degree = abs(degree - k) > DEGREE_TOL
-    if res_tol < abs(degree - k) <= DEGREE_TOL:
+    if res_tol < abs(degree - k):
         # sum(x - tau) = sum(x) - k at every z, so at x the residual could not
         # meet res_tol; x k / sum(x) has degree k up to round-off
         x = x * (k / degree)
         degree = float(x.sum())
 
-    log_norms_sq = 2.0 * np.log(bases.norms)
+    norms = np.sqrt((A * A).sum(axis=0))
+    log_norms_sq = 2.0 * np.log(norms)
 
     def evaluate(z):
         """f(z), x - tau, the factor at s^2 = e^{z - shift} and shift = log tr M(e^z)."""
@@ -185,17 +185,13 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
                              () if note is None else (note,))
 
     # one fixed-point step from C = I, s_j^2 = x_j / |a_j|^2: exact for k = 1
-    z = np.log(x / bases.norms**2)
+    z = np.log(x / norms**2)
     z -= z.mean()
     z0 = z
     point = evaluate(z)
     f, r, factor, _ = point
     residual = _max_abs(r)
     it = 1
-    if off_degree:
-        # sum(1/p - tau) = sum(1/p) - k at every z, so the residual cannot vanish
-        return result(z, point, it, f"sum(1/p_j) = {degree!r} differs from "
-                      f"k = {k}: the s-system has no solution")
     P = None  # the null projector, built at the first Newton step
     while not residual <= res_tol:  # a NaN residual does not end the loop
         if it == MAX_ITER:
@@ -203,7 +199,7 @@ def solve_s_system(bases: BasisIndicatorSet, e: Exponents,
         if _max_abs(z - z0) > _DIVERGENCE_SPREAD:
             return result(z, point, it, "log s^2 moved more than "
                           f"{_DIVERGENCE_SPREAD:g} from its start: the supremum is not attained")
-        P = _null_projector(bases, k) if P is None else P
+        P = _null_projector(verdict.components) if P is None else P
         Pi = factor.U @ factor.U.T
         H = P - Pi * Pi
         H.flat[::n + 1] += Pi.diagonal()  # tau_j = Pi_jj

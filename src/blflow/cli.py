@@ -86,10 +86,6 @@ def _bellman_of(problem: Problem) -> BellmanSpec:
     raise StructuralError("problem file has no usable B")
 
 
-def _res_tol(problem: Problem) -> float:
-    return problem.tolerances.get("res_tol", certificate.RES_TOL)
-
-
 def _membership(problem: Problem) -> polytope.MembershipVerdict:
     """Polytope verdict for the file's exponents, at the file's boundary_tol."""
     return polytope.is_finite(problem.system, problem.exponents,
@@ -98,9 +94,9 @@ def _membership(problem: Problem) -> polytope.MembershipVerdict:
 
 
 def _solve(problem: Problem, verdict: polytope.MembershipVerdict):
-    """s-system solve for the file's exponents, on the verdict's basis table."""
-    return certificate.solve_s_system(verdict.bases, problem.exponents,
-                                      res_tol=_res_tol(problem))
+    """s-system solve for the file's exponents on their verdict, at the file's res_tol."""
+    res_tol = problem.tolerances.get("res_tol", certificate.RES_TOL)
+    return certificate.solve_s_system(problem.system, problem.exponents, verdict, res_tol=res_tol)
 
 
 def _solved_certificate(problem: Problem):
@@ -145,15 +141,11 @@ def cmd_constant(problem: Problem, args) -> int:
     if problem.exponents is None:
         raise StructuralError("constant needs inv_p")
     verdict = _membership(problem)
-    warnings = []
-    if verdict.verdict != "inside":
-        where = "on the boundary of" if verdict.verdict == "boundary" else "outside"
-        warnings.append(f"exponents are {where} the polytope; "
-                        "the supremum may be infinite or attained only in a limit")
     doc = {"D": None, "argmax_b": None, "iterations": 0, "residual": None,
-           "status": "sup not attained / infinite", "warnings": warnings, "notes": []}
+           "status": "sup not attained / infinite", "warnings": [], "notes": []}
     if verdict.verdict == "outside":
         # D is infinite there, so there is nothing to solve for
+        doc["warnings"].append("exponents are outside the polytope; the supremum is infinite")
         doc["notes"].append(f"the exponents miss the polytope by {-verdict.slack:.3g} at "
                             f"columns S = {list(verdict.witness)}: D is infinite")
     else:
@@ -163,6 +155,9 @@ def cmd_constant(problem: Problem, args) -> int:
                    notes=list(result.notes))
         if verdict.verdict == "inside":
             doc["status"] = "converged" if result.converged else "non-convergence"
+        else:
+            doc["warnings"].append("exponents are on the boundary of the polytope; "
+                                   "the supremum is finite and approached only in a limit")
     _emit(doc, args.out)
     return EXIT_NOCONV if doc["status"] == "non-convergence" else EXIT_OK
 

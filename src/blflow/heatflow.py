@@ -159,8 +159,9 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     start = int(0.0 in times)
     if start and sys.k > 1:
         raise UnsupportedScaleError(
-            "box initial data at t = 0 is only integrated exactly for k = 1; "
-            "evaluate at t > 0 or use Gaussian profiles")
+            "box initial data at t = 0 is only integrated exactly for k = 1, and flow's "
+            "time grid holds t = 0; use Gaussian profiles (any k), or call "
+            f"blflow.bellman_energies at t > 0 from Python (k <= {quadrature.MAX_DIM})")
     results = _energies_by_quadrature(sys, cert, B, profiles, np.array(times[start:]), quad_tol)
     for i, res in enumerate(results, start):
         values[i], halfwidths[i], levels[i] = res.value, res.halfwidth, res.levels

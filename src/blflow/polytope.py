@@ -11,10 +11,10 @@ so one stacked determinant over the k-subsets and one product against the
 2^n - 2 proper subsets give the whole rank table; n is capped at MAX_N.
 
 enumerate_bases is the package's one test of which column subsets are
-bases.  Its table keeps the bases, the rank of every proper subset, the
-column norms and A itself; is_finite hands it on with its verdict, and
-blflow.certificate solves the s-system, whose solution gives both C and D,
-from A, the norms (its start) and the ranks (the Hessian's null space).
+bases.  Its table keeps the bases and the rank of every proper subset, and
+serves only the verdict: is_finite also reads off it the matroid's connected
+components, which blflow.certificate's s-system solve needs for its
+Hessian's null space.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ class BasisIndicatorSet(NamedTuple):
     vectors: np.ndarray  # shape (m, n), the indicator of each basis's columns
     masks: np.ndarray  # shape (2^n - 2, n), one row per proper subset
     ranks: np.ndarray  # shape (2^n - 2,)
-    norms: np.ndarray  # shape (n,), the column norms |a_j|
-    A: np.ndarray  # the k x n matrix the table was read from
 
     @property
     def count(self) -> int:
@@ -64,6 +62,7 @@ class MembershipVerdict(NamedTuple):
     witness: tuple[int, ...] | None  # the column subset S that attains the slack
     slack: float  # r(S) - x(S) at the witness; inf when every S is a separator
     bases: BasisIndicatorSet  # the table it was read from
+    components: np.ndarray  # shape (n,), the least column of each column's component
 
 
 def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
@@ -89,7 +88,7 @@ def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
     bits = np.arange(1, 2**n - 1)
     masks = ((bits[:, None] >> np.arange(n)) & 1).astype(float)
     ranks = (masks @ vectors.T).max(axis=1, initial=0.0)
-    return BasisIndicatorSet(vectors, masks, ranks, norms, sys.A)
+    return BasisIndicatorSet(vectors, masks, ranks)
 
 
 def is_finite(sys: VectorSystem, e: Exponents,
@@ -101,26 +100,34 @@ def is_finite(sys: VectorSystem, e: Exponents,
     DEGREE_TOL (the witness is the most violated S).  Otherwise the slack is
     the least r(S) - x(S) over non-separators S, attained at the witness: at
     most boundary_tol is the boundary, more is inside.  With no non-separator
-    K is the single point x = 1, and x is inside with slack inf.
+    K is the single point x = 1, and x is inside with slack inf.  The
+    separators, r(S) + r(E \\ S) = k, also give the matroid's connected
+    components: ``components`` labels each column by the least column that no
+    separator holds without it.
     """
     if e.n != sys.n:
         raise StructuralError("exponent vector length differs from n")
     bases = enumerate_bases(sys)
+    separators = bases.ranks + bases.ranks[::-1] == sys.k
+    sep = bases.masks[separators]  # closed under complements, so sep^T (1 - sep) is symmetric
+    components = (sep.T @ (1.0 - sep) == 0.0).argmax(axis=1)
     x = e.inv_p
     off_degree = float(x.sum()) - sys.k
     if abs(off_degree) > DEGREE_TOL:
-        return MembershipVerdict("outside", tuple(range(sys.n)), -abs(off_degree), bases)
+        return MembershipVerdict("outside", tuple(range(sys.n)), -abs(off_degree), bases,
+                                 components)
     room = bases.ranks - bases.masks @ x
     if room.size and room.min() < -DEGREE_TOL:
         worst = int(room.argmin())
-        return MembershipVerdict("outside", _columns(bases.masks[worst]), float(room[worst]), bases)
-    candidates = (bases.ranks + bases.ranks[::-1] > sys.k).nonzero()[0]
+        return MembershipVerdict("outside", _columns(bases.masks[worst]), float(room[worst]),
+                                 bases, components)
+    candidates = (~separators).nonzero()[0]
     if not candidates.size:
-        return MembershipVerdict("inside", None, math.inf, bases)
+        return MembershipVerdict("inside", None, math.inf, bases, components)
     tight = candidates[room[candidates].argmin()]
     slack = float(room[tight])
     verdict = "inside" if slack > boundary_tol else "boundary"
-    return MembershipVerdict(verdict, _columns(bases.masks[tight]), slack, bases)
+    return MembershipVerdict(verdict, _columns(bases.masks[tight]), slack, bases, components)
 
 
 def _columns(mask: np.ndarray) -> tuple[int, ...]:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blflow import (BellmanSpec, Box, Exponents, VectorSystem, enumerate_bases, make_cert,
-                    solve_s_system)
+from blflow import BellmanSpec, Box, Exponents, VectorSystem, make_cert
+from oracles import solve_datum
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def young3():
 @pytest.fixture(scope="session")
 def young3_solve(young3):
     sysm, e, _ = young3
-    result = solve_s_system(enumerate_bases(sysm), e)
+    result = solve_datum(sysm, e)
     assert result.converged
     return result
 

@@ -1,6 +1,7 @@
 """Test-only references: dense n x n forms for the verifier, the s-system's
-Cauchy-Binet terms over the basis table, and the heat flow's evolved
-Gaussian, closed-form y-derivatives and pointwise identity probe.
+Cauchy-Binet terms and null projector over the basis table, and the heat
+flow's evolved Gaussian, closed-form y-derivatives and pointwise identity
+probe; and solve_datum, the s-system solve on a datum's own verdict.
 
 The package decides L3, the PDE identity and the rank bound on the k x k
 spectrum of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from blflow import is_finite, solve_s_system
 from blflow.errors import DomainError
 from blflow.heatflow import GaussianProfile
 from blflow.model import numerical_rank
@@ -70,6 +72,26 @@ def cauchy_binet_terms(A, bases, x, z):
     tau = mu @ V
     f = 0.5 * (float(x @ z) - top - math.log(total))
     return f, x - tau, (V.T * mu) @ V - np.outer(tau, tau)
+
+
+def separator_projector(bases, k: int) -> np.ndarray:
+    """The projector onto the Hessian's null space, from the rank table.
+
+    The separators S, r(S) + r(E \\ S) = k, are the rows whose rank and
+    whose complement's rank sum to k.  Columns i and j share a connected
+    component iff no separator holds one and not the other, and P averages
+    over components.  blflow.certificate._null_projector builds P from the
+    component labels of blflow.polytope.is_finite instead.
+    """
+    sep = bases.masks[bases.ranks + bases.ranks[::-1] == k]
+    apart = sep.T @ (1.0 - sep)
+    same = (apart + apart.T) == 0.0
+    return same / same.sum(axis=1, keepdims=True)
+
+
+def solve_datum(sys, e, **kwargs):
+    """blflow.certificate.solve_s_system on (sys, e) and its finiteness verdict."""
+    return solve_s_system(sys, e, is_finite(sys, e), **kwargs)
 
 
 def cholesky_spectrum(A, C, d) -> np.ndarray:

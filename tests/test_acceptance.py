@@ -13,11 +13,11 @@ import pytest
 from blflow import (BellmanSpec, Box, Exponents, VectorSystem, certificate_defect,
                     check_L3, enumerate_bases, gaussian_extremizer, gaussian_objective,
                     is_finite, make_cert, monotonicity_scan, numerical_rank,
-                    projection_check, quadrature_objective, solve_s_system, verify)
+                    projection_check, quadrature_objective, verify)
 from blflow.certificate import _factor
 from blflow.errors import EvaluationError
 from blflow.verifier import euler_defect_at
-from oracles import bellman_identity_probe, hadamard_form
+from oracles import bellman_identity_probe, hadamard_form, solve_datum
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -31,7 +31,7 @@ def _report(num: int, name: str, ok: bool, elapsed: float, budget: float) -> Non
 def test_criterion_1_holder_constant():
     t0 = time.perf_counter()
     sysm = VectorSystem(np.array([[1.0, 1.0]]))
-    res = solve_s_system(enumerate_bases(sysm), Exponents([0.5, 0.5]))
+    res = solve_datum(sysm, Exponents([0.5, 0.5]))
     ok = abs(res.D - 1.0) <= 1e-9 and res.converged
     _report(1, "two-function mean constant D = 1", ok, time.perf_counter() - t0, 1.0)
 
@@ -66,7 +66,7 @@ def test_criterion_3_young_certificate_chain():
     sysm = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
     B = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
-    result = solve_s_system(enumerate_bases(sysm), e)
+    result = solve_datum(sysm, e)
     cert = result.factor.cert()
     proj = projection_check(sysm, cert, result.s_sq)
     eig_on_01 = np.all(np.minimum(np.abs(proj.eigenvalues),
@@ -145,7 +145,7 @@ def test_criterion_7_equality_cases():
     sysm2 = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e2 = Exponents([2 / 3, 2 / 3, 2 / 3])
     B2 = BellmanSpec.young([2 / 3, 2 / 3, 2 / 3])
-    cert2 = solve_s_system(enumerate_bases(sysm2), e2).factor.cert()
+    cert2 = solve_datum(sysm2, e2).factor.cert()
     profiles2 = tuple(gaussian_extremizer(m, s)
                       for m, s in zip((1.0, 2.0, 1.5), cert2.sigma))
     trace2, verdict2 = monotonicity_scan(sysm2, cert2, B2, profiles2,
@@ -240,7 +240,7 @@ def test_criterion_9_property_suites():
     # 4) gauge covariance (lambda C, s^2 / lambda)
     sysm = VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]))
     e = Exponents([2 / 3, 2 / 3, 2 / 3])
-    base = solve_s_system(enumerate_bases(sysm), e)
+    base = solve_datum(sysm, e)
     C0 = base.factor.cert().C
     for _ in range(100):
         lam = float(np.exp(rng.uniform(-2, 2)))

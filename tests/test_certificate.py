@@ -1,14 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blflow import (BellmanSpec, Exponents, VectorSystem, certificate_defect,
+from blflow import (BellmanSpec, Exponents, VectorSystem, certificate, certificate_defect,
                     enumerate_bases, gaussian_objective, is_finite, make_cert,
                     projection_check, solve_s_system, verify)
 from blflow.certificate import EIG_TOL, _factor, _null_projector
 from blflow.cli import main
-from oracles import cauchy_binet_terms
+from blflow.errors import IterationError
+from blflow.io import parse_problem
+from oracles import cauchy_binet_terms, separator_projector, solve_datum
 
 
 def polytope_point(rng, slack):
@@ -27,6 +30,19 @@ def polytope_point(rng, slack):
     return sysm, Exponents(inv_p)
 
 
+def counted_factors(monkeypatch):
+    """The calls of certificate._factor, which the solve looks up in its module."""
+    calls = []
+    original = certificate._factor
+
+    def factoring(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(certificate, "_factor", factoring)
+    return calls
+
+
 def consistency_residual(e, s_sq, cert):
     """max_j |1/p_j - s_j^2 sigma_j| p_j: how well s^2 meets s_j^2 = 1/(p_j sigma_j)."""
     return float(np.max(np.abs(e.inv_p - s_sq * cert.sigma) / e.inv_p))
@@ -35,7 +51,7 @@ def consistency_residual(e, s_sq, cert):
 class TestSSystem:
     def test_young_golden_weights(self, young3):
         sysm, e, _ = young3
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         assert res.converged
         assert res.residual <= 1e-10
         # tr M(s) = s^2 sum_j |a_j|^2 = 4 s^2 = 1
@@ -44,13 +60,13 @@ class TestSSystem:
     def test_identity_system(self):
         sysm = VectorSystem(np.eye(2))
         e = Exponents([1.0, 1.0])
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         assert res.converged
         assert np.allclose(res.s_sq, [0.5, 0.5], atol=1e-10)
 
     def test_scalar_system(self, holder):
         sysm, e, _, _ = holder
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         assert res.converged
         # k=1: s_j^2 proportional to 1/p_j
         assert np.allclose(res.s_sq, [0.5, 0.5], atol=1e-10)
@@ -61,7 +77,7 @@ class TestSSystem:
         for _ in range(30):
             sysm, e = polytope_point(rng, slack)
             assert is_finite(sysm, e).verdict == "inside"
-            res = solve_s_system(enumerate_bases(sysm), e)
+            res = solve_datum(sysm, e)
             assert res.converged and res.residual <= 1e-10
             assert projection_check(sysm, res.factor.cert(), res.s_sq).ok
             closed = gaussian_objective(sysm, e, np.log(e.p * res.s_sq))
@@ -74,7 +90,7 @@ class TestSSystem:
                                       [0.59469, -0.63298, 0.84237, 0.67994]]))
         e = Exponents([0.16589, 0.34105, 0.72269, 0.77037])
         assert is_finite(sysm, e).verdict == "inside"
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         assert res.converged and res.residual <= 1e-10
         assert res.iterations <= 10
 
@@ -87,7 +103,7 @@ class TestSSystem:
         e = Exponents([0.4628884557817873, 0.4303930545233402, 0.4690916393391361,
                        0.6376268503557364])
         assert is_finite(sysm, e).verdict == "inside"
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         assert res.converged and res.residual <= 1e-10
         assert res.iterations <= 10
 
@@ -102,7 +118,7 @@ class TestSSystem:
             sysm = VectorSystem(A / np.linalg.norm(A, axis=0))
             bases = enumerate_bases(sysm)
             e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
-            res = solve_s_system(bases, e)
+            res = solve_datum(sysm, e)
             if not (res.converged and res.residual <= 1e-10):
                 failures.append((i, res.residual, res.notes))
         assert failures == []
@@ -113,7 +129,7 @@ class TestSSystem:
         # here three directions 120 degrees apart, at column norms 1, 2, 1/2
         angles = np.pi / 2 + 2 * np.pi / 3 * np.arange(3)
         sysm = VectorSystem(np.array([np.cos(angles), np.sin(angles)]) * [1.0, 2.0, 0.5])
-        res = solve_s_system(enumerate_bases(sysm), Exponents([2 / 3, 2 / 3, 2 / 3]))
+        res = solve_datum(sysm, Exponents([2 / 3, 2 / 3, 2 / 3]))
         assert res.converged and res.iterations == 1
         # tr M(s) = 1 * 1 + 0.25 * 4 + 4 * 0.25 = 3 before normalizing
         assert np.allclose(res.s_sq, np.array([1.0, 0.25, 4.0]) / 3.0, rtol=1e-12)
@@ -122,7 +138,7 @@ class TestSSystem:
         # for k = 1, tau_j = s_j^2 a_j^2 / sum_i s_i^2 a_i^2 = x_j at the start
         sysm = VectorSystem(np.array([[2.0, -0.5, 3.0, 0.1]]))
         e = Exponents([0.2, 0.3, 0.4, 0.1])
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         assert res.converged and res.iterations == 1
         # tr M(s) = sum_j x_j = 1 at s_j^2 = x_j / a_j^2
         assert np.allclose(res.s_sq, e.inv_p / sysm.A[0] ** 2, rtol=1e-14)
@@ -136,8 +152,8 @@ class TestSSystem:
                 sysm, e = polytope_point(rng, slack)
                 c = np.exp(rng.uniform(-2.0, 2.0, size=sysm.n))
                 scaled = VectorSystem(sysm.A * c)
-                res = solve_s_system(enumerate_bases(sysm), e)
-                res_c = solve_s_system(enumerate_bases(scaled), e)
+                res = solve_datum(sysm, e)
+                res_c = solve_datum(scaled, e)
                 assert res.converged and res_c.converged
                 assert res_c.iterations == res.iterations
                 assert np.allclose(res_c.s_sq, res.s_sq / c**2, rtol=1e-8)
@@ -151,18 +167,24 @@ class TestSSystem:
         A = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
         e = Exponents([0.8, 0.5, 0.7])
         c = np.array([1.0, scale, 1.0])
-        res = solve_s_system(enumerate_bases(VectorSystem(A)), e)
-        res_c = solve_s_system(enumerate_bases(VectorSystem(A * c)), e)
+        res = solve_datum(VectorSystem(A), e)
+        res_c = solve_datum(VectorSystem(A * c), e)
         assert res_c.converged and res_c.iterations == res.iterations
         assert res_c.D * scale ** e.inv_p[1] == pytest.approx(res.D, rel=1e-12)
 
-    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
-    def test_outside_data_still_stop(self, scale):
-        # columns 0 and 1 are parallel and their exponents sum to 1.3 > r = 1
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e3, 1e20])
+    def test_outside_data_still_stop(self, scale, monkeypatch):
+        # columns 0 and 1 are parallel and their exponents sum to 1.3 > r = 1:
+        # the verdict stops the solve before it factors anything
         A = np.array([[1.0, 2.0, 0.0, 0.6], [0.0, 0.0, scale, 0.8]])
         sysm, e = VectorSystem(A), Exponents([0.7, 0.6, 0.4, 0.3])
-        assert is_finite(sysm, e).verdict == "outside"
-        assert not solve_s_system(enumerate_bases(sysm), e).converged
+        verdict = is_finite(sysm, e)
+        assert verdict.verdict == "outside"
+        factors = counted_factors(monkeypatch)
+        with pytest.raises(IterationError, match=r"miss the polytope by 0\.3 at columns "
+                                                 r"S = \[0, 1\]: the s-system has no solution"):
+            solve_s_system(sysm, e, verdict)
+        assert factors == []
 
     def test_decomposable_datum_matches_lstsq_oracle(self):
         # block-diagonal A: two components (columns 0-2 in R^2, 3-4 in R^1),
@@ -174,7 +196,7 @@ class TestSSystem:
         e = Exponents([0.5, 0.7, 0.8, 0.35, 0.65])
         bases = enumerate_bases(sysm)
         assert is_finite(sysm, e).verdict == "inside"
-        res = solve_s_system(bases, e)
+        res = solve_datum(sysm, e)
         assert res.converged and res.residual <= 1e-10
         # plain Newton from the same start, each step a least-squares solve
         z = np.log(e.inv_p / np.linalg.norm(A, axis=0) ** 2)
@@ -189,21 +211,92 @@ class TestSSystem:
 
     def test_null_projector(self, young3):
         # connected data: 11^T / n; the block-diagonal datum: one block per component
-        assert np.allclose(_null_projector(enumerate_bases(young3[0]), 2), np.full((3, 3), 1 / 3))
+        assert np.allclose(_null_projector(is_finite(*young3[:2]).components),
+                           np.full((3, 3), 1 / 3))
         A = np.zeros((3, 5))
         A[:2, :3] = [[1.0, 0.3, -0.8], [0.2, 1.5, 0.9]]
         A[2, 3:] = [0.7, -2.0]
-        P = _null_projector(enumerate_bases(VectorSystem(A)), 3)
+        verdict = is_finite(VectorSystem(A), Exponents([0.5, 0.7, 0.8, 0.35, 0.65]))
+        P = _null_projector(verdict.components)
         assert np.allclose(P[:3, :3], 1 / 3) and np.allclose(P[3:, 3:], 1 / 2)
         assert not P[:3, 3:].any() and not P[3:, :3].any()
 
-
-    def test_off_degree_fails_fast(self, young3):
-        # sum(1/p) = 1.5 != k = 2: no s^2 solves the system
+    def test_off_degree_fails_fast(self, young3, monkeypatch):
+        # sum(1/p) = 1.5 != k = 2: the verdict is outside and no s^2 solves the
+        # system, so the solve factors nothing
         sysm, _, _ = young3
-        res = solve_s_system(enumerate_bases(sysm), Exponents([0.5, 0.5, 0.5]))
-        assert not res.converged and res.iterations == 1
-        assert "1.5" in res.notes[0] and "k = 2" in res.notes[0]
+        e = Exponents([0.5, 0.5, 0.5])
+        verdict = is_finite(sysm, e)
+        factors = counted_factors(monkeypatch)
+        with pytest.raises(IterationError, match=r"miss the polytope by 0\.5 at columns "
+                                                 r"S = \[0, 1, 2\]: the s-system has no solution"):
+            solve_s_system(sysm, e, verdict)
+        assert factors == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def projector_matches_oracle(sysm) -> bool:
+    """_null_projector on the verdict's component labels equals, bit for bit,
+    the projector read off the rank table's separators.  The components do
+    not depend on the exponents, so any in (0, 1] with the right length do."""
+    verdict = is_finite(sysm, Exponents(np.full(sysm.n, sysm.k / sysm.n)))
+    return np.array_equal(_null_projector(verdict.components),
+                          separator_projector(verdict.bases, sysm.k))
+
+
+class TestComponents:
+    def test_on_the_fixed_data(self, holder, young3, product2, section_triple):
+        import test_cli  # here, not at the top: test_cli imports this module
+        data = [np.asarray(doc["A"], dtype=float) for doc in vars(test_cli).values()
+                if isinstance(doc, dict) and "A" in doc]
+        data += [np.asarray(json.loads(path.read_text())["A"], dtype=float)
+                 for path in sorted((ROOT / "problems").glob("*.json"))]
+        data += [f[0].A for f in (holder, young3, product2, section_triple)]
+        assert len(data) >= 15
+        for A in data:
+            assert projector_matches_oracle(VectorSystem(A)), A
+
+    def test_on_the_random_data(self):
+        rng = np.random.default_rng(5)
+        for i in range(60):
+            sysm = polytope_point(rng, 1.0)[0] if i % 2 else stress_datum(rng, i % 4 == 0)
+            assert projector_matches_oracle(sysm), i
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("workload", ["certify_sweep", "verify_battery", "flow_scan"])
+    def test_on_the_benchmark_files(self, monkeypatch, workload, seed):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import bench_data
+
+        for case in bench_data.generate(workload, seed):
+            assert projector_matches_oracle(parse_problem(case.text).system), case.name
+
+    def test_on_rotated_block_diagonal_data(self):
+        # a block with more columns than rows is one component (its columns are
+        # in general position); a square block's columns are coloops, one each
+        rng = np.random.default_rng(27)
+        for _ in range(100):
+            blocks = [(int(k), int(k + rng.integers(0, 3)))
+                      for k in rng.integers(1, 4, size=rng.integers(1, 4))]
+            k, n = np.sum(blocks, axis=0)
+            if n > 12:  # beyond the rank table
+                continue
+            A, groups, row, col = np.zeros((k, n)), [], 0, 0
+            for kb, nb in blocks:
+                A[row:row + kb, col:col + nb] = rng.normal(size=(kb, nb))
+                first = len(groups)
+                groups += [first] * nb if nb > kb else list(range(first, first + nb))
+                row, col = row + kb, col + nb
+            U = np.linalg.qr(rng.normal(size=(k, k)))[0]
+            perm = rng.permutation(n)
+            sysm = VectorSystem(U @ A[:, perm])
+            group = np.array(groups)[perm]
+            least = np.array([int(np.flatnonzero(group == g)[0]) for g in group])
+            verdict = is_finite(sysm, Exponents(np.full(n, k / n)))
+            assert (verdict.components == least).all(), blocks
+            assert projector_matches_oracle(sysm), blocks
 
 
 class TestBuildC:
@@ -211,7 +304,7 @@ class TestBuildC:
         # A = I, p = (1, 1): s^2 = (1/2, 1/2), M = I/2, C = 2I
         sysm = VectorSystem(np.eye(2))
         e = Exponents([1.0, 1.0])
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         cert = res.factor.cert()
         assert np.allclose(cert.C, 2.0 * np.eye(2), atol=1e-10)
         assert np.allclose(cert.sigma, [2.0, 2.0], atol=1e-10)
@@ -243,7 +336,7 @@ class TestProjection:
     def test_holder_projection(self, holder):
         # k=1, s^2 = (1/2, 1/2), C = (1): P = [[1/2, 1/2], [1/2, 1/2]]
         sysm, e, _, _ = holder
-        res = solve_s_system(enumerate_bases(sysm), e)
+        res = solve_datum(sysm, e)
         cert = res.factor.cert()
         S = np.sqrt(res.s_sq)
         P = (sysm.A * S).T @ cert.C @ (sysm.A * S)
@@ -276,7 +369,7 @@ class TestProjection:
             if np.any(inv_p >= 1.0):
                 continue
             e = Exponents(inv_p)
-            res = solve_s_system(enumerate_bases(sysm), e)
+            res = solve_datum(sysm, e)
             if not res.converged:
                 continue
             rep = projection_check(sysm, res.factor.cert(), res.s_sq)
@@ -345,7 +438,7 @@ class TestStressSet:
             e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
             verdict = is_finite(sysm, e)
             assert verdict.verdict == "inside"
-            res = solve_s_system(verdict.bases, e)
+            res = solve_s_system(sysm, e, verdict)
             if not res.converged:
                 assert res.notes, i
                 continue

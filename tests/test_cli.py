@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import blflow
-from blflow import (BellmanSpec, certificate, enumerate_bases, heatflow, polytope,
-                    solve_s_system, verifier)
+from blflow import BellmanSpec, certificate, heatflow, polytope, verifier
 from blflow.cli import main
 from blflow.io import parse_problem
+from oracles import solve_datum
 from test_certificate import exact_functional
 
 HOLDER = {
@@ -232,14 +232,15 @@ class TestConstant:
         assert code == 0
         assert out["status"] == "sup not attained / infinite"
 
-    @pytest.mark.parametrize("doc, where", [(BOUNDARY, "on the boundary of"),
-                                            (OUTSIDE, "outside")],
-                             ids=["boundary", "outside"])
-    def test_warning_is_a_sentence(self, tmp_path, capsys, doc, where):
+    @pytest.mark.parametrize("doc, warning", [
+        (BOUNDARY, "exponents are on the boundary of the polytope; the supremum is finite "
+                   "and approached only in a limit"),
+        (OUTSIDE, "exponents are outside the polytope; the supremum is infinite")],
+        ids=["boundary", "outside"])
+    def test_warning_is_a_sentence(self, tmp_path, capsys, doc, warning):
         code, out = run_json(capsys, ["constant", write(tmp_path, doc)])
         assert code == 0
-        assert out["warnings"] == [f"exponents are {where} the polytope; the supremum "
-                                   "may be infinite or attained only in a limit"]
+        assert out["warnings"] == [warning]
 
 
     def test_reports_the_solver_notes(self, tmp_path, capsys):
@@ -719,14 +720,18 @@ class TestExitCodes:
         doc = dict(K4_GAUSSIANS, profiles=[{"type": "box", "lo": 0.0, "hi": 1.0, "height": 1.0},
                                            *K4_GAUSSIANS["profiles"][1:]])
         assert main(["flow", write(tmp_path, doc)]) == 2
-        assert "only integrated exactly for k = 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "only integrated exactly for k = 1" in err
+        # no option drops t = 0 from flow's grid, so the advice names what works
+        assert "evaluate at t > 0" not in err
+        assert ("use Gaussian profiles (any k), or call blflow.bellman_energies at t > 0 "
+                "from Python (k <= 3)") in err
 
     def test_flow_on_k4_gaussians_is_closed_form(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["flow", write(tmp_path, K4_GAUSSIANS)])
         assert code == 0 and doc["monotone"] and doc["label"] == "certified"
         problem = parse_problem(json.dumps(K4_GAUSSIANS))
-        sigma = solve_s_system(enumerate_bases(problem.system),
-                               problem.exponents).factor.cert().sigma
+        sigma = solve_datum(problem.system, problem.exponents).factor.cert().sigma
         B = BellmanSpec.young(problem.exponents.inv_p)
         expect = heatflow.gaussian_energy(problem.system, B, problem.profiles,
                                           np.outer(doc["times"], 4.0 * sigma))
@@ -974,19 +979,31 @@ class TestImports:
         assert modules == {"blflow.certificate", "blflow.cli", "blflow.errors", "blflow.io",
                            "blflow.model", "blflow.polytope"}
 
-    def test_flow_on_box_data_loads_no_numpy_ma(self):
-        # np.unique loads numpy.ma (three modules) on its first call in NumPy 2.x
-        script = ("import contextlib, io, sys\n"
-                  "from blflow.cli import main\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "    code = main(sys.argv[1:])\n"
-                  "print(code, sorted(m for m in sys.modules\n"
-                  "                   if m.split('.')[:2] == ['numpy', 'ma']))")
-        proc = subprocess.run([sys.executable, "-c", script, "flow",
-                               str(PROBLEMS / "holder_boxes.json")],
+    #: the exit code and the numpy.ma modules a cold process holds after one
+    #: command; a plain np.unique call loads numpy.ma (three modules) in NumPy 2.x
+    NUMPY_MA = ("import contextlib, io, sys\n"
+                "from blflow.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(sys.argv[1:])\n"
+                "print(code, sorted(m for m in sys.modules\n"
+                "                   if m.split('.')[:2] == ['numpy', 'ma']))")
+
+    def assert_no_numpy_ma(self, argv):
+        proc = subprocess.run([sys.executable, "-c", self.NUMPY_MA, *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "[]"]
+
+    def test_flow_on_box_data_loads_no_numpy_ma(self):
+        self.assert_no_numpy_ma(["flow", str(PROBLEMS / "holder_boxes.json")])
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c"])
+    def test_components_load_no_numpy_ma(self, tmp_path, command):
+        # two components, {0, 1, 2} in R^2 and {3, 4} in R^1: the verdict labels
+        # them and the solve's Newton steps build the null projector from them
+        A = [[1.0, 0.3, -0.8, 0.0, 0.0], [0.2, 1.5, 0.9, 0.0, 0.0], [0.0, 0.0, 0.0, 0.7, -2.0]]
+        doc = {"k": 3, "n": 5, "A": A, "inv_p": [0.5, 0.7, 0.8, 0.35, 0.65]}
+        self.assert_no_numpy_ma([command, write(tmp_path, doc)])
 
     def test_exports_are_the_defining_modules_objects(self):
         for name in blflow.__all__:

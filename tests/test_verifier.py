@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blflow import (BellmanSpec, Exponents, VectorSystem, check_L3, check_L5,
-                    enumerate_bases, make_cert, solve_s_system, verify)
+                    enumerate_bases, make_cert, verify)
 from blflow.cli import _bellman_of, _certificate_of
 from blflow.errors import CertificateRejection
 from blflow.io import parse_problem
@@ -16,7 +16,7 @@ from blflow.model import HOMOG_TOL, gram_spectrum
 from blflow.quadrature import decay_quad
 from blflow.verifier import L3_TOL, PDE_TOL, RANK_TOL
 from oracles import (check_kn_structure, cholesky_spectrum, core_form, dense_verdicts,
-                     hadamard_form)
+                     hadamard_form, solve_datum)
 
 
 def interior_datum(rng, k, n):
@@ -25,7 +25,7 @@ def interior_datum(rng, k, n):
     sysm = VectorSystem(A / np.linalg.norm(A, axis=0))
     bases = enumerate_bases(sysm)
     e = Exponents(rng.dirichlet(np.ones(bases.count)) @ bases.vectors)
-    result = solve_s_system(bases, e)
+    result = solve_datum(sysm, e)
     assert result.converged
     return sysm, e, result.factor.cert(), BellmanSpec.young(e.inv_p)
 
@@ -557,7 +557,7 @@ class TestColumnScaling:
         ||A^T C A||_2, passed this at c = 1e8)."""
         e = Exponents([0.8, 0.5, 0.7])
         sysm = VectorSystem(np.array([[1.0, 0.0, 0.6], [0.0, scale, 0.8]]))
-        result = solve_s_system(enumerate_bases(sysm), e)
+        result = solve_datum(sysm, e)
         cert = result.factor.cert()
         B = BellmanSpec.young(e.inv_p)
         assert verify(sysm, cert, B).ok
