@@ -133,7 +133,7 @@ def cmd_finiteness(problem: Problem, args) -> int:
     _emit({"verdict": v.verdict,
            "witness": None if v.witness is None else list(v.witness),
            "slack": v.slack if math.isfinite(v.slack) else None,
-           "basis_count": v.bases.count}, args.out)
+           "basis_count": v.basis_count}, args.out)
     return EXIT_OK
 
 
@@ -225,11 +225,12 @@ def cmd_flow(problem: Problem, args) -> int:
     trace, verdict = heatflow.monotonicity_scan(
         problem.system, cert, B, problem.profiles, times=heatflow.time_grid(args.tmax),
         quad_tol=heatflow.QUAD_TOL if args.tol is None else args.tol)
-    csv_text = _trace_csv(trace)
     doc = {"monotone": verdict.monotone, "label": verdict.label,
            "mono_tol": verdict.mono_tol, "initial_value": verdict.initial_value,
            "limit_value": verdict.limit_value, "final_gap": verdict.final_gap,
            "times": trace.times, "values": trace.values, "levels": trace.levels}
+    if args.out or args.format == "csv":
+        csv_text = _trace_csv(trace)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)

@@ -243,7 +243,7 @@ def projector_matches_oracle(sysm) -> bool:
     not depend on the exponents, so any in (0, 1] with the right length do."""
     verdict = is_finite(sysm, Exponents(np.full(sysm.n, sysm.k / sysm.n)))
     return np.array_equal(_null_projector(verdict.components),
-                          separator_projector(verdict.bases, sysm.k))
+                          separator_projector(enumerate_bases(sysm), sysm.k))
 
 
 class TestComponents:

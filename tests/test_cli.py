@@ -355,31 +355,43 @@ class TestSolveC:
 
 class TestOneBasisTable:
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """Calls of enumerate_bases, through every blflow module that binds it."""
-        calls = []
-        original = polytope.enumerate_bases
+    def polytope_calls(self, monkeypatch):
+        """Calls of the determinant test and of the rank table, which
+        is_finite and enumerate_bases look up in their module."""
+        calls = {"tests": 0, "tables": 0}
+        for name, key in (("_determinant_test", "tests"), ("_rank_table", "tables")):
+            def counted(*args, _original=getattr(polytope, name), _key=key):
+                calls[_key] += 1
+                return _original(*args)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if module is not None and (name == "blflow" or name.startswith("blflow.")):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+            monkeypatch.setattr(polytope, name, counted)
         return calls
 
     @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c", "verify", "flow"])
-    def test_solved_data_build_it_once(self, tmp_path, capsys, builds, command):
+    def test_general_position_data_build_none(self, tmp_path, capsys, polytope_calls, command):
         assert main([command, write(tmp_path, HOLDER), *tmax_for(command)]) == 0
-        assert len(builds) == 1
+        assert polytope_calls == {"tests": 1, "tables": 0}
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c", "verify", "flow"])
+    def test_solved_data_build_it_once(self, tmp_path, capsys, polytope_calls, command):
+        # columns 0 and 1 are parallel, so the pair {0, 1} is no basis
+        doc = json.loads((PROBLEMS / "lifted_section_triple.json").read_text())
+        del doc["C"]
+        doc["inv_p"] = [0.5, 0.5, 1.0]
+        main([command, write(tmp_path, doc), *tmax_for(command)])
+        assert polytope_calls == {"tests": 1, "tables": 1}
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c"])
+    def test_pair_below_basis_tol_builds_it_once(self, tmp_path, capsys, polytope_calls,
+                                                 command):
+        # a_0 and a_1 are 1e-10 apart, so |det| of that pair falls below BASIS_TOL
+        main([command, write(tmp_path, dict(YOUNG3, A=[[1.0, 1.0, 0.0], [0.0, 1e-10, 1.0]]))])
+        assert polytope_calls == {"tests": 1, "tables": 1}
 
     @pytest.mark.parametrize("command", ["verify", "flow"])
-    def test_explicit_C_builds_none(self, tmp_path, capsys, builds, command):
+    def test_explicit_C_builds_none(self, tmp_path, capsys, polytope_calls, command):
         assert main([command, write(tmp_path, dict(HOLDER, C=[[1.0]])), *tmax_for(command)]) == 0
-        assert builds == []
+        assert polytope_calls == {"tests": 0, "tables": 0}
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -553,6 +565,17 @@ class TestFlow:
         assert all(b >= a - 1e-8 for a, b in zip(values, values[1:]))
         # stdout carries the same CSV
         assert capsys.readouterr().out.splitlines()[0] == "t,B_t,L,refinement"
+
+    @pytest.mark.parametrize("options, builds", [([], 0), (["--format", "csv"], 1),
+                                                 (["--out", "trace.csv"], 1)])
+    def test_csv_is_built_only_when_read(self, tmp_path, monkeypatch, capsys, options, builds):
+        calls = []
+        original = blflow.cli._trace_csv
+        monkeypatch.setattr(blflow.cli, "_trace_csv",
+                            lambda trace: calls.append(trace) or original(trace))
+        monkeypatch.chdir(tmp_path)
+        assert main(["flow", write(tmp_path, HOLDER), "--tmax", "1", *options]) == 0
+        assert len(calls) == builds
 
     def test_json_report_with_tmax(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["flow", write(tmp_path, HOLDER),

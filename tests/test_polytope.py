@@ -1,5 +1,7 @@
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from scipy.optimize import linprog
 
 from blflow import Exponents, VectorSystem, enumerate_bases, is_finite
 from blflow.errors import UnsupportedScaleError
+from blflow.io import parse_problem
 from blflow.model import numerical_rank
-from blflow.polytope import DEGREE_TOL
+from blflow.polytope import BOUNDARY_TOL, DEGREE_TOL
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +145,7 @@ class TestMembership:
         # every proper subset is a non-separator; the singletons have room 1/3
         v = is_finite(tri_system, Exponents([2 / 3, 2 / 3, 2 / 3]))
         assert v.verdict == "inside"
-        assert v.bases.count == 3
+        assert v.basis_count == 3
         assert v.witness == (0,)
         assert v.slack == pytest.approx(1 / 3, abs=1e-12)
 
@@ -196,7 +201,7 @@ class TestStructures:
         # A = I: every subset is a separator, K = {1}, and no slack exists
         sysm = VectorSystem(np.eye(3))
         v = is_finite(sysm, Exponents([1.0, 1.0, 1.0]))
-        assert (v.verdict, v.witness, v.slack, v.bases.count) == ("inside", None, math.inf, 1)
+        assert (v.verdict, v.witness, v.slack, v.basis_count) == ("inside", None, math.inf, 1)
         v = is_finite(sysm, Exponents([1.0, 1.0, 0.5]))
         assert v.verdict == "outside" and v.witness == (0, 1, 2)
         assert v.slack == pytest.approx(-0.5)
@@ -317,3 +322,126 @@ class TestProperties:
             sys_p = VectorSystem(tri_system.A[:, perm])
             v2 = is_finite(sys_p, Exponents(e[perm]))
             assert v1.verdict == v2.verdict
+
+
+def table_verdict(sysm, x, boundary_tol=BOUNDARY_TOL):
+    """is_finite's rule applied to the whole rank table of enumerate_bases.
+
+    Returns (verdict, witness, slack, components, room), where room[i] is
+    r(S) - x(S) for the subset S of bit mask i + 1, or None off degree.
+    """
+    bases = enumerate_bases(sysm)
+    separators = bases.ranks + bases.ranks[::-1] == sysm.k
+    sep = bases.masks[separators]
+    components = (sep.T @ (1.0 - sep) == 0.0).argmax(axis=1)
+    off_degree = float(x.sum()) - sysm.k
+    if abs(off_degree) > DEGREE_TOL:
+        return "outside", tuple(range(sysm.n)), -abs(off_degree), components, None
+    room = bases.ranks - bases.masks @ x
+    if room.min() < -DEGREE_TOL:
+        worst = int(room.argmin())
+        return ("outside", tuple(np.flatnonzero(bases.masks[worst]).tolist()),
+                float(room[worst]), components, room)
+    candidates = np.flatnonzero(~separators)
+    if not candidates.size:
+        return "inside", None, math.inf, components, room
+    tight = candidates[room[candidates].argmin()]
+    slack = float(room[tight])
+    return ("inside" if slack > boundary_tol else "boundary",
+            tuple(np.flatnonzero(bases.masks[tight]).tolist()), slack, components, room)
+
+
+def assert_matches_table(sysm, x):
+    """is_finite gives the rank table's verdict, components and basis count,
+    its slack to 8 ulp of k, and a witness that attains the table's least room.
+
+    The table breaks an exact tie by the rounding of its sums, which follows
+    the BLAS kernel, so where rooms agree to 8 ulp of k the witness may be any
+    of those subsets; among those of its own size it has the least bit mask.
+    """
+    v = is_finite(sysm, Exponents(x))
+    verdict, witness, slack, components, room = table_verdict(sysm, x)
+    assert (v.verdict, v.basis_count) == (verdict, enumerate_bases(sysm).count)
+    assert np.array_equal(v.components, components)
+    ulps = 8 * np.spacing(float(sysm.k))
+    assert v.slack == slack or abs(v.slack - slack) <= ulps
+    if room is None or witness is None:
+        assert v.witness == witness
+        return
+    near = np.flatnonzero(room <= room.min() + ulps) + 1
+    mask = sum(1 << j for j in v.witness)
+    assert mask in near
+    assert mask == min(m for m in near if bin(m).count("1") == len(v.witness))
+
+
+def general_position_datum(rng, cls):
+    """(system, x): every k-subset of columns a basis, k <= 5, n <= 12, column
+    scales over 16 decades, and x of one class.  At k = 1 the faces of K have
+    a zero exponent, so boundary data take k >= 2."""
+    while True:
+        k = int(rng.integers(2 if cls == "boundary" else 1, 6))
+        n = int(rng.integers(k + 1, 13))
+        sysm = VectorSystem(rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-8, 8, size=n))
+        V = enumerate_bases(sysm).vectors
+        if len(V) == math.comb(n, k):
+            break
+    inner = rng.dirichlet(np.ones(len(V))) @ V
+    if cls == "inside":
+        return sysm, inner
+    if cls == "near_boundary":
+        eps = 10.0 ** rng.uniform(-9, -2)
+        return sysm, (1.0 - eps) * V[rng.integers(len(V))] + eps * inner
+    if cls == "boundary":
+        j = int(rng.integers(n))
+        x = rng.dirichlet(np.ones(int(V[:, j].sum()))) @ V[V[:, j] == 1.0]
+        x[j] = 1.0
+        return sysm, x
+    if cls == "off_degree":
+        # both sides of DEGREE_TOL
+        return sysm, np.minimum(inner * (1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, -6)),
+                                1.0)
+    if cls == "all_equal":
+        return sysm, np.full(n, k / n)
+    # repeated: two or three values, each on several columns
+    while True:
+        x = rng.uniform(0.05, 1.0, size=int(rng.integers(2, 4)))[rng.integers(0, 2, size=n)]
+        x *= k / x.sum()
+        if x.max() <= 1.0:
+            return sysm, x
+
+
+CLASSES = ("inside", "near_boundary", "boundary", "off_degree", "all_equal", "repeated")
+
+
+class TestUniformClosedForm:
+    """General-position data are decided on 2n subsets; the table is the oracle."""
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_random_data(self, cls):
+        rng = np.random.default_rng(CLASSES.index(cls) + 280)
+        for _ in range(250):
+            assert_matches_table(*general_position_datum(rng, cls))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("workload", ["certify_sweep", "verify_battery", "flow_scan"])
+    def test_benchmark_files(self, monkeypatch, workload, seed):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import bench_data
+
+        for case in bench_data.generate(workload, seed):
+            problem = parse_problem(case.text)
+            if problem.exponents is not None:
+                assert_matches_table(problem.system, problem.exponents.inv_p)
+
+    def test_exact_ties_go_to_the_least_mask(self):
+        # at 1/p = 1/2 on k = 2, n = 4 every {j} and every E \\ {j} has room
+        # 1/2 exactly, and {0} has the least bit mask
+        sysm = VectorSystem(np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]]))
+        v = is_finite(sysm, Exponents(np.full(4, 0.5)))
+        assert (v.verdict, v.witness, v.slack) == ("inside", (0,), 0.5)
+        # at 2/5 on n = 5 the E \\ {j} alone have the least room, 2/5, and
+        # E \\ {4} has the least mask of them
+        sysm = VectorSystem(np.array([[1.0, 0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, -1.0, 1.0]]))
+        v = is_finite(sysm, Exponents(np.full(5, 0.4)))
+        assert (v.verdict, v.witness) == ("inside", (0, 1, 2, 3))
+        assert v.slack == pytest.approx(0.4, abs=1e-15)
