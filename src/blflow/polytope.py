@@ -9,16 +9,18 @@ interior iff, in addition, every tight S is a separator,
 r(S) + r(E \\ S) = k.
 
 One stacked determinant over the k-subsets of columns (_determinant_test) is
-the package's one test of which subsets are bases.  When every k-subset
-passes and n > k, the matroid is uniform, r(S) = min(|S|, k), and it is
-connected, so is_finite decides x on the n singletons and the n complements
-of singletons in closed form (_uniform_verdict).  Only data with a dependent
-k-subset, or with n = k, build the rank table: r(S) is the largest |B & S|
-over the bases B, so one product against the 2^n - 2 proper subsets gives
-every rank, and n is capped at MAX_N.  The table serves only the verdict;
-its separators also give the matroid's connected components, which
-blflow.certificate's s-system solve needs for its Hessian's null space.
-enumerate_bases returns the table for any datum, as the tests' oracle.
+the package's one test of which subsets are bases, and one rule in is_finite
+decides x on rows of (subset, room r(S) - x(S), separator flag) and the
+matroid's connected components, which blflow.certificate's s-system solve
+needs for its Hessian's null space.  The rows come from one of two sources.
+When every k-subset passes, the matroid is uniform, r(S) = min(|S|, k), and
+the n singletons and their n complements decide x in closed form: for n > k
+the matroid is connected and none of them is a separator, for n = k it is
+free and every subset is one.  Only data with a dependent k-subset build the
+rank table (_rank_table): r(S) is the largest |B & S| over the bases B, so one
+product against the 2^n - 2 proper subsets gives every rank, and n is capped
+at MAX_N.  enumerate_bases returns the table for any datum, as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ def _determinant_test(sys: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
 def _rank_table(n: int, combos: np.ndarray, keep: np.ndarray) -> BasisIndicatorSet:
     rows = combos[keep]
     if not len(rows):
-        # cannot happen for a valid VectorSystem (rank(A) = k)
-        raise StructuralError("no basis subsets found: rank(A) < k")
+        raise StructuralError("no k-subset of columns passes the determinant test: every |det| is "
+                              f"at most BASIS_TOL = {BASIS_TOL:g} times the product of its column "
+                              "norms")
     vectors = np.zeros((len(rows), n))
     vectors[np.arange(len(rows))[:, None], rows] = 1.0
     bits = np.arange(1, 2**n - 1)
@@ -119,65 +122,49 @@ def is_finite(sys: VectorSystem, e: Exponents,
     components: ``components`` labels each column by the least column that no
     separator holds without it.  Between subsets of equal room the witness
     is the one of least bit mask.
+
+    The subsets S come from one of two sources.  When every k-subset is a
+    basis the matroid is U_{k,n}, r(S) = min(|S|, k), and for 0 < x <= 1 the
+    least room is at some {j}, with room 1 - x_j, or at some E \\ {j}, with
+    room min(n - 1, k) - x(E \\ {j}): an S of at most k columns has no less
+    room than any of its singletons, and an S of at least k no less than
+    E \\ {j} for any column j it leaves out.  For n > k it is connected, so
+    none of these 2n subsets is a separator; for n = k it is free, every
+    column a coloop and every subset a separator; at n = 1 no subset is both
+    proper and non-empty.  Otherwise the rank table gives all 2^n - 2 proper
+    subsets.
     """
     if e.n != sys.n:
         raise StructuralError("exponent vector length differs from n")
+    k, n, x = sys.k, sys.n, e.inv_p
+    total = x.sum()
     combos, keep = _determinant_test(sys)
-    x = e.inv_p
-    off_degree = float(x.sum()) - sys.k
-    if sys.n > sys.k and keep.all():
-        return _uniform_verdict(sys.k, x, off_degree, len(keep), boundary_tol)
-    bases = _rank_table(sys.n, combos, keep)
-    separators = bases.ranks + bases.ranks[::-1] == sys.k
-    sep = bases.masks[separators]  # closed under complements, so sep^T (1 - sep) is symmetric
-    components = (sep.T @ (1.0 - sep) == 0.0).argmax(axis=1)
-    if abs(off_degree) > DEGREE_TOL:
-        return MembershipVerdict("outside", tuple(range(sys.n)), -abs(off_degree), bases.count,
-                                 components)
-    room = bases.ranks - bases.masks @ x
-    if room.size and room.min() < -DEGREE_TOL:
-        worst = int(room.argmin())
-        return MembershipVerdict("outside", _columns(bases.masks[worst]), float(room[worst]),
-                                 bases.count, components)
-    candidates = (~separators).nonzero()[0]
-    if not candidates.size:
-        return MembershipVerdict("inside", None, math.inf, bases.count, components)
-    tight = candidates[room[candidates].argmin()]
-    slack = float(room[tight])
-    verdict = "inside" if slack > boundary_tol else "boundary"
-    return MembershipVerdict(verdict, _columns(bases.masks[tight]), slack, bases.count,
-                             components)
-
-
-def _uniform_verdict(k: int, x: np.ndarray, off_degree: float, basis_count: int,
-                     boundary_tol: float) -> MembershipVerdict:
-    """is_finite on the uniform matroid U_{k,n}, n > k: every k-subset a basis.
-
-    r(S) = min(|S|, k), the matroid is connected, and only the empty set and
-    E are separators.  For 0 < x <= 1 the least r(S) - x(S) over proper
-    non-empty S is attained at some {j}, with room 1 - x_j, or at some
-    E \\ {j}, with room k - x(E \\ {j}): an S of at most k columns has no
-    less room than any of its singletons, and an S of at least k no less than
-    E \\ {j} for any column j it leaves out.  So these 2n rooms give the rank
-    table's verdict.
-    """
-    n = len(x)
-    components = np.zeros(n, dtype=np.intp)
-    if abs(off_degree) > DEGREE_TOL:
-        return MembershipVerdict("outside", tuple(range(n)), -abs(off_degree), basis_count,
-                                 components)
-    bits = 1 << np.arange(n)
-    masks = np.concatenate([bits, (1 << n) - 1 - bits])
-    room = np.concatenate([1.0 - x, k - (x.sum() - x)])
-    slack = float(room.min())
-    mask = int(masks[room == slack].min())
-    witness = tuple(j for j in range(n) if mask >> j & 1)
-    if slack < -DEGREE_TOL:
-        verdict = "outside"
+    if keep.all():
+        xs = x[: n if n > 1 else 0]  # n = 1 has no proper non-empty subset
+        bits = 1 << np.arange(len(xs))
+        ids = np.concatenate([bits, (1 << n) - 1 - bits])
+        room = np.concatenate([1.0 - xs, min(n - 1, k) - (total - xs)])
+        separators = n == k  # one flag for every row
+        components = np.arange(n) if n == k else np.zeros(n, dtype=np.intp)
+        count = len(keep)
     else:
-        verdict = "inside" if slack > boundary_tol else "boundary"
-    return MembershipVerdict(verdict, witness, slack, basis_count, components)
-
-
-def _columns(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(mask.nonzero()[0].tolist())
+        bases = _rank_table(n, combos, keep)
+        ids = np.arange(1, 2**n - 1)
+        room = bases.ranks - bases.masks @ x
+        separators = bases.ranks + bases.ranks[::-1] == k
+        sep = bases.masks[separators]  # closed under complements, so sep^T (1 - sep) is symmetric
+        components = (sep.T @ (1.0 - sep) == 0.0).argmax(axis=1)
+        count = bases.count
+    off_degree = float(total) - k
+    if abs(off_degree) > DEGREE_TOL:
+        return MembershipVerdict("outside", tuple(range(n)), -abs(off_degree), count, components)
+    violated = room.min(initial=0.0) < -DEGREE_TOL
+    if not violated:
+        room = np.where(separators, math.inf, room)
+    slack = float(room.min(initial=math.inf))
+    if slack == math.inf:
+        return MembershipVerdict("inside", None, slack, count, components)
+    verdict = "outside" if violated else "inside" if slack > boundary_tol else "boundary"
+    mask = int(ids[room == slack].min())
+    return MembershipVerdict(verdict, tuple(i for i in range(n) if mask >> i & 1), slack, count,
+                             components)

@@ -388,6 +388,14 @@ class TestOneBasisTable:
         main([command, write(tmp_path, dict(YOUNG3, A=[[1.0, 1.0, 0.0], [0.0, 1e-10, 1.0]]))])
         assert polytope_calls == {"tests": 1, "tables": 1}
 
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c"])
+    def test_free_matroid_builds_none(self, tmp_path, capsys, polytope_calls, command):
+        # n = k: an invertible A, whose one k-subset is a basis, and x = 1
+        A = np.random.default_rng(29).normal(size=(3, 3))
+        doc = {"k": 3, "n": 3, "A": A.tolist(), "inv_p": [1.0, 1.0, 1.0]}
+        assert main([command, write(tmp_path, doc)]) == 0
+        assert polytope_calls == {"tests": 1, "tables": 0}
+
     @pytest.mark.parametrize("command", ["verify", "flow"])
     def test_explicit_C_builds_none(self, tmp_path, capsys, polytope_calls, command):
         assert main([command, write(tmp_path, dict(HOLDER, C=[[1.0]])), *tmax_for(command)]) == 0
@@ -732,6 +740,19 @@ class TestExitCodes:
         doc = {"k": 2, "n": 3, "A": [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],
                "inv_p": [0.5, 0.5, 0.5]}
         assert main(["finiteness", write(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c"])
+    def test_no_k_subset_passes_the_determinant_test(self, tmp_path, capsys, command):
+        # the unit columns' sigma_min / sigma_max is 9.6e-9, above RANK_TOL, so the
+        # parse accepts rank 3, yet no three columns have |det| above 8.0e-11
+        j = np.arange(6)
+        A = np.vstack([np.cos(1e-3 * j), np.sin(1e-3 * j), 1e-8 * (-1.0) ** j])
+        doc = {"k": 3, "n": 6, "A": A.tolist(), "inv_p": [0.5] * 6}
+        assert parse_problem(json.dumps(doc)).system.k == 3
+        assert main([command, write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no k-subset of columns passes the determinant test: every |det| is at most "
+            "BASIS_TOL = 1e-09 times the product of its column norms\n")
 
     def test_finiteness_beyond_supported_n_is_input_error(self, tmp_path, capsys):
         doc = {"k": 1, "n": 13, "A": [[1.0] * 13], "inv_p": [1.0 / 13] * 13}

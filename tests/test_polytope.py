@@ -338,7 +338,7 @@ def table_verdict(sysm, x, boundary_tol=BOUNDARY_TOL):
     if abs(off_degree) > DEGREE_TOL:
         return "outside", tuple(range(sysm.n)), -abs(off_degree), components, None
     room = bases.ranks - bases.masks @ x
-    if room.min() < -DEGREE_TOL:
+    if room.size and room.min() < -DEGREE_TOL:
         worst = int(room.argmin())
         return ("outside", tuple(np.flatnonzero(bases.masks[worst]).tolist()),
                 float(room[worst]), components, room)
@@ -377,14 +377,18 @@ def assert_matches_table(sysm, x):
 def general_position_datum(rng, cls):
     """(system, x): every k-subset of columns a basis, k <= 5, n <= 12, column
     scales over 16 decades, and x of one class.  At k = 1 the faces of K have
-    a zero exponent, so boundary data take k >= 2."""
+    a zero exponent, so boundary data take k >= 2.  Free data take n = k,
+    k = n = 1 among them, where K is the single point x = 1."""
     while True:
         k = int(rng.integers(2 if cls == "boundary" else 1, 6))
-        n = int(rng.integers(k + 1, 13))
+        n = k if cls == "free" else int(rng.integers(k + 1, 13))
         sysm = VectorSystem(rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-8, 8, size=n))
         V = enumerate_bases(sysm).vectors
         if len(V) == math.comb(n, k):
             break
+    if cls == "free":
+        # x = 1 less up to 1e-6 on some columns: both sides of DEGREE_TOL
+        return sysm, 1.0 - rng.integers(0, 2, size=n) * 10.0 ** rng.uniform(-10, -6, size=n)
     inner = rng.dirichlet(np.ones(len(V))) @ V
     if cls == "inside":
         return sysm, inner
@@ -410,11 +414,12 @@ def general_position_datum(rng, cls):
             return sysm, x
 
 
-CLASSES = ("inside", "near_boundary", "boundary", "off_degree", "all_equal", "repeated")
+CLASSES = ("inside", "near_boundary", "boundary", "off_degree", "all_equal", "repeated", "free")
 
 
 class TestUniformClosedForm:
-    """General-position data are decided on 2n subsets; the table is the oracle."""
+    """Data with every k-subset a basis are decided on the 2n singletons and their
+    complements (none at n = 1); the table is the oracle."""
 
     @pytest.mark.parametrize("cls", CLASSES)
     def test_random_data(self, cls):
