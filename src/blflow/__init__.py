@@ -16,7 +16,6 @@ if _os.environ.get("BLFLOW_THREADS"):
 #: submodules it runs, and every lookup sees the submodule's current binding.
 _EXPORTS = {
     "certificate": ("certificate_defect", "projection_check", "solve_s_system"),
-    "gaussian": ("gaussian_objective", "quadrature_objective"),
     "heatflow": ("bellman_energies", "gaussian_energy", "monotonicity_scan", "rhs_limit"),
     "model": ("BellmanSpec", "Exponents", "GaussCert", "VectorSystem", "make_cert",
               "numerical_rank"),

@@ -221,9 +221,12 @@ def cmd_flow(problem: Problem, args) -> int:
     if problem.profiles is None:
         raise StructuralError("flow needs profiles")
     B = _bellman_of(problem)
+    # refuse what no certificate can make supported before paying for the solve
+    times = heatflow._checked_times(problem.system, B, problem.profiles,
+                                    heatflow.time_grid(args.tmax))
     cert = _certificate_of(problem)
     trace, verdict = heatflow.monotonicity_scan(
-        problem.system, cert, B, problem.profiles, times=heatflow.time_grid(args.tmax),
+        problem.system, cert, B, problem.profiles, times=times,
         quad_tol=heatflow.QUAD_TOL if args.tol is None else args.tol)
     doc = {"monotone": verdict.monotone, "label": verdict.label,
            "mono_tol": verdict.mono_tol, "initial_value": verdict.initial_value,

@@ -1,20 +1,12 @@
-"""The sharp constant as a supremum over centered Gaussian trial functions.
+"""The one Gaussian closed form of the package, and its runtime guard.
 
-Gaussians attain the sharp bound (Lieb, Invent. Math. 102, 1990).  For trial
-functions g_j(x) = b_j^{1/2} exp(-pi x^2 b_j) the functional
-
-    int prod_j g_j(<a_j, x>)^{1/p_j} dx
-
-has the closed form  prod_j b_j^{1/(2 p_j)} * det(Q(b))^{-1/2}  with
-Q(b) = sum_j (b_j / p_j) a_j a_j^T.  At b = p s^2, Q(b) = M(s) and the
-stationarity condition of the functional is the s-system, so the supremum
-D is not searched for here: blflow.certificate.solve_s_system returns it
-with its maximizer, from the one Newton solve that also gives C.  This
-module keeps the functional itself, as an oracle for that solve.
-:func:`gaussian_integral` is every other closed form of the package (the
-objective here, blflow.heatflow, the verifier's L5); it is validated against
-direct quadrature of the integrand (k <= 2), once per process, before
-blflow.heatflow relies on it.
+Gaussians attain the sharp bound (Lieb, Invent. Math. 102, 1990), so every
+closed form blflow reports is :func:`gaussian_integral`: flow's energies on
+Gaussian data and its t -> infinity limit (blflow.heatflow), and the
+verifier's L5.  The sharp constant D itself is not evaluated here:
+blflow.certificate.solve_s_system returns it from the Newton solve that also
+gives C.  :func:`_closed_form_selftest` holds gaussian_integral against
+direct quadrature once per process, before blflow.heatflow relies on it.
 """
 
 from __future__ import annotations
@@ -25,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationError
-from .model import RANK_TOL, Exponents, VectorSystem
+from .model import RANK_TOL
 
 
 def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0):
@@ -69,62 +61,32 @@ def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0):
     return float(value) if value.ndim == 0 else value
 
 
-def gaussian_objective(sys: VectorSystem, e: Exponents, log_b) -> float:
-    """Value of the Gaussian functional at b = exp(log_b).
+@functools.lru_cache(maxsize=1)
+def _closed_form_selftest() -> bool:
+    """One-time check of gaussian_integral against quadrature; raises on failure.
 
-    It is :func:`gaussian_integral` on the columns b_j^{1/2} a_j,
-    prod_j b_j^{1/(2 p_j)} / prod S for the singular values S of
-    A diag(sqrt(b/p)).  Raises EvaluationError when Q(b) is singular to
-    round-off (this happens when b degenerates toward directions outside
-    the finiteness polytope).
-    """
-    root_b = np.exp(0.5 * np.asarray(log_b, dtype=float).ravel())
-    value = gaussian_integral(sys.A * root_b, e.inv_p, root_b, 0.0, 1.0 / math.pi)
-    if value == math.inf:
-        raise EvaluationError("Q(b) is singular or indefinite")
-    return value
-
-
-def quadrature_objective(sys: VectorSystem, e: Exponents, log_b,
-                         rel_tol: float = 1e-9) -> float:
-    """Direct quadrature of the Gaussian integrand over R^k (k <= 3).
-
-    blflow.quadrature is imported here, so that verify, which needs only
-    the closed form, starts without it.
+    gaussian_integral is called as blflow.heatflow.gaussian_energy calls it,
+    at k = 1 and k = 2, with distinct weights, per-column amplitudes and
+    variances and coeff != 1, on one stack of two rows: centres 0 and
+    <a_j, x0>, a translate of the same integrand, so that both rows equal one
+    quadrature.decay_quad of the centred integrand.  blflow.quadrature is
+    imported here, so that verify, which needs only the closed form, starts
+    without it.
     """
     from . import quadrature
 
-    b = np.exp(np.asarray(log_b, dtype=float).ravel())
-    Q = (sys.A * (b * e.inv_p)) @ sys.A.T
-    if np.linalg.eigvalsh(Q)[0] <= 0.0:
-        raise EvaluationError("Q(b) is singular or indefinite")
-    pref = float(np.prod(b ** (0.5 * e.inv_p)))
+    for A in (np.array([[1.0, 1.0]]), np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])):
+        k, n = A.shape
+        w, amp, variance = np.linspace([0.4, 1.6, 0.5], [0.9, 0.7, 1.5], n).T
+        coeff = 1.3
+        center = np.stack([np.zeros(n), np.array([0.7, -0.4])[:k] @ A])
+        closed = gaussian_integral(A, w, amp, center, variance, coeff)
 
-    def integrand(X):
-        proj = X @ sys.A  # (m, n) values of <a_j, x>
-        return np.exp(-math.pi * (proj**2 @ (b * e.inv_p)))
+        def integrand(X):
+            return coeff * np.prod((amp * np.exp(-(X @ A) ** 2 / variance)) ** w, axis=-1)
 
-    return pref * quadrature.decay_quad(integrand, math.pi * Q, rel_tol=rel_tol).value
-
-
-@functools.lru_cache(maxsize=1)
-def _closed_form_selftest() -> bool:
-    """One-time check of the closed forms against quadrature; raises on failure.
-
-    Checks gaussian_objective, and gaussian_integral itself at the centres
-    <b_j^{1/2} a_j, x0>, a translate of the same integrand by x0.
-    """
-    holder = (VectorSystem(np.array([[1.0, 1.0]])), Exponents([0.5, 0.5]))
-    young3 = (VectorSystem(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])), Exponents([2 / 3] * 3))
-    for sysm, e, log_b in [(*holder, [0.0, 0.0]), (*holder, [0.0, math.log(4.0)]),
-                           (*young3, [0.3, -0.1, 0.25])]:
-        quad = quadrature_objective(sysm, e, log_b)
-        root_b = np.exp(0.5 * np.asarray(log_b))
-        Ab = sysm.A * root_b
-        shifted = gaussian_integral(Ab, e.inv_p, root_b, 0.7 * Ab.sum(axis=0), 1.0 / math.pi)
-        for closed in (gaussian_objective(sysm, e, log_b), shifted):
-            if not abs(closed - quad) <= 1e-7 * abs(quad):
-                raise EvaluationError(
-                    f"closed-form self-test failed: {closed!r} vs quadrature {quad!r}")
+        quad = quadrature.decay_quad(integrand, (A * (w / variance)) @ A.T, rel_tol=1e-9).value
+        if not np.all(abs(closed - quad) <= 1e-7 * abs(quad)):
+            raise EvaluationError(
+                f"closed-form self-test failed: {closed!r} vs quadrature {quad!r}")
     return True
-

@@ -49,11 +49,27 @@ def time_grid(tmax: float | None = None) -> list[float]:
     return sorted({t for t in DEFAULT_TIMES if t <= tmax} | {tmax})
 
 
-def _check_problem(sys: VectorSystem, B: BellmanSpec, profiles) -> None:
+def _checked_times(sys: VectorSystem, B: BellmanSpec, profiles, times) -> list[float]:
+    """The times sorted and without repeats, once the checks that need no
+    certificate pass: one profile per column and B of n variables
+    (StructuralError), every time finite and >= 0 (DomainError), and no box
+    data at t = 0 with k >= 2, which is integrated exactly only for k = 1
+    (UnsupportedScaleError)."""
     if profiles is None:
         raise StructuralError("flow needs profiles")
     if len(profiles) != sys.n or B.n != sys.n:
         raise StructuralError("need one profile per column and B of n variables")
+    times = sorted({float(t) for t in times})
+    for t in times:
+        if not (math.isfinite(t) and t >= 0.0):
+            raise DomainError(f"need finite t >= 0, got t = {t}")
+    if (times and times[0] == 0.0 and sys.k > 1
+            and not all(isinstance(p, GaussianProfile) for p in profiles)):
+        raise UnsupportedScaleError(
+            "box initial data at t = 0 is only integrated exactly for k = 1, and flow's "
+            "time grid holds t = 0; use Gaussian profiles (any k), or call "
+            f"blflow.bellman_energies at t > 0 from Python (k <= {quadrature.MAX_DIM})")
+    return times
 
 
 def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles, added_variance=0.0):
@@ -128,10 +144,10 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
                      profiles, times, quad_tol: float = QUAD_TOL) -> EnergyTrace:
     """The energy trace over the given times, sorted and without repeats.
 
-    Every time must be finite and >= 0, and so must every 4 sigma_j t
-    (DomainError otherwise).  All-Gaussian data stay Gaussian under the heat
-    flow, so their energies are one stacked :func:`gaussian_energy` over
-    the times; box data at t = 0 with k = 1 is :func:`_box_energy_at_zero`.
+    The times must pass :func:`_checked_times`, and every 4 sigma_j t must
+    be finite (DomainError otherwise).  All-Gaussian data stay Gaussian under
+    the heat flow, so their energies are one stacked :func:`gaussian_energy`
+    over the times; box data at t = 0 with k = 1 is :func:`_box_energy_at_zero`.
     Both closed forms are reported with halfwidth and levels 0.  Every other
     time is integrated in one nested-trapezoid pass of
     :func:`blflow.quadrature.decay_quad` over the stack of the times' decay
@@ -139,17 +155,12 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     (:func:`_energies_by_quadrature`): the halfwidth is the cube's reach
     sqrt((40 + M) / lam_min(F_t)) along the softest direction of F_t, for
     the box columns' margin M, and levels the number of mesh doublings that
-    time needed.  Box data at t = 0 with k >= 2 raises UnsupportedScaleError,
-    and so does decay_quad on k > quadrature.MAX_DIM; the closed forms have
-    no cap on k.
+    time needed.  decay_quad raises UnsupportedScaleError on
+    k > quadrature.MAX_DIM; the closed forms have no cap on k.
     """
-    times = sorted({float(t) for t in times})
-    for t in times:
-        if not (math.isfinite(t) and t >= 0.0):
-            raise DomainError(f"need finite t >= 0, got t = {t}")
+    times = _checked_times(sys, B, profiles, times)
     if times and not math.isfinite(4.0 * float(np.max(cert.sigma)) * times[-1]):
         raise DomainError(f"4 sigma_j t overflows at t = {times[-1]}")
-    _check_problem(sys, B, profiles)
     values, halfwidths = np.zeros((2, len(times)))
     levels = np.zeros(len(times), dtype=int)
     if all(isinstance(p, GaussianProfile) for p in profiles):
@@ -157,11 +168,6 @@ def bellman_energies(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
         return EnergyTrace(np.array(times), values, halfwidths, levels)
     # some profile is a box or a sum of boxes, discontinuous at t = 0: times[0]
     start = int(0.0 in times)
-    if start and sys.k > 1:
-        raise UnsupportedScaleError(
-            "box initial data at t = 0 is only integrated exactly for k = 1, and flow's "
-            "time grid holds t = 0; use Gaussian profiles (any k), or call "
-            f"blflow.bellman_energies at t > 0 from Python (k <= {quadrature.MAX_DIM})")
     results = _energies_by_quadrature(sys, cert, B, profiles, np.array(times[start:]), quad_tol)
     for i, res in enumerate(results, start):
         values[i], halfwidths[i], levels[i] = res.value, res.halfwidth, res.levels

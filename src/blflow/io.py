@@ -1,10 +1,12 @@
 """Problem files: a single JSON document describing one reproducible run.
 
 Canonical formatting is fixed (key order, two-space indent, shortest
-round-trip float repr) so that parse -> serialize is byte-stable.  The
-profile classes live in blflow.profiles, which is imported only to parse or
-serialize a file's ``profiles`` and does not import the energy layer
-(blflow.heatflow).
+round-trip float repr) so that parse -> serialize is byte-stable.  Every
+number in a file is a JSON number: k, n, seed, a product B's n and
+section_vars are integers, any other is an int or a float, and a boolean or
+a string in its place is a malformed field.  The profile classes live in
+blflow.profiles, which is imported only to parse or serialize a file's
+``profiles`` and does not import the energy layer (blflow.heatflow).
 """
 
 from __future__ import annotations
@@ -34,17 +36,42 @@ class Problem(NamedTuple):
     tolerances: Mapping = MappingProxyType({})  # empty and read-only: shared by every default
 
 
+def _integer(value) -> int:
+    """``value`` if it is a JSON integer, not a boolean (TypeError otherwise)."""
+    if type(value) is not int:
+        raise TypeError(f"need an integer, got {value!r}")
+    return value
+
+
+def _numbers(value):
+    """``value`` once every leaf of its nested lists is a JSON number, an int or
+    a float, not a boolean or a string (TypeError otherwise)."""
+    leaves = [value]
+    for leaf in leaves:  # one pass: each list's items are appended behind it
+        if type(leaf) is list:
+            leaves.extend(leaf)
+        elif type(leaf) is not float and type(leaf) is not int:
+            raise TypeError(f"need numbers, got {leaf!r}")
+    return value
+
+
 def _parse_B(doc, n: int) -> BellmanSpec:
     variant = doc.get("variant")
     if variant == "young":
-        return BellmanSpec.young(doc["alpha"])
+        return BellmanSpec.young(_numbers(doc["alpha"]))
     if variant == "product":
-        return BellmanSpec.product(doc.get("M", 1.0), doc.get("n", n))
+        if _integer(doc.get("n", n)) != n:  # before BellmanSpec allocates n weights
+            raise StructuralError("B has the wrong number of variables")
+        return BellmanSpec.product(_numbers(doc.get("M", 1.0)), n)
     if variant == "lifted":
-        sv = doc.get("section_vars")
-        return BellmanSpec.lifted(doc["phi"], doc.get("alpha", ()),
-                                  section_vars=tuple(sv) if sv else None,
-                                  theta=doc.get("theta"))
+        sv, theta = doc.get("section_vars"), doc.get("theta")
+        if sv is not None and not (type(sv) is list and len(sv) == 2 and sv[0] != sv[1]
+                                   and all(type(j) is int and 0 <= j < n for j in sv)):
+            raise ValueError(f"section_vars must be two distinct integers in 0..{n - 1}, "
+                             f"got {sv!r}")
+        return BellmanSpec.lifted(doc["phi"], _numbers(doc.get("alpha", [])),
+                                  section_vars=None if sv is None else tuple(sv),
+                                  theta=None if theta is None else _numbers(theta))
     raise StructuralError(f"unknown B variant {variant!r}")
 
 
@@ -53,11 +80,11 @@ def _parse_profile(doc) -> Profile:
 
     kind = doc.get("type")
     if kind == "box":
-        return Box(doc["lo"], doc["hi"], doc["height"])
+        return Box(*_numbers([doc["lo"], doc["hi"], doc["height"]]))
     if kind == "gaussian":
-        return GaussianProfile(doc["amplitude"], doc["center"], doc["variance"])
+        return GaussianProfile(*_numbers([doc["amplitude"], doc["center"], doc["variance"]]))
     if kind == "sum_of_boxes":
-        return SumOfBoxes(tuple(Box(b["lo"], b["hi"], b["height"])
+        return SumOfBoxes(tuple(Box(*_numbers([b["lo"], b["hi"], b["height"]]))
                                 for b in doc["boxes"]))
     raise StructuralError(f"unknown profile type {kind!r}")
 
@@ -81,9 +108,9 @@ def _parse_tolerances(doc) -> dict:
 def _field(doc: dict, key: str, convert, default=None):
     """convert(doc[key]), or ``default`` when key is absent.
 
-    A ValueError, KeyError, TypeError, AttributeError or OverflowError (int
-    of an infinity) that convert raises on a malformed value is reported as
-    a StructuralError that names the field.
+    A ValueError, KeyError, TypeError, AttributeError or OverflowError that
+    convert raises on a malformed value is reported as a StructuralError that
+    names the field.
     """
     if key not in doc:
         return default
@@ -106,12 +133,12 @@ def parse_problem(text: str) -> Problem:
     for key in ("k", "n", "A"):
         if key not in doc:
             raise StructuralError(f"missing required field {key!r}")
-    k, n = _field(doc, "k", int), _field(doc, "n", int)
-    A = _field(doc, "A", lambda a: np.asarray(a, dtype=float))
+    k, n = _field(doc, "k", _integer), _field(doc, "n", _integer)
+    A = _field(doc, "A", lambda a: np.asarray(_numbers(a), dtype=float))
     if A.shape != (k, n):
         raise StructuralError(f"A must be a {k}x{n} row-major array, got shape {A.shape}")
     system = VectorSystem(A)
-    e = _field(doc, "inv_p", Exponents)
+    e = _field(doc, "inv_p", lambda x: Exponents(_numbers(x)))
     if e is not None and e.n != n:
         raise StructuralError("inv_p length differs from n")
     B = _field(doc, "B", lambda b: _parse_B(b, n))
@@ -120,11 +147,11 @@ def parse_problem(text: str) -> Problem:
     profiles = _field(doc, "profiles", lambda ps: tuple(map(_parse_profile, ps)))
     if profiles is not None and len(profiles) != n:
         raise StructuralError("need one profile per column of A")
-    C = _field(doc, "C", lambda c: np.asarray(c, dtype=float))
+    C = _field(doc, "C", lambda c: np.asarray(_numbers(c), dtype=float))
     if C is not None and C.shape != (k, k):
         raise StructuralError("C must be k x k")
     return Problem(system=system, exponents=e, B=B, profiles=profiles, C=C,
-                   seed=_field(doc, "seed", int, 0),
+                   seed=_field(doc, "seed", _integer, 0),
                    tolerances=_parse_tolerances(doc.get("tolerances", {})))
 
 

@@ -1,7 +1,8 @@
 """Test-only references: dense n x n forms for the verifier, the s-system's
-Cauchy-Binet terms and null projector over the basis table, and the heat
-flow's evolved Gaussian, closed-form y-derivatives and pointwise identity
-probe; and solve_datum, the s-system solve on a datum's own verdict.
+Cauchy-Binet terms and null projector over the basis table, the Gaussian
+functional whose supremum is D, in closed form and by direct quadrature, and
+the heat flow's evolved Gaussian, closed-form y-derivatives and pointwise
+identity probe; and solve_datum, the s-system solve on a datum's own verdict.
 
 The package decides L3, the PDE identity and the rank bound on the k x k
 spectrum of T = F^{1/2} C F^{1/2}, F = A diag(w / sigma) A^T
@@ -19,8 +20,8 @@ import math
 
 import numpy as np
 
-from blflow import is_finite, solve_s_system
-from blflow.errors import DomainError
+from blflow import gaussian, is_finite, quadrature, solve_s_system
+from blflow.errors import DomainError, EvaluationError
 from blflow.heatflow import GaussianProfile
 from blflow.model import numerical_rank
 
@@ -92,6 +93,37 @@ def separator_projector(bases, k: int) -> np.ndarray:
 def solve_datum(sys, e, **kwargs):
     """blflow.certificate.solve_s_system on (sys, e) and its finiteness verdict."""
     return solve_s_system(sys, e, is_finite(sys, e), **kwargs)
+
+
+def gaussian_objective(sys, e, log_b) -> float:
+    """Value of the Gaussian functional at b = exp(log_b).
+
+    It is :func:`blflow.gaussian.gaussian_integral` on the columns
+    b_j^{1/2} a_j, prod_j b_j^{1/(2 p_j)} / prod S for the singular values S
+    of A diag(sqrt(b/p)).  Raises EvaluationError when Q(b) is singular to
+    round-off (this happens when b degenerates toward directions outside
+    the finiteness polytope).
+    """
+    root_b = np.exp(0.5 * np.asarray(log_b, dtype=float).ravel())
+    value = gaussian.gaussian_integral(sys.A * root_b, e.inv_p, root_b, 0.0, 1.0 / math.pi)
+    if value == math.inf:
+        raise EvaluationError("Q(b) is singular or indefinite")
+    return value
+
+
+def quadrature_objective(sys, e, log_b, rel_tol: float = 1e-9) -> float:
+    """Direct quadrature of the Gaussian integrand over R^k (k <= 3)."""
+    b = np.exp(np.asarray(log_b, dtype=float).ravel())
+    Q = (sys.A * (b * e.inv_p)) @ sys.A.T
+    if np.linalg.eigvalsh(Q)[0] <= 0.0:
+        raise EvaluationError("Q(b) is singular or indefinite")
+    pref = float(np.prod(b ** (0.5 * e.inv_p)))
+
+    def integrand(X):
+        proj = X @ sys.A  # (m, n) values of <a_j, x>
+        return np.exp(-math.pi * (proj**2 @ (b * e.inv_p)))
+
+    return pref * quadrature.decay_quad(integrand, math.pi * Q, rel_tol=rel_tol).value
 
 
 def cholesky_spectrum(A, C, d) -> np.ndarray:

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from blflow import (BellmanSpec, Box, Exponents, VectorSystem, certificate_defect,
-                    check_L3, enumerate_bases, gaussian_extremizer, gaussian_objective,
-                    is_finite, make_cert, monotonicity_scan, numerical_rank,
-                    projection_check, quadrature_objective, verify)
+                    check_L3, enumerate_bases, gaussian_extremizer, is_finite, make_cert,
+                    monotonicity_scan, numerical_rank, projection_check, verify)
 from blflow.certificate import _factor
 from blflow.errors import EvaluationError
 from blflow.verifier import euler_defect_at
-from oracles import bellman_identity_probe, hadamard_form, solve_datum
+from oracles import (bellman_identity_probe, gaussian_objective, hadamard_form,
+                     quadrature_objective, solve_datum)
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, budget: float) -> None:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from blflow import (BellmanSpec, Exponents, VectorSystem, certificate, certificate_defect,
-                    enumerate_bases, gaussian_objective, is_finite, make_cert,
-                    projection_check, solve_s_system, verify)
+                    enumerate_bases, is_finite, make_cert, projection_check, solve_s_system,
+                    verify)
 from blflow.certificate import EIG_TOL, _factor, _null_projector
 from blflow.cli import main
 from blflow.errors import IterationError
 from blflow.io import parse_problem
-from oracles import cauchy_binet_terms, separator_projector, solve_datum
+from oracles import cauchy_binet_terms, gaussian_objective, separator_projector, solve_datum
 
 
 def polytope_point(rng, slack):

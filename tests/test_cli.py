@@ -12,7 +12,7 @@ import blflow
 from blflow import BellmanSpec, certificate, heatflow, polytope, verifier
 from blflow.cli import main
 from blflow.io import parse_problem
-from oracles import solve_datum
+from oracles import quadrature_objective, solve_datum
 from test_certificate import exact_functional
 
 HOLDER = {
@@ -219,6 +219,15 @@ class TestConstant:
         exact = exact_functional(mpmath, np.array(TABLE_MISSES["A"]),
                                  np.array(TABLE_MISSES["inv_p"]), np.array(doc["argmax_b"]))
         assert doc["D"] == pytest.approx(exact, rel=1e-8)
+
+    def test_D_matches_quadrature_at_its_argmax(self, capsys):
+        # the supremum's value at the weights it reports, by direct quadrature
+        # of the Gaussian functional: independent of the closed form and the solve
+        path = PROBLEMS / "young_convolution.json"
+        code, doc = run_json(capsys, ["constant", str(path)])
+        problem = parse_problem(path.read_text())
+        quad = quadrature_objective(problem.system, problem.exponents, np.log(doc["argmax_b"]))
+        assert code == 0 and doc["D"] == pytest.approx(quad, rel=1e-9)
 
     def test_outside_reports_divergence(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["constant", write(tmp_path, OUTSIDE)])
@@ -759,17 +768,36 @@ class TestExitCodes:
         assert main(["finiteness", write(tmp_path, doc)]) == 2
         assert "n <= 12" in capsys.readouterr().err
 
-    def test_flow_beyond_supported_k_is_input_error(self, tmp_path, capsys):
-        # box data is integrated exactly at t = 0 for k = 1 only, and the grid holds t = 0
+    def test_flow_beyond_supported_k_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # box data is integrated exactly at t = 0 for k = 1 only, and the grid holds t = 0:
+        # refused before the certificate's solve, which this inside datum would pay for
         doc = dict(K4_GAUSSIANS, profiles=[{"type": "box", "lo": 0.0, "hi": 1.0, "height": 1.0},
                                            *K4_GAUSSIANS["profiles"][1:]])
-        assert main(["flow", write(tmp_path, doc)]) == 2
+        solves = []
+        monkeypatch.setattr(certificate, "solve_s_system", lambda *a, **kw: solves.append(a))
+        assert main(["flow", write(tmp_path, doc)]) == 2 and solves == []
         err = capsys.readouterr().err
         assert "only integrated exactly for k = 1" in err
         # no option drops t = 0 from flow's grid, so the advice names what works
         assert "evaluate at t > 0" not in err
         assert ("use Gaussian profiles (any k), or call blflow.bellman_energies at t > 0 "
                 "from Python (k <= 3)") in err
+
+    @pytest.mark.parametrize("doc, argv", [
+        ({"k": 2, "n": 3, "A": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], "inv_p": [1.0, 0.5, 0.5],
+          "B": {"variant": "product"},
+          "profiles": [{"type": "box", "lo": 0.0, "hi": 1.0, "height": 1.0}] * 3}, []),
+        (HOLDER, ["--tmax", "-1"]),
+    ], ids=["boxes_on_the_boundary", "negative_tmax"])
+    def test_flow_refuses_before_it_solves(self, tmp_path, capsys, monkeypatch, doc, argv):
+        # unsupported data and times exit 2 whatever the certificate: on the
+        # boundary, where none exists (exit 3 once solved), as well as inside
+        solves = []
+        monkeypatch.setattr(certificate, "solve_s_system", lambda *a, **kw: solves.append(a))
+        assert main(["flow", write(tmp_path, doc), *argv]) == 2
+        err = capsys.readouterr().err
+        assert solves == [] and err.startswith("error: ")
+        assert ("need finite t >= 0" if argv else "only integrated exactly for k = 1") in err
 
     def test_flow_on_k4_gaussians_is_closed_form(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["flow", write(tmp_path, K4_GAUSSIANS)])
@@ -832,14 +860,41 @@ class TestExitCodes:
         {"B": {"variant": "young"}},
         {"profiles": [{"type": "box", "lo": 0.0, "height": 1.0}] * 3},
         {"B": 5},
+        # a JSON number of the wrong kind, a boolean or a string is not read as a number
+        {"k": 1.7}, {"k": True}, {"k": "1"}, {"seed": 2.9}, {"inv_p": ["0.5", 0.5, 0.5]},
+        {"A": [["1.0", True, 0.0], [0.0, -1.0, 1.0]]}, {"C": [[True, 0.0], [0.0, 1.0]]},
+        {"profiles": [{"type": "box", "lo": 0.0, "hi": 1.0, "height": True}] * 3},
+        {"profiles": [{"type": "box", "lo": "0", "hi": 1.0, "height": 1.0}] * 3},
+        {"profiles": [{"type": "gaussian", "amplitude": True, "center": 0.0,
+                       "variance": 1.0}] * 3},
+        {"B": {"variant": "product", "M": "2"}},
     ], ids=["k", "seed", "inv_p", "profiles", "young_without_alpha", "box_without_hi",
-            "B_not_an_object"])
+            "B_not_an_object", "k_float", "k_bool", "k_string", "seed_float",
+            "inv_p_string", "A_string_and_bool", "C_bool", "box_height_bool",
+            "box_lo_string", "gaussian_amplitude_bool", "product_M_string"])
     def test_malformed_field_is_input_error(self, tmp_path, field):
         path = write(tmp_path, dict(YOUNG3, **field))
         proc = subprocess.run([sys.executable, "-m", "blflow.cli", "finiteness", path],
                               capture_output=True, text=True)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: malformed field {next(iter(field))!r}")
+
+    @pytest.mark.parametrize("n", [2, 10**12], ids=["short", "huge"])
+    def test_product_B_of_the_wrong_size(self, tmp_path, capsys, n):
+        # refused before BellmanSpec.product allocates its n weights
+        path = write(tmp_path, dict(YOUNG3, B={"variant": "product", "n": n}))
+        assert main(["finiteness", path]) == 2
+        assert capsys.readouterr().err == "error: B has the wrong number of variables\n"
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c", "verify", "flow"])
+    @pytest.mark.parametrize("section_vars", [[0, 1.5], [True, 0]], ids=["float", "bool"])
+    def test_section_vars_must_be_column_indices(self, tmp_path, capsys, command, section_vars):
+        doc = json.loads((PROBLEMS / "lifted_section_triple.json").read_text())
+        doc["B"]["section_vars"] = section_vars
+        assert main([command, write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed field 'B': section_vars must be two distinct integers in 0..2, "
+            f"got {section_vars!r}\n")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["NaN", "Infinity", "-Infinity"])

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from blflow import (Exponents, VectorSystem, gaussian, gaussian_objective, is_finite,
-                    quadrature_objective)
+from blflow import Exponents, VectorSystem, gaussian, is_finite
 from blflow.errors import EvaluationError, IterationError
-from oracles import solve_datum
+from oracles import gaussian_objective, quadrature_objective, solve_datum
 
 # Boundary data (1/p_4 = 1), where the supremum is reached only in a limit.
 # At BOUNDARY_LOG_B three b_j are near 1e-13 and one near 1, so Q(b) is
@@ -136,6 +135,24 @@ class TestSelfTest:
         monkeypatch.setattr(gaussian, "gaussian_integral", rolled_centres)
         sysm, e = VectorSystem(np.array([[1.0, 1.0]])), Exponents([0.5, 0.5])
         z = [0.0, math.log(4.0)]
+        assert gaussian_objective(sysm, e, z) == pytest.approx(
+            quadrature_objective(sysm, e, z), rel=1e-9)
+        with pytest.raises(EvaluationError, match="self-test"):
+            gaussian._closed_form_selftest()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda exact, A, w, amp, center, variance, coeff=1.0: exact(A, w, amp, center, variance),
+        lambda exact, *args: exact(*args) * (1.01 if np.ndim(exact(*args)) else 1.0),
+    ], ids=["coeff_ignored", "off_on_stacked_rows"])
+    def test_checks_the_closed_form_as_flow_calls_it(self, monkeypatch, young3, corrupt):
+        # flow passes B's coeff and a (T, n) stack of rows, one per time, and
+        # gets T values back; the D functional passes neither, so these
+        # corruptions leave it exact
+        exact = gaussian.gaussian_integral
+        monkeypatch.setattr(gaussian, "gaussian_integral",
+                            lambda *args: corrupt(exact, *args))
+        sysm, e, _ = young3
+        z = [0.3, -0.1, 0.25]
         assert gaussian_objective(sysm, e, z) == pytest.approx(
             quadrature_objective(sysm, e, z), rel=1e-9)
         with pytest.raises(EvaluationError, match="self-test"):
