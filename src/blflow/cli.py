@@ -133,7 +133,9 @@ def cmd_finiteness(problem: Problem, args) -> int:
     _emit({"verdict": v.verdict,
            "witness": None if v.witness is None else list(v.witness),
            "slack": v.slack if math.isfinite(v.slack) else None,
-           "basis_count": v.basis_count}, args.out)
+           "basis_count": v.basis_count,
+           "det_margin": {"least_accepted": v.least_accepted,
+                          "greatest_rejected": v.greatest_rejected}}, args.out)
     return EXIT_OK
 
 

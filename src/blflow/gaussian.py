@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .errors import EvaluationError
-from .model import RANK_TOL
 
 
 def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0):
@@ -30,14 +29,11 @@ def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0):
     and g = sqrt(w/v) c, so one SVD M = U S V^T gives det(Q)^{1/2} = prod S
     and b^T Q^{-1} b - c0 = -|g - V V^T g|^2, g's squared distance from the
     row space of M.  The SVD keeps the digits of det(Q) that a Cholesky of
-    the formed Q loses when Q is ill-conditioned.  rank M = k is decided to
-    round-off on M's unit columns, as VectorSystem decides rank A = k, so
-    that rescaling a column cannot change it: where it fails the integral is
-    math.inf.  The unit columns N = M diag(1 / |m_j|) have
-    S_min(N) >= S_min / S_max and S_max(N) <= sqrt(n), so
-    S_min > RANK_TOL sqrt(n) S_max already passes the test on N, and only
-    the rest take N's SVD.  There a column m_j whose |m_j|^2 underflows
-    counts as 0, since its term m_j m_j^T in Q is below every double.
+    the formed Q loses when Q is ill-conditioned.  Rank is not tested here:
+    every caller passes a VectorSystem's A, whose rank k was decided at parse
+    (blflow.model.VectorSystem), a positive column scaling of it, or the
+    self-test's fixed full-rank A, so M has rank k and prod S > 0 unless it
+    underflows, as when the columns of M do: there the integral is math.inf.
 
     ``amp``, ``center`` and ``variance`` broadcast against ``w`` along the
     last axis; one leading axis (one row per time, say) gives one integral
@@ -50,14 +46,8 @@ def gaussian_integral(A, w, amp, center, variance, coeff: float = 1.0):
     miss = g - (Vt.swapaxes(-1, -2) @ (Vt @ g[..., None]))[..., 0]
     value = (coeff * (amp**w).prod(axis=-1) * math.pi ** (A.shape[0] / 2.0)
              * np.exp(-(miss * miss).sum(axis=-1)))
-    full = s.T[-1] > RANK_TOL * math.sqrt(A.shape[1]) * s.T[0]  # one per row
-    if not full.all():
-        norms = np.sqrt((M * M).sum(axis=-2, keepdims=True))
-        unit = np.linalg.svd(M / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
-        full = unit.T[-1] > RANK_TOL * unit.T[0]
-        value = np.where(full, value, math.inf)
-        s = np.where(full[..., None], s, 1.0)
-    value = value / s.prod(axis=-1)
+    with np.errstate(divide="ignore"):
+        value = value / s.prod(axis=-1)
     return float(value) if value.ndim == 0 else value
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import gaussian, quadrature
 from .errors import DomainError, StructuralError, UnsupportedScaleError
-from .model import BellmanSpec, GaussCert, VectorSystem
+from .model import HOMOG_TOL, BellmanSpec, GaussCert, VectorSystem
 # Box and SumOfBoxes are not read here; they stay bound for importers of this module
 from .profiles import (BOX_MARGIN, Box, GaussianProfile, SumOfBoxes, erf_diff,  # noqa: F401
                        gaussian_extremizer, heat_kernel)
@@ -77,7 +77,7 @@ def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles, added_variance=
 
     With B = coeff prod y_j^{w_j} and u_j = amp_j exp(-(y - c_j)^2 / v_j) this
     is :func:`blflow.gaussian.gaussian_integral`, after its one-time self-test;
-    where it finds rank(A) < k it raises StructuralError.  ``added_variance``
+    where det(Q) underflows to 0 it raises StructuralError.  ``added_variance``
     evolves the profiles by the heat flow first: 4 sigma_j t for each column
     gives v_j + 4 sigma_j t and amplitude amp_j sqrt(v_j / (v_j + 4 sigma_j t)),
     and a (T, n) stack of them, one row per time, gives the T energies at once.
@@ -88,7 +88,7 @@ def gaussian_energy(sys: VectorSystem, B: BellmanSpec, profiles, added_variance=
     value = gaussian.gaussian_integral(sys.A, B.weights, amp * np.sqrt(variance / vt),
                                        center, vt, B.coeff)
     if np.any(value == math.inf):
-        raise StructuralError("degenerate Gaussian form; is rank(A) = k?")
+        raise StructuralError("degenerate Gaussian form: det(Q) underflows to 0")
     return value
 
 
@@ -195,7 +195,7 @@ def _energies_by_quadrature(sys, cert, B, profiles, ts, quad_tol) -> list:
     wd = B.weights * np.stack([d for _, d, _ in bounds], axis=-1)
     F = (sys.A * wd[:, None, :]) @ sys.A.T
     if np.any(np.linalg.eigvalsh(F)[:, 0] <= 0.0):
-        raise StructuralError("degenerate decay form; is rank(A) = k?")
+        raise StructuralError("degenerate decay form: F_t is singular to round-off")
     x_star = np.linalg.solve(F, ((wd * centres) @ sys.A.T)[..., None])[..., 0]
     margin = BOX_MARGIN * sum(w for w, p in zip(B.weights, profiles)
                               if not isinstance(p, GaussianProfile))
@@ -225,8 +225,8 @@ class FlowVerdict(NamedTuple):
     certified: bool
     mono_tol: float
     initial_value: float
-    limit_value: float
-    final_gap: float  # |last trace value - t->infinity limit|
+    limit_value: float | None  # the t -> infinity limit; None unless sum(w) = k
+    final_gap: float | None  # |last trace value - limit_value|
     label: str
 
 
@@ -236,6 +236,13 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     """The energy trace of :func:`bellman_energies` over a time grid, and
     whether it never decreases.
 
+    Successive values may fall by at most mono_tol.  Where B has degree k, to
+    HOMOG_TOL relative, the energy tends to :func:`rhs_limit` as t -> infinity,
+    so a value above that limit by more than mono_tol means the energy falls
+    later, and the trace is not monotone either.  Otherwise E(t) behaves like
+    t^{(k - sum(w)) / 2}, which tends to 0 or to infinity: no limit is
+    reported, and limit_value and final_gap are None.
+
     When the certificate fails the verdict is labeled accordingly:
     monotonicity is only guaranteed under the concavity condition.
     """
@@ -244,9 +251,13 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     mono_tol = max(1e-8, 10.0 * quad_tol * float(np.max(np.abs(values))))
     monotone = bool(np.all(np.diff(values) >= -mono_tol))
     certified = check_L3(sys, cert, B)[0]
-    limit = rhs_limit(sys, cert, B, [p.mass() for p in profiles])
+    limit = final_gap = None
+    if abs(B.degree - sys.k) <= HOMOG_TOL * sys.k:
+        limit = rhs_limit(sys, cert, B, [p.mass() for p in profiles])
+        monotone = monotone and float(np.max(values)) <= limit + mono_tol
+        final_gap = abs(float(values[-1]) - limit)
     label = "certified" if certified else "no certificate"
     verdict = FlowVerdict(monotone=monotone, certified=certified, mono_tol=mono_tol,
                           initial_value=float(values[0]), limit_value=limit,
-                          final_gap=abs(float(values[-1]) - limit), label=label)
+                          final_gap=final_gap, label=label)
     return trace, verdict

@@ -69,6 +69,8 @@ class MembershipVerdict(NamedTuple):
     slack: float  # r(S) - x(S) at the witness; inf when every S is a separator
     basis_count: int  # the number of k-subsets of columns that are bases
     components: np.ndarray  # shape (n,), the least column of each column's component
+    least_accepted: float  # the least |det A_B| / prod |a_j| over the bases B
+    greatest_rejected: float | None  # the greatest over the other k-subsets; None if none
 
 
 def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
@@ -76,14 +78,15 @@ def enumerate_bases(sys: VectorSystem) -> BasisIndicatorSet:
 
     The rows of ``vectors`` are in lexicographic order of their index sets.
     """
-    return _rank_table(sys.n, *_determinant_test(sys))
+    combos, rel = _determinant_test(sys)
+    return _rank_table(sys.n, combos, rel > BASIS_TOL)
 
 
 def _determinant_test(sys: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The k-subsets of columns and which of them are bases.
+    """The k-subsets of columns and their relative determinants.
 
-    The test is scale invariant: |det| must exceed BASIS_TOL times the
-    product of the column norms.
+    The test is scale invariant: a subset is a basis where its |det| over
+    the product of its column norms exceeds BASIS_TOL.
     """
     k, n = sys.k, sys.n
     if n > MAX_N:
@@ -91,7 +94,7 @@ def _determinant_test(sys: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
     combos = np.array(list(combinations(range(n), k)))
     norms = np.sqrt((sys.A * sys.A).sum(axis=0))
     dets = np.abs(np.linalg.det(np.moveaxis(sys.A[:, combos], 1, 0)))
-    return combos, dets > BASIS_TOL * norms[combos].prod(axis=1)
+    return combos, dets / norms[combos].prod(axis=1)
 
 
 def _rank_table(n: int, combos: np.ndarray, keep: np.ndarray) -> BasisIndicatorSet:
@@ -121,7 +124,9 @@ def is_finite(sys: VectorSystem, e: Exponents,
     separators, r(S) + r(E \\ S) = k, also give the matroid's connected
     components: ``components`` labels each column by the least column that no
     separator holds without it.  Between subsets of equal room the witness
-    is the one of least bit mask.
+    is the one of least bit mask.  ``least_accepted`` and
+    ``greatest_rejected`` are the relative determinants of the k-subsets
+    nearest BASIS_TOL on either side, the margin by which the matroid holds.
 
     The subsets S come from one of two sources.  When every k-subset is a
     basis the matroid is U_{k,n}, r(S) = min(|S|, k), and for 0 < x <= 1 the
@@ -138,7 +143,8 @@ def is_finite(sys: VectorSystem, e: Exponents,
         raise StructuralError("exponent vector length differs from n")
     k, n, x = sys.k, sys.n, e.inv_p
     total = x.sum()
-    combos, keep = _determinant_test(sys)
+    combos, rel = _determinant_test(sys)
+    keep = rel > BASIS_TOL
     if keep.all():
         xs = x[: n if n > 1 else 0]  # n = 1 has no proper non-empty subset
         bits = 1 << np.arange(len(xs))
@@ -155,16 +161,17 @@ def is_finite(sys: VectorSystem, e: Exponents,
         sep = bases.masks[separators]  # closed under complements, so sep^T (1 - sep) is symmetric
         components = (sep.T @ (1.0 - sep) == 0.0).argmax(axis=1)
         count = bases.count
+    facts = (count, components, float(rel[keep].min()),
+             None if keep.all() else float(rel[~keep].max()))
     off_degree = float(total) - k
     if abs(off_degree) > DEGREE_TOL:
-        return MembershipVerdict("outside", tuple(range(n)), -abs(off_degree), count, components)
+        return MembershipVerdict("outside", tuple(range(n)), -abs(off_degree), *facts)
     violated = room.min(initial=0.0) < -DEGREE_TOL
     if not violated:
         room = np.where(separators, math.inf, room)
     slack = float(room.min(initial=math.inf))
     if slack == math.inf:
-        return MembershipVerdict("inside", None, slack, count, components)
+        return MembershipVerdict("inside", None, slack, *facts)
     verdict = "outside" if violated else "inside" if slack > boundary_tol else "boundary"
     mask = int(ids[room == slack].min())
-    return MembershipVerdict(verdict, tuple(i for i in range(n) if mask >> i & 1), slack, count,
-                             components)
+    return MembershipVerdict(verdict, tuple(i for i in range(n) if mask >> i & 1), slack, *facts)

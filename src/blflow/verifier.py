@@ -87,8 +87,9 @@ def check_L5(sys: VectorSystem, B: BellmanSpec) -> L5Report:
     """Integrability probe: B(exp(-<a_1,x>^2), ...) over R^k in closed form.
 
     The integrand is coeff * exp(-x^T Q x) with Q = A diag(w) A^T; the
-    integral coeff * pi^{k/2} det(Q)^{-1/2} converges iff Q > 0, and is
-    unconverged (inf) where gaussian_integral finds Q singular to round-off.
+    integral coeff * pi^{k/2} det(Q)^{-1/2} converges iff Q > 0.  rank A = k,
+    decided at parse, makes Q > 0, so the value is unconverged (inf) only
+    where det(Q) underflows to 0.
     """
     value = gaussian_integral(sys.A, B.weights, 1.0, 0.0, 1.0, B.coeff)
     return L5Report(converged=value < math.inf, value=value)

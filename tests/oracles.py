@@ -95,28 +95,34 @@ def solve_datum(sys, e, **kwargs):
     return solve_s_system(sys, e, is_finite(sys, e), **kwargs)
 
 
+def _positive_form(sys, e, log_b) -> tuple[np.ndarray, np.ndarray]:
+    """b = exp(log_b) and Q(b) = A diag(b / p) A^T; raises EvaluationError
+    when Q(b) is singular or indefinite to round-off (this happens when b
+    degenerates toward directions outside the finiteness polytope)."""
+    b = np.exp(np.asarray(log_b, dtype=float).ravel())
+    Q = (sys.A * (b * e.inv_p)) @ sys.A.T
+    if np.linalg.eigvalsh(Q)[0] <= 0.0:
+        raise EvaluationError("Q(b) is singular or indefinite")
+    return b, Q
+
+
 def gaussian_objective(sys, e, log_b) -> float:
     """Value of the Gaussian functional at b = exp(log_b).
 
     It is :func:`blflow.gaussian.gaussian_integral` on the columns
     b_j^{1/2} a_j, prod_j b_j^{1/(2 p_j)} / prod S for the singular values S
-    of A diag(sqrt(b/p)).  Raises EvaluationError when Q(b) is singular to
-    round-off (this happens when b degenerates toward directions outside
-    the finiteness polytope).
+    of A diag(sqrt(b/p)), once Q(b) passes :func:`_positive_form`: the
+    closed form tests no rank, and though rank A = k, a b that spans more
+    than a double can leave Q(b) singular.
     """
+    _positive_form(sys, e, log_b)
     root_b = np.exp(0.5 * np.asarray(log_b, dtype=float).ravel())
-    value = gaussian.gaussian_integral(sys.A * root_b, e.inv_p, root_b, 0.0, 1.0 / math.pi)
-    if value == math.inf:
-        raise EvaluationError("Q(b) is singular or indefinite")
-    return value
+    return gaussian.gaussian_integral(sys.A * root_b, e.inv_p, root_b, 0.0, 1.0 / math.pi)
 
 
 def quadrature_objective(sys, e, log_b, rel_tol: float = 1e-9) -> float:
     """Direct quadrature of the Gaussian integrand over R^k (k <= 3)."""
-    b = np.exp(np.asarray(log_b, dtype=float).ravel())
-    Q = (sys.A * (b * e.inv_p)) @ sys.A.T
-    if np.linalg.eigvalsh(Q)[0] <= 0.0:
-        raise EvaluationError("Q(b) is singular or indefinite")
+    b, Q = _positive_form(sys, e, log_b)
     pref = float(np.prod(b ** (0.5 * e.inv_p)))
 
     def integrand(X):

@@ -64,6 +64,24 @@ WIDE_BOUNDARY_TOL = {
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
+# inside for every eps > 0, with D = (sqrt(3) / 2) eps^(-1/3); at eps = 1e-10
+# the pair {a_0, a_1} is below polytope.BASIS_TOL and the verdict is outside
+EPS_FAMILY = {
+    "k": 2, "n": 3, "A": [[1.0, 1.0, 0.0], [0.0, 1e-10, 1.0]],
+    "inv_p": [2 / 3, 2 / 3, 2 / 3],
+}
+
+# sum(w) = k and no certificate (L3 fails): every grid value rises, but
+# E(1000) lies above the t -> infinity limit, so the energy falls later
+FALLS_PAST_GRID = {
+    "k": 2, "n": 3, "A": [[1.5, -0.1, -1.8], [1.5, 0.0, -0.8]],
+    "C": [[1.0, 0.5], [0.5, 2.1]],
+    "B": {"variant": "young", "alpha": [0.7, 0.5, 0.8]},
+    "profiles": [{"type": "gaussian", "center": 0.0, "variance": 1.3, "amplitude": 1.0},
+                 {"type": "gaussian", "center": 2.0, "variance": 1.9, "amplitude": 1.0},
+                 {"type": "gaussian", "center": 0.0, "variance": 1.8, "amplitude": 1.0}],
+}
+
 # inside (slack 0.063), but a_1 and a_3 are 5e-5 from parallel: s^2 spans nine
 # decades and cond M(s) = 1.2e9, so a C read off a factor of M(s) would meet
 # T = I only to eps cond M(s), a few times PDE_TOL
@@ -170,9 +188,15 @@ class TestFiniteness:
     def test_report_schema(self, tmp_path, capsys, doc, verdict):
         code, out = run_json(capsys, ["finiteness", write(tmp_path, doc)])
         assert code == 0
-        assert set(out) == {"verdict", "witness", "slack", "basis_count"}
+        assert set(out) == {"verdict", "witness", "slack", "basis_count", "det_margin"}
         assert out["verdict"] == verdict
         assert type(out["basis_count"]) is int and out["basis_count"] >= 1
+        margin = out["det_margin"]
+        assert set(margin) == {"least_accepted", "greatest_rejected"}
+        assert type(margin["least_accepted"]) is float
+        assert polytope.BASIS_TOL < margin["least_accepted"] <= 1.0
+        # only OUTSIDE has a dependent pair, and its columns are exactly parallel
+        assert margin["greatest_rejected"] == (0.0 if doc is OUTSIDE else None)
         if verdict == "inside" and doc["n"] == doc["k"]:
             # K is the single point 1: no subset bounds the slack
             assert out["witness"] is None and out["slack"] is None
@@ -182,6 +206,16 @@ class TestFiniteness:
             assert out["witness"] == sorted(set(out["witness"]))
             assert type(out["slack"]) is float
             assert (out["slack"] > 0.0) == (verdict == "inside")
+
+    def test_det_margin_shows_the_cutoff(self, tmp_path, capsys):
+        # the report shows the pair's margin beside the outside verdict,
+        # which it does not change
+        code, out = run_json(capsys, ["finiteness", write(tmp_path, EPS_FAMILY)])
+        assert code == 0
+        assert (out["verdict"], out["witness"]) == ("outside", [0, 1])
+        assert out["det_margin"]["greatest_rejected"] == pytest.approx(1e-10, rel=1e-12)
+        assert out["det_margin"]["greatest_rejected"] <= polytope.BASIS_TOL
+        assert out["det_margin"]["least_accepted"] == 1.0
 
 
 class TestConstant:
@@ -593,6 +627,24 @@ class TestFlow:
         monkeypatch.chdir(tmp_path)
         assert main(["flow", write(tmp_path, HOLDER), "--tmax", "1", *options]) == 0
         assert len(calls) == builds
+
+    def test_energy_above_its_limit_is_not_monotone(self, tmp_path, capsys):
+        code, doc = run_json(capsys, ["flow", write(tmp_path, FALLS_PAST_GRID)])
+        assert code == 1
+        assert doc["monotone"] is False and doc["label"] == "no certificate"
+        values = doc["values"]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert values[-1] > doc["limit_value"] + doc["mono_tol"]
+        assert doc["final_gap"] == pytest.approx(values[-1] - doc["limit_value"], rel=1e-12)
+
+    def test_no_limit_off_degree(self, tmp_path, capsys):
+        # sum(w) = 1.8 against k = 1: E(t) tends to 0, and falls on the grid
+        doc = dict(json.loads((PROBLEMS / "holder_boxes.json").read_text()),
+                   B={"variant": "young", "alpha": [0.9, 0.9]})
+        code, out = run_json(capsys, ["flow", write(tmp_path, doc)])
+        assert code == 1
+        assert out["monotone"] is False
+        assert out["limit_value"] is None and out["final_gap"] is None
 
     def test_json_report_with_tmax(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["flow", write(tmp_path, HOLDER),

@@ -332,6 +332,8 @@ class TestGaussianEnergy:
 
         monkeypatch.setattr(quadrature, "decay_quad", no_quadrature)
         sysm, cert, B, profiles = gaussian_datum(2, 7)
+        # weights of sum k, the degree at which the scan reports a limit
+        B = BellmanSpec.young(B.weights * (sysm.k / B.degree))
         trace, verdict = monotonicity_scan(sysm, cert, B, profiles)
         limit = rhs_limit(sysm, cert, B, [p.mass() for p in profiles])
         assert set(trace.levels) == {0}
@@ -363,6 +365,18 @@ class TestGaussianEnergy:
         trace = bellman_energies(sysm, make_cert(sysm, np.eye(2)), B, profiles, [0.0, 1.0])
         assert trace.values[0] == pytest.approx(want, rel=1e-12)
         assert math.isfinite(trace.values[1]) and trace.values[1] > want
+
+    def test_underflowing_determinant_is_inf(self):
+        # rank A = k is decided at parse; at variances 1e300 the singular values
+        # of A diag(sqrt(w/v)) are near 1e-150, and their product underflows to 0
+        sysm = VectorSystem(np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0],
+                                      [0.0, 0.0, 1.0, 1.0]]))
+        B = BellmanSpec.young([0.75] * 4)
+        variance = np.array([[1.0] * 4, [1e300] * 4])
+        values = gaussian.gaussian_integral(sysm.A, B.weights, 1.0, 0.0, variance)
+        assert math.isfinite(values[0]) and values[1] == math.inf
+        with pytest.raises(StructuralError, match="underflows"):
+            gaussian_energy(sysm, B, [GaussianProfile(1.0, 0.0, 1e300)] * 4)
 
 
 def reflect(profile):
@@ -533,6 +547,27 @@ class TestMonotonicity:
         # equality case: the trace sits at its limit for all time
         assert verdict.final_gap <= 1e-7
         assert abs(verdict.initial_value - verdict.limit_value) <= 1e-7
+
+    def test_weights_of_sum_k_to_round_off_keep_the_limit(self, young3, young3_cert):
+        sysm, _, _ = young3
+        B = BellmanSpec.young([0.7, 0.6, 0.7])
+        assert B.degree != sysm.k and abs(B.degree - sysm.k) <= 1e-15
+        profiles = (GaussianProfile(1.0, 0.0, 1.3), GaussianProfile(0.8, 0.5, 1.9),
+                    GaussianProfile(1.2, -0.4, 1.8))
+        trace, verdict = monotonicity_scan(sysm, young3_cert, B, profiles)
+        limit = rhs_limit(sysm, young3_cert, B, [p.mass() for p in profiles])
+        assert verdict.limit_value == limit
+        assert verdict.final_gap == abs(trace.values[-1] - limit)
+
+    def test_no_limit_off_degree(self, holder, box_profiles):
+        # sum(w) = 0.8 < k = 1: E(t) grows like t^0.1, past the extremizers'
+        # energy, which is no limit; monotone is read off the differences alone
+        sysm, _, _, cert = holder
+        B = BellmanSpec.young([0.4, 0.4])
+        trace, verdict = monotonicity_scan(sysm, cert, B, box_profiles)
+        assert trace.values[-1] > rhs_limit(sysm, cert, B, [p.mass() for p in box_profiles])
+        assert verdict.monotone
+        assert verdict.limit_value is None and verdict.final_gap is None
 
     def test_uncertified_scan_is_labeled(self, product2):
         # A = I and B = y1 y2, so T = C, whose eigenvalues are 0.5 and 1.5
