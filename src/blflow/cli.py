@@ -1,11 +1,17 @@
-"""Batch front end: parse a problem file, dispatch, emit a JSON/CSV report.
+"""Batch front end: parse a problem file, dispatch, write a JSON/CSV report.
 
-Every command takes --out; verify and flow take --tol, and flow alone takes
---tmax and --format.  Exit codes are a stable contract: 0 pass, 1
-verdict-fail (e.g. the concavity check fails), 2 input error (unsupported
-sizes, a malformed field, a NaN or an infinity in the problem file, an
-option the command does not take, a --tmax not finite and >= 0 and a --tol
-not finite and > 0 included), 3 non-convergence, 4 certificate rejection.
+Each cmd_* maps (Problem, args) to (report, exit code) and touches no file:
+the report is a JSON document, or the CSV trace for flow --format csv.  main
+alone reads the problem file, writes the report (to --out PATH if given,
+else stdout) and maps every failure to an exit code.  Every command takes
+--out; verify and flow take --tol, and flow alone takes --tmax and --format.
+Exit codes are a stable contract: 0 pass, 1 verdict-fail (e.g. the
+concavity check fails), 2 input error (unsupported sizes, a malformed field,
+a NaN or an infinity in the problem file, a file that is not UTF-8 or JSON
+nested too deep, a problem file that cannot be read or an --out that cannot
+be written, an option the command does not take, a --tmax not finite and
+>= 0 and a --tol not finite and > 0 included), 3 non-convergence, 4
+certificate rejection.
 
 A certificate is the pair (C, G = A^T C A): the file's explicit C, or the one
 solved from the exponents, read off the factor the solve finished on
@@ -44,8 +50,9 @@ EXIT_INPUT = 2
 EXIT_NOCONV = 3
 EXIT_REJECT = 4
 
-#: errors in the problem or the options, reported with EXIT_INPUT
-INPUT_ERRORS = (StructuralError, DomainError, UnsupportedScaleError)
+#: errors in the problem, the options or either file, reported with EXIT_INPUT
+INPUT_ERRORS = (StructuralError, DomainError, UnsupportedScaleError, OSError,
+                UnicodeDecodeError)
 
 
 def positive_float(text: str) -> float:
@@ -54,20 +61,6 @@ def positive_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text!r}")
     return value
-
-
-def _load(path: str) -> Problem:
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read())
-
-
-def _emit(doc, out=None) -> None:
-    text = json.dumps(doc, indent=2, default=_jsonable) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
 
 
 def _jsonable(obj):
@@ -86,8 +79,11 @@ def _bellman_of(problem: Problem) -> BellmanSpec:
     raise StructuralError("problem file has no usable B")
 
 
-def _membership(problem: Problem) -> polytope.MembershipVerdict:
-    """Polytope verdict for the file's exponents, at the file's boundary_tol."""
+def _membership(problem: Problem, command: str) -> polytope.MembershipVerdict:
+    """Polytope verdict for the file's exponents, at the file's boundary_tol;
+    a file without them is an input error of ``command``."""
+    if problem.exponents is None:
+        raise StructuralError(f"{command} needs inv_p")
     return polytope.is_finite(problem.system, problem.exponents,
                               boundary_tol=problem.tolerances.get("boundary_tol",
                                                                   polytope.BOUNDARY_TOL))
@@ -106,7 +102,8 @@ def _solved_certificate(problem: Problem):
     residual the solver reaches far out along a ray, so that raises
     IterationError (exit 3) before any solve.
     """
-    verdict = _membership(problem)
+    # only solve-c can lack inv_p here: _certificate_of tests for it first
+    verdict = _membership(problem, "solve-c")
     if verdict.verdict != "inside":
         raise IterationError(f"exponents not inside the polytope ({verdict.verdict}); "
                              "no certificate exists")
@@ -126,23 +123,18 @@ def _certificate_of(problem: Problem):
     return cert
 
 
-def cmd_finiteness(problem: Problem, args) -> int:
-    if problem.exponents is None:
-        raise StructuralError("finiteness needs inv_p")
-    v = _membership(problem)
-    _emit({"verdict": v.verdict,
-           "witness": None if v.witness is None else list(v.witness),
-           "slack": v.slack if math.isfinite(v.slack) else None,
-           "basis_count": v.basis_count,
-           "det_margin": {"least_accepted": v.least_accepted,
-                          "greatest_rejected": v.greatest_rejected}}, args.out)
-    return EXIT_OK
+def cmd_finiteness(problem: Problem, args) -> tuple[dict, int]:
+    v = _membership(problem, args.command)
+    return {"verdict": v.verdict,
+            "witness": None if v.witness is None else list(v.witness),
+            "slack": v.slack if math.isfinite(v.slack) else None,
+            "basis_count": v.basis_count,
+            "det_margin": {"least_accepted": v.least_accepted,
+                           "greatest_rejected": v.greatest_rejected}}, EXIT_OK
 
 
-def cmd_constant(problem: Problem, args) -> int:
-    if problem.exponents is None:
-        raise StructuralError("constant needs inv_p")
-    verdict = _membership(problem)
+def cmd_constant(problem: Problem, args) -> tuple[dict, int]:
+    verdict = _membership(problem, args.command)
     doc = {"D": None, "argmax_b": None, "iterations": 0, "residual": None,
            "status": "sup not attained / infinite", "warnings": [], "notes": []}
     if verdict.verdict == "outside":
@@ -160,13 +152,10 @@ def cmd_constant(problem: Problem, args) -> int:
         else:
             doc["warnings"].append("exponents are on the boundary of the polytope; "
                                    "the supremum is finite and approached only in a limit")
-    _emit(doc, args.out)
-    return EXIT_NOCONV if doc["status"] == "non-convergence" else EXIT_OK
+    return doc, EXIT_NOCONV if doc["status"] == "non-convergence" else EXIT_OK
 
 
-def cmd_solve_c(problem: Problem, args) -> int:
-    if problem.exponents is None:
-        raise StructuralError("solve-c needs inv_p")
+def cmd_solve_c(problem: Problem, args) -> tuple[dict, int]:
     verdict, result, cert = _solved_certificate(problem)
     e = problem.exponents
     defect = certificate.certificate_defect(problem.system, e, cert)
@@ -177,36 +166,32 @@ def cmd_solve_c(problem: Problem, args) -> int:
         # few columns and moves a lot with the exponents
         notes.append("exponents within 1e-6 of the polytope boundary; "
                      "the weights s^2 spread over many decades")
-    _emit({"C": cert.C, "s_sq": result.s_sq, "sigma": cert.sigma,
-           "residual": float((abs(e.inv_p - result.s_sq * cert.sigma) / e.inv_p).max()),
-           "system_residual": result.residual,
-           "iterations": result.iterations, "converged": result.converged,
-           "inverse_defect": defect,
-           "projection": {"ok": proj.ok, "eigenvalues": proj.eigenvalues,
-                          "rank": proj.rank, "trace": proj.trace,
-                          "idempotency_defect": proj.idempotency_defect},
-           "polytope_verdict": verdict.verdict,
-           "notes": notes}, args.out)
-    if not result.converged:
-        return EXIT_NOCONV
-    return EXIT_OK
+    return {"C": cert.C, "s_sq": result.s_sq, "sigma": cert.sigma,
+            "residual": float((abs(e.inv_p - result.s_sq * cert.sigma) / e.inv_p).max()),
+            "system_residual": result.residual,
+            "iterations": result.iterations, "converged": result.converged,
+            "inverse_defect": defect,
+            "projection": {"ok": proj.ok, "eigenvalues": proj.eigenvalues,
+                           "rank": proj.rank, "trace": proj.trace,
+                           "idempotency_defect": proj.idempotency_defect},
+            "polytope_verdict": verdict.verdict,
+            "notes": notes}, EXIT_OK if result.converged else EXIT_NOCONV
 
 
-def cmd_verify(problem: Problem, args) -> int:
+def cmd_verify(problem: Problem, args) -> tuple[dict, int]:
     from . import verifier
 
     B = _bellman_of(problem)
     cert = _certificate_of(problem)
     pde_tol = verifier.PDE_TOL if args.tol is None else args.tol
     report = verifier.verify(problem.system, cert, B, pde_tol=pde_tol)
-    _emit({"l3": {"ok": report.l3_ok, "max_eig": report.l3_max_eig},
-           "pde": {"ok": report.pde_ok, "defect": report.pde_defect},
-           "rank": {"ok": report.rank_ok, "worst": report.rank,
-                    "bound": problem.system.n - problem.system.k},
-           "l5": {"converged": report.l5.converged, "value": report.l5.value},
-           "tolerances": report.tolerances,
-           "ok": report.ok}, args.out)
-    return EXIT_OK if report.ok else EXIT_VERDICT
+    return {"l3": {"ok": report.l3_ok, "max_eig": report.l3_max_eig},
+            "pde": {"ok": report.pde_ok, "defect": report.pde_defect},
+            "rank": {"ok": report.rank_ok, "worst": report.rank,
+                     "bound": problem.system.n - problem.system.k},
+            "l5": {"converged": report.l5.converged, "value": report.l5.value},
+            "tolerances": report.tolerances,
+            "ok": report.ok}, EXIT_OK if report.ok else EXIT_VERDICT
 
 
 def _trace_csv(trace) -> str:
@@ -217,7 +202,7 @@ def _trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_flow(problem: Problem, args) -> int:
+def cmd_flow(problem: Problem, args) -> tuple[dict | str, int]:
     from . import heatflow
 
     if problem.profiles is None:
@@ -230,20 +215,13 @@ def cmd_flow(problem: Problem, args) -> int:
     trace, verdict = heatflow.monotonicity_scan(
         problem.system, cert, B, problem.profiles, times=times,
         quad_tol=heatflow.QUAD_TOL if args.tol is None else args.tol)
-    doc = {"monotone": verdict.monotone, "label": verdict.label,
-           "mono_tol": verdict.mono_tol, "initial_value": verdict.initial_value,
-           "limit_value": verdict.limit_value, "final_gap": verdict.final_gap,
-           "times": trace.times, "values": trace.values, "levels": trace.levels}
-    if args.out or args.format == "csv":
-        csv_text = _trace_csv(trace)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+    code = EXIT_OK if verdict.monotone else EXIT_VERDICT
     if args.format == "csv":
-        _sys.stdout.write(csv_text)
-    else:
-        _emit(doc)
-    return EXIT_OK if verdict.monotone else EXIT_VERDICT
+        return _trace_csv(trace), code
+    return {"monotone": verdict.monotone, "label": verdict.label,
+            "mono_tol": verdict.mono_tol, "initial_value": verdict.initial_value,
+            "limit_value": verdict.limit_value, "final_gap": verdict.final_gap,
+            "times": trace.times, "values": trace.values, "levels": trace.levels}, code
 
 
 _COMMANDS = {
@@ -285,12 +263,17 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        problem = _load(args.file)
-    except (OSError, StructuralError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INPUT
-    try:
-        return _COMMANDS[args.command](problem, args)
+        with open(args.file, encoding="utf-8") as fh:
+            problem = parse_problem(fh.read())
+        report, code = _COMMANDS[args.command](problem, args)
+        if not isinstance(report, str):
+            report = json.dumps(report, indent=2, default=_jsonable) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        else:
+            _sys.stdout.write(report)
+        return code
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT

@@ -236,10 +236,11 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     """The energy trace of :func:`bellman_energies` over a time grid, and
     whether it never decreases.
 
-    Successive values may fall by at most mono_tol.  Where B has degree k, to
-    HOMOG_TOL relative, the energy tends to :func:`rhs_limit` as t -> infinity,
-    so a value above that limit by more than mono_tol means the energy falls
-    later, and the trace is not monotone either.  Otherwise E(t) behaves like
+    Successive values may fall by at most mono_tol = 10 quad_tol max|E|, which
+    scales with B as E does.  Where B has degree k, to HOMOG_TOL relative, the
+    energy tends to :func:`rhs_limit` as t -> infinity, so a value above that
+    limit by more than mono_tol means the energy falls later, and the trace is
+    not monotone either.  Otherwise E(t) behaves like
     t^{(k - sum(w)) / 2}, which tends to 0 or to infinity: no limit is
     reported, and limit_value and final_gap are None.
 
@@ -248,7 +249,7 @@ def monotonicity_scan(sys: VectorSystem, cert: GaussCert, B: BellmanSpec,
     """
     trace = bellman_energies(sys, cert, B, profiles, times, quad_tol)
     values = trace.values
-    mono_tol = max(1e-8, 10.0 * quad_tol * float(np.max(np.abs(values))))
+    mono_tol = 10.0 * quad_tol * float(np.max(np.abs(values)))
     monotone = bool(np.all(np.diff(values) >= -mono_tol))
     certified = check_L3(sys, cert, B)[0]
     limit = final_gap = None

@@ -126,7 +126,7 @@ def _field(doc: dict, key: str, convert, default=None):
 def parse_problem(text: str) -> Problem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise StructuralError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StructuralError("problem file must be a JSON object")

@@ -250,9 +250,8 @@ class GaussCert:
         # a finite C can still overflow G
         if not (np.isfinite(self.G).all() and (self.sigma > 0.0).all()):
             raise CertificateRejection("A^T C A must be finite and every <C a_j, a_j> positive")
-        scale = max(1.0, float(abs(C).max()))
-        if abs(C - C.T).max() > SYM_TOL * scale:
-            raise StructuralError("C must be symmetric within 1e-12")
+        if abs(C - C.T).max() > SYM_TOL * float(abs(C).max()):
+            raise StructuralError("C must be symmetric within 1e-12 relative to its largest entry")
 
     @property
     def sigma(self) -> np.ndarray:  # the diffusivities sigma_j = G_jj = <C a_j, a_j>

@@ -614,11 +614,12 @@ class TestFlow:
         assert float(rows[0][0]) == 0.0 and values[0] == pytest.approx(1.0, abs=1e-8)
         assert math.sqrt(2.0) - 1e-3 <= values[-1] <= math.sqrt(2.0) + 1e-8
         assert all(b >= a - 1e-8 for a, b in zip(values, values[1:]))
-        # stdout carries the same CSV
-        assert capsys.readouterr().out.splitlines()[0] == "t,B_t,L,refinement"
+        # the CSV goes to --out alone
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("options, builds", [([], 0), (["--format", "csv"], 1),
-                                                 (["--out", "trace.csv"], 1)])
+                                                 (["--format", "csv", "--out", "trace.csv"], 1),
+                                                 (["--out", "report.json"], 0)])
     def test_csv_is_built_only_when_read(self, tmp_path, monkeypatch, capsys, options, builds):
         calls = []
         original = blflow.cli._trace_csv
@@ -666,6 +667,18 @@ class TestFlow:
         assert doc["levels"] == [int(row.split(",")[3]) for row in rows]
         # all-Gaussian data take the closed form at every time: 0 doublings
         assert (set(doc["levels"]) == {0}) == (problem == "lifted_section_triple")
+
+    def test_verdict_keeps_under_scaling_of_B(self, tmp_path, capsys):
+        # E falls from 1.253 M to 0.0198 M: a positive scaling M of B scales E
+        # and mono_tol alike, so no M may turn the fall into a monotone trace
+        gauss = {"type": "gaussian", "amplitude": 1.0, "center": 0.0, "variance": 1.0}
+        verdicts = set()
+        for M in (1.0, 1e-9, 1e9):
+            doc = {"k": 1, "n": 2, "A": [[1.0, 1.0]], "C": [[1.0]],
+                   "B": {"variant": "product", "M": M}, "profiles": [gauss, gauss]}
+            code, out = run_json(capsys, ["flow", write(tmp_path, doc)])
+            verdicts.add((code, out["monotone"]))
+        assert verdicts == {(1, False)}
 
     @pytest.mark.parametrize("problem", sorted(p.name for p in PROBLEMS.glob("*.json")))
     def test_flow_on_every_problem(self, capsys, problem):
@@ -788,9 +801,53 @@ class TestParser:
         assert err.endswith(f"blflow: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
+class TestOut:
+    """--out PATH writes the report that stdout would carry, and stdout stays empty."""
+
+    @pytest.mark.parametrize("problem", sorted(p.name for p in PROBLEMS.glob("*.json")))
+    @pytest.mark.parametrize("argv", [["finiteness"], ["constant"], ["solve-c"], ["verify"],
+                                      ["flow"], ["flow", "--format", "csv"]],
+                             ids=lambda argv: "-".join(argv).replace("--", ""))
+    def test_out_holds_the_printed_report(self, tmp_path, capsys, problem, argv):
+        path = str(PROBLEMS / problem)
+        code = main([argv[0], path, *argv[1:]])
+        printed = capsys.readouterr().out
+        out = tmp_path / "report"
+        assert main([argv[0], path, *argv[1:], "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        # a command that fails writes no report, and so creates no file
+        assert (out.read_bytes() if out.exists() else b"") == printed.encode("utf-8")
+
+
+def assert_one_line_input_error(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["finiteness", "/nonexistent/problem.json"]) == 2
+
+    @pytest.mark.parametrize("command", ["finiteness", "constant", "solve-c", "verify", "flow"])
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"k":1}',
+                                         b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_document_is_input_error(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(code, captured.err)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, target):
+        code = main(["finiteness", str(PROBLEMS / "young_convolution.json"),
+                     "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(code, captured.err)
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -1025,6 +1082,14 @@ class TestExitCodes:
         # error only while every <C a_j, a_j> > 0 (here sigma_2 = -0.5); a
         # finite C whose sigma_2 = 2e308 overflows is rejected too
         assert main(["verify", write(tmp_path, dict(YOUNG3, C=C))]) == code
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_asymmetry_is_relative_to_C(self, tmp_path, capsys, scale):
+        # a positive scaling of C keeps the exit code: max |C - C^T| is 5e-7 of max |C|
+        C = (scale * np.array([[2.0, 1e-6], [0.0, 2.0]])).tolist()
+        code = main(["verify", write(tmp_path, dict(YOUNG3, C=C))])
+        err = capsys.readouterr().err
+        assert code == 2 and "symmetric" in err and "relative" in err
 
     def test_entry_point_installed(self, tmp_path):
         path = write(tmp_path, YOUNG3)
